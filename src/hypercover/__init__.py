@@ -12,8 +12,6 @@ from .core import (
     MultiplicityProfile,
     RPartiteBlock,
     VerifyResult,
-    block_edge_count,
-    block_order,
     complete_hypergraph,
     cover_from_json,
     cover_to_json,
@@ -55,7 +53,6 @@ from .bounds import (
     cover_incidence,
     derandomized_extraction,
     expected_survivors,
-    extract_independent_set,
     greedy_color,
     independent_matchings_lower_bound,
     is_proper_coloring,

@@ -153,11 +153,6 @@ def derandomized_extraction(h: Hypergraph, c: Cover) -> ExtractionResult:
     return ExtractionResult(frozenset(survivors), guarantee, tuple(expectations))
 
 
-def extract_independent_set(h: Hypergraph, c: Cover) -> frozenset:
-    """Survivor set of the derandomized part-deletion process."""
-    return derandomized_extraction(h, c).vertices
-
-
 @dataclass(frozen=True)
 class PeelResult:
     colors: tuple  # color of each vertex
@@ -177,7 +172,7 @@ def peel_coloring(h: Hypergraph, cover_provider) -> PeelResult:
     color = 0
     while alive:
         sub, old_ids = induced_subhypergraph(h, alive)
-        survivors = extract_independent_set(sub, cover_provider(sub))
+        survivors = derandomized_extraction(sub, cover_provider(sub)).vertices
         if not survivors:
             raise RuntimeError("extraction returned no vertices")
         sizes.append(len(survivors))

@@ -2,8 +2,9 @@
 
 Payloads are UTF-8 JSON on stdout, diagnostics go to stderr. Exit codes:
 0 ok, 1 verification/certificate failure, 3 search outcome unknown,
-4 invalid parameters or a size guard. The HYPERCOVER_GUARD_OVERRIDE
-environment variable lifts size guards (unsafe: memory and time unbounded).
+4 invalid parameters, a malformed input file or a size guard. Setting the
+HYPERCOVER_GUARD_OVERRIDE environment variable to 1 lifts size guards
+(unsafe: memory and time unbounded).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 
 from . import bounds as bnd
@@ -28,7 +28,6 @@ from .core import (
     hypergraph_to_json,
     verify_cover,
     verify_partition,
-    multiplicity_profile,
 )
 from .cube import cube_graph, label_partition, label_table, pi_partition, pinto_upper_bound
 from .grids import grid3_cover, hex_cover, log_cover, star_partition
@@ -126,7 +125,7 @@ def _cmd_verify(args) -> int:
             raise ValueError("pass --list or --partition")
         lst = MultiplicityList.parse(args.list)
         result = verify_cover(h, c, lst)
-    profile = multiplicity_profile(h, c)
+    profile = result.profile
     payload = {
         "status": "ok" if result.ok else "fail",
         "list": lst.describe(),
@@ -226,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hypercover",
         description="Covers, partitions, and rank certificates for r-uniform hypergraphs.",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized corpus helpers (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named construction")
@@ -277,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.func(args)
     except (GuardError, ValueError, OSError) as exc:

@@ -30,7 +30,7 @@ class GuardError(ValueError):
 
 
 def check_guard(description: str, actual: int, limit: int) -> None:
-    if actual > limit and not os.environ.get(GUARD_ENV):
+    if actual > limit and os.environ.get(GUARD_ENV) != "1":
         raise GuardError(
             f"{description}: {actual} exceeds guard {limit}"
             f" (set {GUARD_ENV}=1 to override)"
@@ -146,16 +146,6 @@ class RPartiteBlock:
             else:
                 return False
         return all(hit)
-
-
-def block_edge_count(b: RPartiteBlock) -> int:
-    """Number of implied edges: the product of the part sizes."""
-    return b.edge_count()
-
-
-def block_order(b: RPartiteBlock) -> int:
-    """Number of vertices of the block: the sum of the part sizes."""
-    return b.order()
 
 
 @dataclass(frozen=True)
@@ -282,31 +272,18 @@ def _check_compatible(h: Hypergraph, c: Cover) -> None:
 def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
     """Count, for every edge of h, the blocks of c containing it.
 
-    Block edges not in h (foreign coverage) are tallied separately. Small
-    blocks are enumerated directly; for blocks with more implied edges than h
-    has edges, membership is tested per h-edge instead, falling back to
-    enumeration only when the counts reveal foreign coverage.
+    Block edges not in h (foreign coverage) are tallied separately. Every
+    implied edge of every block is enumerated once.
     """
     _check_compatible(h, c)
     counts = {e: 0 for e in h.edges}
     foreign: dict[Edge, int] = {}
     for b in c.blocks:
-        if b.edge_count() <= max(1, len(h.edges)):
-            for e in b.implied_edges():
-                if e in counts:
-                    counts[e] += 1
-                else:
-                    foreign[e] = foreign.get(e, 0) + 1
-        else:
-            covered = 0
-            for e in h.edges:
-                if b.contains_edge(e):
-                    counts[e] += 1
-                    covered += 1
-            if covered < b.edge_count():
-                for e in b.implied_edges():
-                    if e not in counts:
-                        foreign[e] = foreign.get(e, 0) + 1
+        for e in b.implied_edges():
+            if e in counts:
+                counts[e] += 1
+            else:
+                foreign[e] = foreign.get(e, 0) + 1
     return MultiplicityProfile(counts, foreign)
 
 
@@ -316,6 +293,7 @@ class VerifyResult:
     reason: str | None = None  # "multiplicity" | "foreign" when not ok
     witness_edge: Edge | None = None
     witness_multiplicity: int | None = None
+    profile: MultiplicityProfile | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -326,11 +304,11 @@ def verify_cover(h: Hypergraph, c: Cover, lst: MultiplicityList) -> VerifyResult
     profile = multiplicity_profile(h, c)
     if profile.foreign:
         e = min(profile.foreign)
-        return VerifyResult(False, "foreign", e, profile.foreign[e])
+        return VerifyResult(False, "foreign", e, profile.foreign[e], profile)
     for e in sorted(profile.multiplicity):
         if profile.multiplicity[e] not in lst:
-            return VerifyResult(False, "multiplicity", e, profile.multiplicity[e])
-    return VerifyResult(True)
+            return VerifyResult(False, "multiplicity", e, profile.multiplicity[e], profile)
+    return VerifyResult(True, profile=profile)
 
 
 def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
@@ -354,9 +332,13 @@ def hypergraph_to_json(h: Hypergraph) -> str:
 
 
 def hypergraph_from_json(text: str) -> Hypergraph:
-    doc = json.loads(text)
-    return Hypergraph(int(doc["r"]), int(doc["n"]),
-                      frozenset(tuple(e) for e in doc["edges"]))
+    """Raises ValueError on text that is not a hypergraph document."""
+    try:
+        doc = json.loads(text)
+        return Hypergraph(int(doc["r"]), int(doc["n"]),
+                          frozenset(tuple(e) for e in doc["edges"]))
+    except (KeyError, TypeError, RecursionError) as exc:
+        raise ValueError(f"malformed hypergraph JSON: {exc!r}") from None
 
 
 def cover_to_json(c: Cover) -> str:
@@ -366,7 +348,11 @@ def cover_to_json(c: Cover) -> str:
 
 
 def cover_from_json(text: str) -> Cover:
-    doc = json.loads(text)
-    blocks = tuple(RPartiteBlock(tuple(map(frozenset, b["parts"])))
-                   for b in doc["blocks"])
-    return Cover(int(doc["r"]), blocks)
+    """Raises ValueError on text that is not a cover document."""
+    try:
+        doc = json.loads(text)
+        blocks = tuple(RPartiteBlock(tuple(map(frozenset, b["parts"])))
+                       for b in doc["blocks"])
+        return Cover(int(doc["r"]), blocks)
+    except (KeyError, TypeError, RecursionError) as exc:
+        raise ValueError(f"malformed cover JSON: {exc!r}") from None

@@ -82,10 +82,6 @@ class LabelBlock:
                 raise ValueError(f"labels must lie in 0..{self.r}")
         object.__setattr__(self, "classes", classes)
 
-    @property
-    def star(self) -> int:
-        return self.r
-
     def tuple_count(self) -> int:
         return math.prod(len(s) for s in self.classes)
 

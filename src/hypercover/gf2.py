@@ -151,7 +151,6 @@ def adjacency_cube_matrix(r: int, m: int) -> GF2Matrix:
     n = cg.hypergraph.n
     idx = SubsetIndex(n, r // 2)
     check_guard("adjacency_cube_matrix rows", idx.size, MATRIX_ROW_GUARD)
-    digit_rows = [cg.decode(v) for v in range(n)]
     subsets = list(idx.subsets())
     masks = [sum(1 << v for v in s) for s in subsets]
     edges = cg.hypergraph.edges

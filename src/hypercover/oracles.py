@@ -10,6 +10,7 @@ target hypergraph, which covers-with-foreign-coverage never satisfy anyway.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -31,8 +32,8 @@ class SearchBudget:
     max_seconds: float = 120.0
 
     def __post_init__(self):
-        if self.max_blocks < 0 or self.max_candidates < 1 or self.max_seconds <= 0:
-            raise ValueError("budget fields must be positive")
+        if self.max_blocks < 0 or self.max_candidates < 1 or not 0 < self.max_seconds < math.inf:
+            raise ValueError("budget fields must be positive and max_seconds finite")
 
 
 @dataclass(frozen=True)
@@ -123,20 +124,81 @@ def _locally_maximal(blocks, h: Hypergraph) -> list[RPartiteBlock]:
     return out
 
 
-def _prepare(h, candidates):
-    edge_list = h.sorted_edges()
-    index = {e: i for i, e in enumerate(edge_list)}
-    block_edges = []
-    cover_by_edge = [[] for _ in edge_list]
+def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudget,
+            cost=None) -> SearchOutcome:
+    """Least total cost of a multiset of candidates giving every edge of h a
+    multiplicity in `lst`; a block costs cost(block), or 1 when cost is None.
+
+    Iterative deepening on the total cost. The state is one edge bitmask per
+    multiplicity level: plane k holds the edges covered at least k+1 times, up
+    to max(lst); the unbounded list keeps a single plane that saturates. The
+    search branches on the lowest edge whose multiplicity is not admissible,
+    trying its blocks cheapest first. Failed (state, remaining cost) pairs are
+    remembered across levels. Unit-cost searches stop after budget.max_blocks;
+    cost searches go up to r|E|, the cost of the all-singleton cover.
+    """
+    index = {e: i for i, e in enumerate(h.sorted_edges())}
+    full = (1 << len(index)) - 1
+    masks, costs = [], []
+    cover_by_edge: list[list[int]] = [[] for _ in index]
     for bi, b in enumerate(candidates):
+        mask = 0
+        for e in b.implied_edges():
+            if e not in index:
+                raise ValueError(f"candidate block covers non-edge {e}")
+            mask |= 1 << index[e]
+            cover_by_edge[index[e]].append(bi)
+        masks.append(mask)
+        costs.append(1 if cost is None else cost(b))
+    for blocks in cover_by_edge:
+        blocks.sort(key=costs.__getitem__)
+    cheapest = min(costs, default=0)
+    saturate = lst.allowed is None
+    levels = (1,) if saturate else sorted(lst.allowed)
+    depth = levels[-1]
+    deadline = _Deadline(budget.max_seconds)
+    failed: set = set()
+    chosen: list[int] = []
+
+    def dfs(planes: tuple, left: int) -> bool:
+        deadline.check()
+        ok = 0
+        for k in levels:
+            ok |= planes[k - 1] if k == depth else planes[k - 1] & ~planes[k]
+        bad = full & ~ok
+        if not bad:
+            return True
+        if left < cheapest:
+            return False
+        key = (planes, left)
+        if key in failed:
+            return False
+        for bi in cover_by_edge[(bad & -bad).bit_length() - 1]:
+            if costs[bi] > left:
+                break
+            b = masks[bi]
+            if not saturate and planes[-1] & b:
+                continue
+            grown = [planes[0] | b]
+            for k in range(1, depth):
+                grown.append(planes[k] | (planes[k - 1] & b))
+            chosen.append(bi)
+            if dfs(tuple(grown), left - costs[bi]):
+                return True
+            chosen.pop()
+        failed.add(key)
+        return False
+
+    top = budget.max_blocks if cost is None else h.r * len(index)
+    for t in range(top + 1):
         try:
-            eids = sorted(index[e] for e in b.implied_edges())
-        except KeyError as exc:
-            raise ValueError(f"candidate block covers non-edge {exc.args[0]}") from None
-        block_edges.append(eids)
-        for ei in eids:
-            cover_by_edge[ei].append(bi)
-    return edge_list, block_edges, cover_by_edge
+            found = dfs((0,) * depth, t)
+        except _OutOfTime:
+            return SearchOutcome("unknown", t)
+        if found:
+            witness = Cover(h.r, tuple(candidates[bi] for bi in chosen))
+            return SearchOutcome("exact", t, t, witness)
+    return SearchOutcome("unknown", top + 1)
 
 
 def min_cover_size(
@@ -157,82 +219,7 @@ def min_cover_size(
         if lst.allowed is None:
             candidates = _locally_maximal(candidates, h)
     check_guard("min_cover_size candidates", len(candidates), budget.max_candidates)
-    if not h.edges:
-        return SearchOutcome("exact", 0, 0, Cover(h.r, ()))
-    edge_list, block_edges, cover_by_edge = _prepare(h, candidates)
-    m = len(edge_list)
-    deadline = _Deadline(budget.max_seconds)
-    chosen: list[int] = []
-
-    if lst.allowed is None:
-        full = (1 << m) - 1
-        block_masks = [sum(1 << ei for ei in eids) for eids in block_edges]
-
-        def dfs_any(mask: int, left: int, failed: set) -> bool:
-            deadline.check()
-            if mask == full:
-                return True
-            if left == 0:
-                return False
-            key = (mask, left)
-            if key in failed:
-                return False
-            d = (~mask & -~mask).bit_length() - 1
-            for bi in cover_by_edge[d]:
-                chosen.append(bi)
-                if dfs_any(mask | block_masks[bi], left - 1, failed):
-                    return True
-                chosen.pop()
-            failed.add(key)
-            return False
-
-        search = lambda t: dfs_any(0, t, set())
-    else:
-        maxl = max(lst.allowed)
-
-        def dfs_list(counts: tuple, left: int, failed: set) -> bool:
-            deadline.check()
-            d = -1
-            for i in range(m):
-                if counts[i] not in lst:
-                    d = i
-                    break
-            if d == -1:
-                return True
-            if left == 0:
-                return False
-            key = (counts, left)
-            if key in failed:
-                return False
-            for bi in cover_by_edge[d]:
-                nxt = list(counts)
-                overshoot = False
-                for ei in block_edges[bi]:
-                    nxt[ei] += 1
-                    if nxt[ei] > maxl:
-                        overshoot = True
-                        break
-                if overshoot:
-                    continue
-                chosen.append(bi)
-                if dfs_list(tuple(nxt), left - 1, failed):
-                    return True
-                chosen.pop()
-            failed.add(key)
-            return False
-
-        search = lambda t: dfs_list((0,) * m, t, set())
-
-    for t in range(0, budget.max_blocks + 1):
-        chosen.clear()
-        try:
-            found = search(t)
-        except _OutOfTime:
-            return SearchOutcome("unknown", t)
-        if found:
-            witness = Cover(h.r, tuple(candidates[bi] for bi in chosen))
-            return SearchOutcome("exact", t, t, witness)
-    return SearchOutcome("unknown", budget.max_blocks + 1)
+    return _search(h, candidates, lst, budget)
 
 
 def min_partition_size(h: Hypergraph, budget: SearchBudget | None = None) -> SearchOutcome:
@@ -241,48 +228,13 @@ def min_partition_size(h: Hypergraph, budget: SearchBudget | None = None) -> Sea
 
 
 def min_sum_of_orders(h: Hypergraph, budget: SearchBudget | None = None) -> SearchOutcome:
-    """Minimum total block order over all covers (every edge hit at least once)."""
-    budget = budget or SearchBudget()
+    """Minimum total block order over all covers (every edge hit at least once).
+
+    An "unknown" outcome carries the first total order not yet ruled out.
+    """
     check_guard("min_sum_of_orders vertices", h.n, 5)
-    if not h.edges:
-        return SearchOutcome("exact", 0, 0, Cover(h.r, ()))
-    candidates = enumerate_blocks(h)
-    edge_list, block_edges, cover_by_edge = _prepare(h, candidates)
-    m = len(edge_list)
-    full = (1 << m) - 1
-    block_masks = [sum(1 << ei for ei in eids) for eids in block_edges]
-    orders = [b.order() for b in candidates]
-    for ei in range(m):
-        cover_by_edge[ei].sort(key=lambda bi: orders[bi])
-    deadline = _Deadline(budget.max_seconds)
-
-    best = h.r * m + 1  # the singleton-block cover costs r per edge
-    best_blocks: list[int] | None = None
-    chosen: list[int] = []
-
-    def dfs(mask: int, cost: int):
-        nonlocal best, best_blocks
-        deadline.check()
-        if cost >= best:
-            return
-        if mask == full:
-            best = cost
-            best_blocks = list(chosen)
-            return
-        d = (~mask & -~mask).bit_length() - 1
-        for bi in cover_by_edge[d]:
-            if cost + orders[bi] >= best:
-                break
-            chosen.append(bi)
-            dfs(mask | block_masks[bi], cost + orders[bi])
-            chosen.pop()
-
-    try:
-        dfs(0, 0)
-    except _OutOfTime:
-        return SearchOutcome("unknown", 0)
-    witness = Cover(h.r, tuple(candidates[bi] for bi in best_blocks))
-    return SearchOutcome("exact", best, best, witness)
+    return _search(h, enumerate_blocks(h), MultiplicityList.any_positive(),
+                   budget or SearchBudget(), cost=RPartiteBlock.order)
 
 
 def independence_number(h: Hypergraph) -> int:

@@ -15,7 +15,6 @@ from hypercover import (
     cover_incidence,
     derandomized_extraction,
     expected_survivors,
-    extract_independent_set,
     greedy_color,
     independent_matchings_lower_bound,
     is_proper_coloring,
@@ -153,7 +152,7 @@ class TestExtraction:
     def test_uncovered_edge_rejected(self):
         h = complete_hypergraph(4)
         with pytest.raises(ValueError):
-            extract_independent_set(h, Cover(2, ()))
+            derandomized_extraction(h, Cover(2, ()))
 
     def test_guarantee_uses_exact_arithmetic(self):
         # 6 * (2/3) is exactly 4, but the float sum lands at 4.000000000000001

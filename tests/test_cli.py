@@ -1,9 +1,13 @@
 """The command-line surface: payload schemas, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hypercover
 from hypercover.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, main
 from hypercover import hypergraph_to_json, complete_hypergraph
 
@@ -204,6 +208,51 @@ class TestSearch:
                            "--file", self.write_k4(tmp_path))
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "0"])
+    def test_max_seconds_must_be_finite_and_positive(self, capsys, tmp_path, seconds):
+        code, _, err = run(capsys, "search", "min-partition",
+                           "--file", self.write_k4(tmp_path), "--max-seconds", seconds)
+        assert code == EXIT_ERROR and "max_seconds" in err
+
+
+class TestMalformedInput:
+    """Input files that parse as JSON but are not the documented shape."""
+
+    def cli(self, *argv):
+        src = os.path.dirname(os.path.dirname(hypercover.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "hypercover.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    def assert_input_error(self, proc):
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("text", [
+        '{"r": 2, "n": 4}',
+        '{"r": 2, "n": 4, "edges": 5}',
+        '["not", "a", "hypergraph"]',
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["no-edges", "edges-not-a-list", "not-an-object", "deep-nesting"])
+    def test_search(self, tmp_path, text):
+        path = tmp_path / "h.json"
+        path.write_text(text)
+        self.assert_input_error(self.cli("search", "min-partition", "--file", str(path)))
+
+    @pytest.mark.parametrize("hyper,cover", [
+        ('{"r": 2, "n": 4}', '{"r": 2, "blocks": []}'),
+        (None, '{"r": 2, "blocks": [{"parts": 3}]}'),
+        (None, '{"r": 2}'),
+    ], ids=["no-edges", "parts-not-a-list", "no-blocks"])
+    def test_verify(self, tmp_path, hyper, cover):
+        h, c = tmp_path / "h.json", tmp_path / "c.json"
+        h.write_text(hyper or hypergraph_to_json(complete_hypergraph(4)))
+        c.write_text(cover)
+        self.assert_input_error(self.cli("verify", "--hypergraph", str(h),
+                                         "--cover", str(c), "--list", "any"))
+
 
 class TestPayloadSchemas:
     """Payload key sets are part of the interface; keep them frozen."""
@@ -236,8 +285,3 @@ class TestPayloadSchemas:
         path.write_text(hypergraph_to_json(complete_hypergraph(3)))
         _, payload, _ = run(capsys, "search", "min-partition", "--file", str(path))
         assert sorted(payload) == ["exact", "goal", "lower", "report", "status", "value"]
-
-    def test_seed_flag_accepted(self, capsys):
-        code, payload, _ = run(capsys, "--seed", "7", "construct",
-                               "label-partition", "--r", "2")
-        assert code == EXIT_OK and payload["blocks"] == 3

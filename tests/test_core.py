@@ -1,5 +1,6 @@
 """Core types, the multiplicity verifier, and JSON round trips."""
 
+import dataclasses
 import itertools
 import json
 
@@ -10,8 +11,6 @@ from hypercover import (
     Hypergraph,
     MultiplicityList,
     RPartiteBlock,
-    block_edge_count,
-    block_order,
     complete_hypergraph,
     cover_from_json,
     cover_to_json,
@@ -76,21 +75,21 @@ class TestBlock:
             RPartiteBlock((frozenset({0, 1}), frozenset({1, 2})))
 
     def test_edge_count_singletons(self):
-        assert block_edge_count(RPartiteBlock(({0}, {1}))) == 1
+        assert RPartiteBlock(({0}, {1})).edge_count() == 1
 
     def test_edge_count_product(self):
-        assert block_edge_count(RPartiteBlock(({0, 1}, {2, 3}, {4}))) == 4
+        assert RPartiteBlock(({0, 1}, {2, 3}, {4})).edge_count() == 4
 
     def test_edge_count_widest_symbolic_block(self):
         # the widest block of the 3-uniform symbolic table: 1 * 4 * 4 tuples
         b = RPartiteBlock(({0}, {1, 2, 3, 4}, {5, 6, 7, 8}))
-        assert block_edge_count(b) == 16
+        assert b.edge_count() == 16
 
     def test_order(self):
-        assert block_order(RPartiteBlock(({0}, {1}))) == 2
-        assert block_order(RPartiteBlock(({0, 1}, {2, 3}, {4}))) == 5
+        assert RPartiteBlock(({0}, {1})).order() == 2
+        assert RPartiteBlock(({0, 1}, {2, 3}, {4})).order() == 5
         star = RPartiteBlock((frozenset({0}), frozenset(range(1, 8))))
-        assert block_order(star) == 8
+        assert star.order() == 8
 
     def test_implied_edges_sorted(self):
         b = RPartiteBlock(({2, 0}, {1, 3}))
@@ -147,7 +146,7 @@ class TestMultiplicityProfile:
         assert sum(profile.multiplicity.values()) == contributed
         # on a complete hypergraph every implied edge lands, so each block
         # contributes exactly its edge count
-        assert contributed == sum(block_edge_count(b) for b in cover.blocks)
+        assert contributed == sum(b.edge_count() for b in cover.blocks)
 
     def test_uniformity_mismatch(self):
         with pytest.raises(ValueError):
@@ -193,6 +192,18 @@ class TestVerify:
                 set(profile.multiplicity.values()) == {1} and not profile.foreign
             )
             assert verify_partition(h, Cover(2, blocks)).ok == expected
+
+    @pytest.mark.parametrize("h,blocks,lst", [
+        (complete_hypergraph(4), k4_star_blocks(), MultiplicityList.of(1)),
+        (complete_hypergraph(4), k4_bit_blocks(), MultiplicityList.of(1)),
+        (Hypergraph(2, 3, frozenset({(0, 1)})), (RPartiteBlock(({0}, {1, 2})),),
+         MultiplicityList.any_positive()),
+    ])
+    def test_result_carries_its_profile(self, h, blocks, lst):
+        c = Cover(2, blocks)
+        res = verify_cover(h, c, lst)
+        assert res.profile == multiplicity_profile(h, c)
+        assert res == dataclasses.replace(res, profile=None)  # not part of equality
 
 
 class TestMultiplicityList:
@@ -247,6 +258,28 @@ class TestJson:
         c = Cover(2, k4_star_blocks() + k4_bit_blocks())
         text = cover_to_json(c)
         assert cover_to_json(cover_from_json(text)) == text
+
+    @pytest.mark.parametrize("text", [
+        '{"r": 2, "n": 3}',
+        '{"r": 2, "n": 3, "edges": 5}',
+        '{"r": 2, "n": 3, "edges": [5]}',
+        '{"r": null, "n": 3, "edges": []}',
+        '[1, 2]',
+    ])
+    def test_malformed_hypergraph_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            hypergraph_from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"r": 2}',
+        '{"r": 2, "blocks": [{"parts": 3}]}',
+        '{"r": 2, "blocks": [{}]}',
+        '{"r": 2, "blocks": [[0, 1]]}',
+        '{"r": 2, "blocks": [{"parts": [0, 1]}]}',
+    ])
+    def test_malformed_cover_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            cover_from_json(text)
 
     def test_block_order_preserved(self):
         c = Cover(2, k4_bit_blocks())

@@ -6,7 +6,9 @@ bound) are never the only source of truth.
 """
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,19 +25,39 @@ from hypercover import (
     matching_number,
     min_cover_size,
     min_partition_size,
-    multiplicity_profile,
-    Cover,
+    min_sum_of_orders,
 )
+
+# gapped lists ({2}, {1,3}) need more than one multiplicity level in the search
+LISTS = (MultiplicityList.any_positive(), MultiplicityList.up_to(2), MultiplicityList.of(2),
+         MultiplicityList.of(1, 3), MultiplicityList.of(1))
 
 
 def naive_min_cover(h, lst, candidates, max_t=4):
     """Try every multiset of candidate blocks of size 0..max_t."""
+    block_edges = [list(b.implied_edges()) for b in candidates]
     for t in range(max_t + 1):
-        for combo in itertools.combinations_with_replacement(candidates, t):
-            profile = multiplicity_profile(h, Cover(h.r, combo))
-            if all(c in lst for c in profile.multiplicity.values()):
+        for combo in itertools.combinations_with_replacement(block_edges, t):
+            counts = Counter(e for edges in combo for e in edges)
+            if all(counts[e] in lst for e in h.edges):
                 return t
     return None
+
+
+def naive_min_order(h, candidates):
+    """Least total order of a set of candidates covering every edge, by a
+    shortest-path sweep over all 2^|E| covered-edge sets in increasing order."""
+    bit = {e: 1 << i for i, e in enumerate(h.sorted_edges())}
+    blocks = [(sum(bit[e] for e in b.implied_edges()), b.order()) for b in candidates]
+    best = {0: 0}
+    for mask in range(1 << len(bit)):
+        if mask not in best:
+            continue
+        for bmask, order in blocks:
+            grown = mask | bmask
+            if grown != mask:
+                best[grown] = min(best.get(grown, math.inf), best[mask] + order)
+    return best[(1 << len(bit)) - 1]
 
 
 def naive_independence(h):
@@ -93,8 +115,7 @@ class TestSearchAgainstMultisetEnumeration:
         rng = random.Random(seed)
         h = random_hypergraph(rng, rng.randint(2, 4), 2)
         candidates = enumerate_blocks(h)
-        for lst in (MultiplicityList.of(1), MultiplicityList.of(1, 2),
-                    MultiplicityList.any_positive()):
+        for lst in LISTS:
             expected = naive_min_cover(h, lst, candidates, max_t=4)
             got = min_cover_size(h, lst, candidates=candidates)
             if expected is not None:
@@ -110,6 +131,34 @@ class TestSearchAgainstMultisetEnumeration:
         expected = naive_min_cover(h, MultiplicityList.of(1), candidates, max_t=4)
         got = min_partition_size(h)
         assert expected is not None and got.value == expected
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_five_vertices(self, seed):
+        rng = random.Random(200 + seed)
+        r = (2, 3)[seed % 2]
+        h = random_hypergraph(rng, 5, r)
+        candidates = enumerate_blocks(h)
+        for lst in LISTS:
+            got = min_cover_size(h, lst, candidates=candidates)
+            assert got.is_exact and got.value == naive_min_cover(h, lst, candidates, max_t=6)
+
+    def test_complete_graph_gapped_lists(self):
+        # K_4 has a {1,2}-cover with 2 blocks, but a {1,3}-cover needs 3
+        h = complete_hypergraph(4)
+        candidates = enumerate_blocks(h)
+        for lst in LISTS:
+            got = min_cover_size(h, lst, candidates=candidates)
+            assert got.is_exact and got.value == naive_min_cover(h, lst, candidates)
+        assert min_cover_size(h, MultiplicityList.of(1, 3)).value == 3
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_min_sum_of_orders(self, seed):
+        rng = random.Random(300 + seed)
+        r = (2, 3)[seed % 2]
+        h = random_hypergraph(rng, rng.randint(r, 5), r)
+        got = min_sum_of_orders(h)
+        assert got.is_exact and got.value == naive_min_order(h, enumerate_blocks(h))
+        assert sum(b.order() for b in got.witness.blocks) == got.value
 
     def test_forced_repeat_list(self):
         # multiplicity exactly 3 on a single edge: the one block, three times

@@ -57,6 +57,12 @@ class TestEnumerateBlocks:
         # unordered pairs of disjoint non-empty subsets: (3^9 - 2*2^9 + 1) / 2
         assert len(blocks) == (3**9 - 2 * 2**9 + 1) // 2
 
+    @pytest.mark.parametrize("value", ["0", "", "true"])
+    def test_guard_override_only_by_one(self, monkeypatch, value):
+        monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", value)
+        with pytest.raises(GuardError):
+            enumerate_blocks(complete_hypergraph(9))
+
 
 class TestMinPartition:
     @pytest.mark.parametrize("n", range(2, 6))
@@ -137,6 +143,11 @@ class TestMinCover:
         assert outcome.lower == 3  # sizes 0..2 proven impossible
         assert outcome.value is None
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_budget_rejects_non_finite_or_non_positive_seconds(self, seconds):
+        with pytest.raises(ValueError):
+            SearchBudget(max_seconds=seconds)
+
 
 class TestMinSumOfOrders:
     def test_k2(self):
@@ -154,6 +165,13 @@ class TestMinSumOfOrders:
     def test_guard(self):
         with pytest.raises(GuardError):
             min_sum_of_orders(complete_hypergraph(6))
+
+    def test_timeout_reports_proven_lower_bound(self):
+        # the optimum for K_5 is 12; every total below the reported lower is ruled out
+        outcome = min_sum_of_orders(complete_hypergraph(5), SearchBudget(max_seconds=1e-9))
+        assert outcome.status == "unknown" and outcome.value is None
+        assert 0 < outcome.lower <= 12
+        assert min_sum_of_orders(complete_hypergraph(5)).value == 12
 
 
 class TestIndependenceNumber:
