@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 Edge = tuple[int, ...]
 
 GUARD_ENV = "HYPERCOVER_GUARD_OVERRIDE"
+LIST_RANGE_GUARD = 100_000  # multiplicities in one "lo..hi" list
 
 
 class GuardError(ValueError):
@@ -35,6 +36,17 @@ def check_guard(description: str, actual: int, limit: int) -> None:
             f"{description}: {actual} exceeds guard {limit}"
             f" (set {GUARD_ENV}=1 to override)"
         )
+
+
+def check_power_guard(description: str, factor: int, base: int, exponent: int,
+                      limit: int) -> None:
+    """check_guard on factor * base**exponent (factor >= 1, base >= 2). It exceeds the
+    limit once exponent > limit.bit_length(), and is then neither computed nor printed."""
+    if exponent <= limit.bit_length():
+        check_guard(description, factor * base**exponent, limit)
+    elif os.environ.get(GUARD_ENV) != "1":
+        raise GuardError(f"{description}: {factor} * {base}^{exponent} exceeds guard"
+                         f" {limit} (set {GUARD_ENV}=1 to override)")
 
 
 def _canonical_edge(edge, r: int, n: int) -> Edge:
@@ -204,8 +216,9 @@ class MultiplicityList:
         if spec.lower() == "any":
             return cls.any_positive()
         if ".." in spec:
-            lo, hi = spec.split("..", 1)
-            return cls(frozenset(range(int(lo), int(hi) + 1)))
+            lo, hi = (int(x) for x in spec.split("..", 1))
+            check_guard("multiplicity range width", hi - lo + 1, LIST_RANGE_GUARD)
+            return cls(frozenset(range(lo, hi + 1)))
         return cls(frozenset(int(x) for x in spec.split(",")))
 
     def __contains__(self, count: int) -> bool:

@@ -19,9 +19,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import Cover, Hypergraph, RPartiteBlock, check_guard
+from .core import Cover, Hypergraph, RPartiteBlock, check_guard, check_power_guard
 
 CUBE_EDGE_GUARD = 10**7
+LABEL_R_GUARD = 7  # floor((e-1) 7!) = 8659 blocks
 
 
 def floor_e_minus_one_factorial(r: int) -> int:
@@ -82,9 +83,6 @@ class LabelBlock:
                 raise ValueError(f"labels must lie in 0..{self.r}")
         object.__setattr__(self, "classes", classes)
 
-    def tuple_count(self) -> int:
-        return math.prod(len(s) for s in self.classes)
-
     def tuples(self):
         yield from itertools.product(*(sorted(s) for s in self.classes))
 
@@ -92,7 +90,7 @@ class LabelBlock:
         return tuple(tuple(sorted(s)) for s in self.classes)
 
 
-def label_partition(r: int, rmax: int = 7) -> list[LabelBlock]:
+def label_partition(r: int) -> list[LabelBlock]:
     """The block-count-minimal symbolic partition of one cube coordinate.
 
     Tiles {0..r-1, *}^r minus the r! all-distinct fixed tuples with exactly
@@ -104,8 +102,9 @@ def label_partition(r: int, rmax: int = 7) -> list[LabelBlock]:
     Emitted sorted by the per-class label lists, which groups blocks by their
     first-class label with star last.
     """
-    if not 2 <= r <= rmax:
-        raise ValueError(f"supported range is 2 <= r <= {rmax}")
+    if r < 2:
+        raise ValueError("uniformity must be at least 2")
+    check_guard("label_partition uniformity", r, LABEL_R_GUARD)
     star = r
     full = frozenset(range(r + 1))
     blocks = [LabelBlock(r, (frozenset({star}),) + (full,) * (r - 1))]
@@ -151,60 +150,47 @@ class CubeGraph:
     m: int
     hypergraph: Hypergraph
 
-    @property
-    def base(self) -> int:
-        return self.r + 1
-
     def encode(self, labels) -> int:
         v = 0
         for x in labels:
             if not 0 <= x <= self.r:
                 raise ValueError(f"label {x} outside 0..{self.r}")
-            v = v * self.base + x
+            v = v * (self.r + 1) + x
         return v
 
     def decode(self, v: int) -> tuple:
         digits = []
         for _ in range(self.m):
-            digits.append(v % self.base)
-            v //= self.base
+            digits.append(v % (self.r + 1))
+            v //= self.r + 1
         return tuple(reversed(digits))
 
 
-def _tuple_is_edge(digit_rows, combo, r: int, m: int) -> bool:
-    for j in range(m):
-        vals = set(digit_rows[v][j] for v in combo)
-        if len(vals) == r and r not in vals:
-            return True
-    return False
-
-
 def cube_graph(r: int, m: int) -> CubeGraph:
-    """Enumerate the cube hypergraph of uniformity r and dimension m."""
+    """The cube hypergraph of uniformity r and dimension m: for each of the m
+    coordinates, the (r+1)^((m-1) r) choices of one vertex per fixed value there."""
     if r < 2:
         raise ValueError("uniformity must be at least 2")
     if m < 1:
         raise ValueError("dimension must be at least 1")
-    n = (r + 1) ** m
-    check_guard("cube_graph enumerated candidate edges", math.comb(n, r),
-                CUBE_EDGE_GUARD)
-    probe = CubeGraph(r, m, Hypergraph(r, n))
-    digit_rows = [probe.decode(v) for v in range(n)]
-    edges = frozenset(
-        combo for combo in itertools.combinations(range(n), r)
-        if _tuple_is_edge(digit_rows, combo, r, m)
-    )
+    check_power_guard("cube_graph generated vertex entries", m * r, r + 1,
+                      (m - 1) * r, CUBE_EDGE_GUARD)
+    base = r + 1
+    n = base**m
+    edges = set()
+    for j in range(m):
+        weight = base ** (m - 1 - j)
+        with_digit = [[v for v in range(n) if v // weight % base == x] for x in range(r)]
+        edges.update(tuple(sorted(e)) for e in itertools.product(*with_digit))
     return CubeGraph(r, m, Hypergraph(r, n, edges))
 
 
 def pinto_upper_bound(r: int, m: int) -> int:
-    """(B^m - 1) / (B - 1) with B = floor((e-1) r!); exact integer."""
+    """(B^m - 1) / (B - 1) = 1 + B + ... + B^(m-1) with B = floor((e-1) r!)."""
     if r < 2 or m < 1:
         raise ValueError("need r >= 2 and m >= 1")
-    b = floor_e_minus_one_factorial(r)
-    num = b**m - 1
-    assert num % (b - 1) == 0
-    return num // (b - 1)
+    b = floor_e_minus_one_factorial(r) if m > 1 else 0  # no r! for a large r at m = 1
+    return sum(b**i for i in range(m))
 
 
 def pi_partition(r: int, m: int) -> Cover:
@@ -218,9 +204,11 @@ def pi_partition(r: int, m: int) -> Cover:
     """
     if r < 2 or m < 1:
         raise ValueError("need r >= 2 and m >= 1")
-    check_guard("pi_partition enumerated candidate edges",
-                math.comb((r + 1) ** m, r), CUBE_EDGE_GUARD)
-    labels = label_partition(r, rmax=max(7, r)) if m > 1 else []
+    # blocks x vertices is at least the vertex count, which bounds m before B^m
+    check_power_guard("pi_partition vertices", 1, r + 1, m, CUBE_EDGE_GUARD)
+    labels = label_partition(r) if m > 1 else []
+    check_guard("pi_partition blocks x vertices",
+                pinto_upper_bound(r, m) * (r + 1) ** m, CUBE_EDGE_GUARD)
     base = r + 1
     blocks = [tuple(frozenset({i}) for i in range(r))]
     size = base

@@ -9,6 +9,7 @@ indexed by r/2-subsets of the vertices in colexicographic order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,25 +39,19 @@ class GF2Matrix:
         return (self.data[i] >> j) & 1
 
     def transpose(self) -> "GF2Matrix":
-        cols = []
-        for j in range(self.cols):
-            col = 0
-            for i in range(self.rows):
-                col |= ((self.data[i] >> j) & 1) << i
-            cols.append(col)
-        return GF2Matrix(self.cols, self.rows, tuple(cols))
+        return GF2Matrix(self.cols, self.rows, tuple(
+            _packed_row((i for i, row in enumerate(self.data) if row >> j & 1), self.rows)
+            for j in range(self.cols)))
 
 
 def gf2_rank(matrix: GF2Matrix) -> int:
     """Rank over GF(2) by Gaussian elimination on packed rows."""
-    pivots: list[int] = []  # rows in echelon form, highest set bit is pivot
+    pivots: dict[int, int] = {}  # leading bit -> the echelon row that leads with it
     for row in matrix.data:
-        for p in pivots:
-            if (row >> (p.bit_length() - 1)) & 1:
-                row ^= p
+        while row and (lead := row.bit_length() - 1) in pivots:
+            row ^= pivots[lead]
         if row:
-            pivots.append(row)
-            pivots.sort(key=int.bit_length, reverse=True)
+            pivots[lead] = row
     return len(pivots)
 
 
@@ -100,20 +95,38 @@ class SubsetIndex:
 
     def subsets(self):
         """All k-subsets in colexicographic order."""
-        for i in range(self.size):
-            yield self.unrank(i)
+        return iter(sorted(itertools.combinations(range(self.n), self.k),
+                           key=lambda s: s[::-1]))
+
+
+def _packed_row(columns, width: int) -> int:
+    """The packed row with bit j set for each j in `columns`."""
+    row = bytearray((width + 7) // 8)
+    for j in columns:
+        row[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(row, "little")
+
+
+def _disjointness(n: int, low: int, k: int, description: str) -> GF2Matrix:
+    """Disjointness over the subsets of 0..n-1 of size low..k, size by size in
+    colexicographic order: each row lists the subsets of its complement."""
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    sizes = range(low, k + 1)
+    check_guard(description, sum(math.comb(n, size) for size in sizes), MATRIX_ROW_GUARD)
+    subsets = [s for size in sizes for s in SubsetIndex(n, size).subsets()]
+    index = {s: i for i, s in enumerate(subsets)}
+    data = []
+    for s in subsets:
+        rest = [v for v in range(n) if v not in s]
+        data.append(_packed_row((index[t] for size in sizes
+                                 for t in itertools.combinations(rest, size)), len(subsets)))
+    return GF2Matrix(len(subsets), len(subsets), tuple(data))
 
 
 def disjointness_matrix(n: int, k: int) -> GF2Matrix:
     """The C(n,k) x C(n,k) matrix with entry 1 iff the two k-subsets are disjoint."""
-    idx = SubsetIndex(n, k)
-    check_guard("disjointness_matrix rows", idx.size, MATRIX_ROW_GUARD)
-    masks = [sum(1 << v for v in s) for s in idx.subsets()]
-    data = tuple(
-        sum(1 << j for j, mb in enumerate(masks) if not ma & mb)
-        for ma in masks
-    )
-    return GF2Matrix(idx.size, idx.size, data)
+    return _disjointness(n, k, k, "disjointness_matrix rows")
 
 
 def disjointness_matrix_upto(n: int, k: int) -> GF2Matrix:
@@ -124,18 +137,7 @@ def disjointness_matrix_upto(n: int, k: int) -> GF2Matrix:
     is a permutation matrix), which is the case the adjacency certificates
     rest on.
     """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    masks = []
-    for size in range(k + 1):
-        idx = SubsetIndex(n, size)
-        masks.extend(sum(1 << v for v in s) for s in idx.subsets())
-    check_guard("disjointness_matrix_upto rows", len(masks), MATRIX_ROW_GUARD)
-    data = tuple(
-        sum(1 << j for j, mb in enumerate(masks) if not ma & mb)
-        for ma in masks
-    )
-    return GF2Matrix(len(masks), len(masks), data)
+    return _disjointness(n, 0, k, "disjointness_matrix_upto rows")
 
 
 def adjacency_cube_matrix(r: int, m: int) -> GF2Matrix:
@@ -148,22 +150,17 @@ def adjacency_cube_matrix(r: int, m: int) -> GF2Matrix:
     if r % 2 or r < 4:
         raise ValueError("even uniformity r >= 4 required")
     cg = cube_graph(r, m)
-    n = cg.hypergraph.n
-    idx = SubsetIndex(n, r // 2)
+    idx = SubsetIndex(cg.hypergraph.n, r // 2)
     check_guard("adjacency_cube_matrix rows", idx.size, MATRIX_ROW_GUARD)
-    subsets = list(idx.subsets())
-    masks = [sum(1 << v for v in s) for s in subsets]
-    edges = cg.hypergraph.edges
-    data = []
-    for i, s in enumerate(subsets):
-        row = 0
-        for j, t in enumerate(subsets):
-            if masks[i] & masks[j]:
-                continue
-            if tuple(sorted(s + t)) in edges:
-                row |= 1 << j
-        data.append(row)
-    return GF2Matrix(idx.size, idx.size, tuple(data))
+    index = {s: i for i, s in enumerate(idx.subsets())}
+    columns = [[] for _ in range(idx.size)]
+    for e in cg.hypergraph.edges:
+        # the r/2-subsets of a sorted edge, in lexicographic order, meet their
+        # complements in reverse order
+        halves = [index[s] for s in itertools.combinations(e, r // 2)]
+        for i, j in zip(halves, reversed(halves)):
+            columns[i].append(j)
+    return GF2Matrix(idx.size, idx.size, tuple(_packed_row(c, idx.size) for c in columns))
 
 
 def partition_lower_bound(r: int, m: int) -> int:

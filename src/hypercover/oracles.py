@@ -20,6 +20,7 @@ from .core import (
     MultiplicityList,
     RPartiteBlock,
     check_guard,
+    check_power_guard,
 )
 
 ENUMERATION_GUARD = 16_500  # assignments (r+1)^n: n <= 8 at r = 2, n <= 7 at r = 3
@@ -76,7 +77,7 @@ def enumerate_blocks(h: Hypergraph, within_edges: bool = True) -> list[RPartiteB
     up to part reordering; with within_edges, only blocks whose implied edges
     are edges of h."""
     r, n = h.r, h.n
-    check_guard("enumerate_blocks assignments", (r + 1) ** n, ENUMERATION_GUARD)
+    check_power_guard("enumerate_blocks assignments", 1, r + 1, n, ENUMERATION_GUARD)
     seen = set()
     out = []
     for assign in itertools.product(range(r + 1), repeat=n):

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import hypercover
 from hypercover.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, main
-from hypercover import hypergraph_to_json, complete_hypergraph
+from hypercover import complete_hypergraph, cover_to_json, hypergraph_to_json, log_cover
 
 
 def run(capsys, *argv):
@@ -215,20 +216,24 @@ class TestSearch:
         assert code == EXIT_ERROR and "max_seconds" in err
 
 
+def cli(*argv):
+    """Run the command in a fresh interpreter, so a traceback would show."""
+    src = os.path.dirname(os.path.dirname(hypercover.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("HYPERCOVER_GUARD_OVERRIDE", None)
+    return subprocess.run([sys.executable, "-m", "hypercover.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def assert_input_error(proc):
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestMalformedInput:
     """Input files that parse as JSON but are not the documented shape."""
-
-    def cli(self, *argv):
-        src = os.path.dirname(os.path.dirname(hypercover.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        return subprocess.run([sys.executable, "-m", "hypercover.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
-
-    def assert_input_error(self, proc):
-        assert proc.returncode == EXIT_ERROR
-        assert proc.stderr.startswith("error:")
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
 
     @pytest.mark.parametrize("text", [
         '{"r": 2, "n": 4}',
@@ -239,7 +244,7 @@ class TestMalformedInput:
     def test_search(self, tmp_path, text):
         path = tmp_path / "h.json"
         path.write_text(text)
-        self.assert_input_error(self.cli("search", "min-partition", "--file", str(path)))
+        assert_input_error(cli("search", "min-partition", "--file", str(path)))
 
     @pytest.mark.parametrize("hyper,cover", [
         ('{"r": 2, "n": 4}', '{"r": 2, "blocks": []}'),
@@ -250,8 +255,34 @@ class TestMalformedInput:
         h, c = tmp_path / "h.json", tmp_path / "c.json"
         h.write_text(hyper or hypergraph_to_json(complete_hypergraph(4)))
         c.write_text(cover)
-        self.assert_input_error(self.cli("verify", "--hypergraph", str(h),
-                                         "--cover", str(c), "--list", "any"))
+        assert_input_error(cli("verify", "--hypergraph", str(h),
+                               "--cover", str(c), "--list", "any"))
+
+
+class TestHostileSizes:
+    """Sizes whose work has no practical bound are refused before it starts."""
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "min-partition", "--file", "{big}"),
+        ("construct", "cube-graph", "--r", "2", "--m", "100000"),
+        ("rank", "--r", "4", "--m", "100000"),
+        ("construct", "pi-partition", "--r", "3", "--m", "100000"),
+        ("construct", "label-partition", "--r", "1000000"),
+        ("verify", "--hypergraph", "{h}", "--cover", "{c}", "--list", "1..1000000000"),
+    ], ids=["enumerate", "cube-graph", "rank", "pi-partition", "label-partition", "list"])
+    def test_refused_at_once(self, tmp_path, argv):
+        files = {"big": tmp_path / "big.json", "h": tmp_path / "h.json",
+                 "c": tmp_path / "c.json"}
+        files["big"].write_text('{"r": 2, "n": 2000000, "edges": []}')
+        h, c = log_cover(4)
+        files["h"].write_text(hypergraph_to_json(h))
+        files["c"].write_text(cover_to_json(c))
+        start = time.perf_counter()
+        proc = cli(*(a.format(**files) for a in argv))
+        elapsed = time.perf_counter() - start
+        assert_input_error(proc)
+        assert "exceeds guard" in proc.stderr
+        assert elapsed < 1.0
 
 
 class TestPayloadSchemas:

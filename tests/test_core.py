@@ -8,6 +8,7 @@ import pytest
 
 from hypercover import (
     Cover,
+    GuardError,
     Hypergraph,
     MultiplicityList,
     RPartiteBlock,
@@ -211,6 +212,10 @@ class TestMultiplicityList:
         assert MultiplicityList.parse("2,3").allowed == frozenset({2, 3})
         assert MultiplicityList.parse("1..4").allowed == frozenset({1, 2, 3, 4})
         assert MultiplicityList.parse("any").allowed is None
+
+    def test_range_width_guard(self):
+        with pytest.raises(GuardError):
+            MultiplicityList.parse("1..1000000000")
 
     def test_membership(self):
         assert 5 in MultiplicityList.any_positive()

@@ -17,8 +17,13 @@ from conftest import random_hypergraph
 from hypercover import (
     GF2Matrix,
     MultiplicityList,
+    SubsetIndex,
+    adjacency_cube_matrix,
     chromatic_number,
     complete_hypergraph,
+    cube_graph,
+    disjointness_matrix,
+    disjointness_matrix_upto,
     enumerate_blocks,
     gf2_rank,
     independence_number,
@@ -107,6 +112,33 @@ def naive_gf2_rank(matrix):
         rank += 1
         col += 1
     return rank
+
+
+def naive_cube_edges(r, m):
+    """Filter every r-set of cube vertices by the definition: some coordinate
+    shows all r fixed values."""
+    n = (r + 1) ** m
+    digits = [tuple(v // (r + 1) ** (m - 1 - j) % (r + 1) for j in range(m))
+              for v in range(n)]
+    return {combo for combo in itertools.combinations(range(n), r)
+            if any({digits[v][j] for v in combo} == set(range(r)) for j in range(m))}
+
+
+def naive_disjointness_rows(subsets):
+    """Compare every pair of subsets."""
+    masks = [sum(1 << v for v in s) for s in subsets]
+    return tuple(sum(1 << j for j, mb in enumerate(masks) if not ma & mb) for ma in masks)
+
+
+def naive_adjacency_rows(r, m):
+    """Compare every pair of r/2-subsets: disjoint, and their union a cube edge."""
+    edges = naive_cube_edges(r, m)
+    subsets = list(SubsetIndex((r + 1) ** m, r // 2).subsets())
+    return tuple(
+        sum(1 << j for j, t in enumerate(subsets)
+            if not set(s) & set(t) and tuple(sorted(s + t)) in edges)
+        for s in subsets
+    )
 
 
 class TestSearchAgainstMultisetEnumeration:
@@ -202,8 +234,43 @@ class TestRankAgainstDenseElimination:
         m = GF2Matrix(rows, cols, data)
         assert gf2_rank(m) == naive_gf2_rank(m)
 
-    def test_structured_matrices(self):
-        from hypercover import adjacency_cube_matrix, disjointness_matrix
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rank_deficient_matrices(self, seed):
+        # every row an XOR of a few random generators, so the rank is at most
+        # the generator count and usually well below the row count
+        rng = random.Random(100 + seed)
+        cols = rng.randint(1, 40)
+        gens = [rng.getrandbits(cols) for _ in range(rng.randint(1, 6))]
+        data = []
+        for _ in range(rng.randint(1, 30)):
+            row = 0
+            for g in rng.sample(gens, rng.randint(0, len(gens))):
+                row ^= g
+            data.append(row)
+        m = GF2Matrix(len(data), cols, tuple(data))
+        assert gf2_rank(m) == naive_gf2_rank(m) <= len(gens)
 
-        for m in (disjointness_matrix(5, 2), adjacency_cube_matrix(4, 1)):
+    def test_structured_matrices(self):
+        for m in (disjointness_matrix(5, 2), disjointness_matrix(6, 2),
+                  disjointness_matrix_upto(6, 2), adjacency_cube_matrix(4, 1),
+                  adjacency_cube_matrix(4, 2), adjacency_cube_matrix(6, 1)):
             assert gf2_rank(m) == naive_gf2_rank(m)
+
+
+class TestCubeAgainstDefinition:
+    @pytest.mark.parametrize("r,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                                     (3, 3), (4, 1), (4, 2), (5, 1), (6, 1)])
+    def test_cube_graph_edges(self, r, m):
+        assert cube_graph(r, m).hypergraph.edges == naive_cube_edges(r, m)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_disjointness_rows(self, n):
+        for k in range(n + 1):
+            exact = list(SubsetIndex(n, k).subsets())
+            assert disjointness_matrix(n, k).data == naive_disjointness_rows(exact)
+            upto = [s for i in range(k + 1) for s in SubsetIndex(n, i).subsets()]
+            assert disjointness_matrix_upto(n, k).data == naive_disjointness_rows(upto)
+
+    @pytest.mark.parametrize("r,m", [(4, 1), (4, 2), (6, 1)])
+    def test_adjacency_rows(self, r, m):
+        assert adjacency_cube_matrix(r, m).data == naive_adjacency_rows(r, m)

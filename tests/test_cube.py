@@ -110,6 +110,10 @@ class TestLabelPartition:
         with pytest.raises(ValueError):
             label_partition(1)
 
+    def test_guard_override(self, monkeypatch):
+        monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
+        assert len(label_partition(8)) == 69281 == floor_e_minus_one_factorial(8)
+
     @pytest.mark.parametrize("r", (2, 3))
     def test_table_matches_golden(self, r):
         expected = (GOLDEN / f"label_blocks_r{r}.txt").read_text()
@@ -190,6 +194,13 @@ class TestPiPartition:
                 projected.add(tuple(sorted(v % size for v in e)))
             hits = [projected <= pes for pes in parent_edge_sets]
             assert sum(hits) == 1
+
+    def test_size_guard(self):
+        # 625 vertices pass, but 70644 blocks x 625 vertices do not
+        with pytest.raises(GuardError, match="blocks x vertices"):
+            pi_partition(4, 4)
+        with pytest.raises(GuardError, match=r"4\^100000"):
+            pi_partition(3, 100_000)
 
     def test_pinto_values(self):
         assert pinto_upper_bound(2, 3) == 13
