@@ -29,7 +29,7 @@ print("== derandomized extraction: one part deleted per block ==")
 res = derandomized_extraction(h, c)
 print(f"  survivors {sorted(res.vertices)}  guarantee >= {res.guarantee}")
 print(f"  conditional expectations never fall: "
-      f"{[round(x, 3) for x in res.expectations]}")
+      f"{[round(float(x), 3) for x in res.expectations]}")
 
 print()
 print("== exact oracles dominate the closed forms (seeded corpus) ==")

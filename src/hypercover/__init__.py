@@ -52,7 +52,6 @@ from .bounds import (
     PeelResult,
     cover_incidence,
     derandomized_extraction,
-    expected_survivors,
     greedy_color,
     independent_matchings_lower_bound,
     is_proper_coloring,

@@ -17,7 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Cover, Hypergraph, induced_subhypergraph, multiplicity_profile
+from .core import (
+    Cover,
+    Hypergraph,
+    MultiplicityList,
+    induced_subhypergraph,
+    multiplicity_profile,
+)
 
 
 def ks_order_lower_bound(n: int, alpha: float, r: int) -> float:
@@ -95,12 +101,6 @@ def cover_incidence(n: int, c: Cover) -> list[int]:
     return counts
 
 
-def expected_survivors(incidence, r: int) -> float:
-    """sum_i (1 - 1/r)^{a_i}: expected survivors of random part deletions."""
-    beta = 1.0 - 1.0 / r
-    return sum(beta**a for a in incidence)
-
-
 def survivor_guarantee(incidence, r: int) -> int:
     """ceil(sum_i (1 - 1/r)^{a_i}), exact via rational arithmetic.
 
@@ -114,7 +114,7 @@ def survivor_guarantee(incidence, r: int) -> int:
 class ExtractionResult:
     vertices: frozenset
     guarantee: int
-    expectations: tuple  # conditional expectation before each step and at the end
+    expectations: tuple  # exact (Fraction) conditional expectation before each step and at the end
 
 
 def derandomized_extraction(h: Hypergraph, c: Cover) -> ExtractionResult:
@@ -128,29 +128,30 @@ def derandomized_extraction(h: Hypergraph, c: Cover) -> ExtractionResult:
     count exactly and never drops below the initial one, so the survivor set
     is independent and has size >= ceil(sum (1 - 1/r)^{a_i}).
     """
-    profile = multiplicity_profile(h, c)
-    for e in sorted(profile.multiplicity):
-        if profile.multiplicity[e] == 0:
-            raise ValueError(f"cover misses edge {e}; the guarantee is void")
-    beta = 1.0 - 1.0 / h.r
+    missed = multiplicity_profile(h, c).least_outside(MultiplicityList.any_positive())
+    if missed is not None:
+        raise ValueError(f"cover misses edge {missed}; the guarantee is void")
+    r = h.r
     incidence = cover_incidence(h.n, c)
-    guarantee = survivor_guarantee(incidence, h.r)
-    remaining = list(incidence)
+    top = max(incidence, default=0)
+    # a survivor still in a blocks survives the rest with probability
+    # ((r-1)/r)^a = weight / r^top, weight = (r-1)^a r^(top-a) an integer
+    start = {a: (r - 1) ** a * r ** (top - a) for a in set(incidence)}
+    weight = [start[a] for a in incidence]
+    total, scale = sum(weight), r**top
     survivors = set(range(h.n))
-    expectations = [expected_survivors(remaining, h.r)]
+    expectations = [Fraction(total, scale)]
     for b in c.blocks:
-        for v in b.support():
-            remaining[v] -= 1
-        weight = {v: beta ** remaining[v] for v in b.support() if v in survivors}
-        total = sum(beta ** remaining[v] for v in survivors)
-        best_part, best_value = None, -math.inf
-        for p in b.parts:
-            value = total - sum(weight.get(v, 0.0) for v in p)
-            if value > best_value:
-                best_part, best_value = p, value
-        survivors -= best_part
-        expectations.append(sum(beta ** remaining[v] for v in survivors))
-    return ExtractionResult(frozenset(survivors), guarantee, tuple(expectations))
+        for v in b.support() & survivors:  # one block fewer: the weight grows by r/(r-1)
+            grown = weight[v] * r // (r - 1)
+            total += grown - weight[v]
+            weight[v] = grown
+        loss = [sum(weight[v] for v in p if v in survivors) for p in b.parts]
+        least = min(loss)
+        survivors -= b.parts[loss.index(least)]
+        total -= least
+        expectations.append(Fraction(total, scale))
+    return ExtractionResult(frozenset(survivors), math.ceil(expectations[0]), tuple(expectations))
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ def _cmd_verify(args) -> int:
         "status": "ok" if result.ok else "fail",
         "list": lst.describe(),
         "histogram": {str(k): v for k, v in profile.histogram().items()},
-        "foreign": len(profile.foreign),
+        "foreign": profile.foreign_count(),
         "witness": None,
     }
     if not result.ok:

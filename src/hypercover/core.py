@@ -18,12 +18,18 @@ import itertools
 import json
 import math
 import os
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import itemgetter, lt, or_
 
 Edge = tuple[int, ...]
 
 GUARD_ENV = "HYPERCOVER_GUARD_OVERRIDE"
 LIST_RANGE_GUARD = 100_000  # multiplicities in one "lo..hi" list
+PROFILE_WORK_GUARD = 2_000_000_000  # prefix-mask adds x vertices in multiplicity_profile
 
 
 class GuardError(ValueError):
@@ -50,12 +56,37 @@ def check_power_guard(description: str, factor: int, base: int, exponent: int,
 
 
 def _canonical_edge(edge, r: int, n: int) -> Edge:
-    t = tuple(sorted(int(v) for v in edge))
+    if any(type(v) is not int for v in edge):
+        raise ValueError(f"edge {edge!r} has a vertex that is not an integer")
+    t = tuple(sorted(edge))
     if len(t) != r or len(set(t)) != r:
         raise ValueError(f"edge {edge!r} must have exactly {r} distinct vertices")
     if t[0] < 0 or t[-1] >= n:
         raise ValueError(f"edge {edge!r} has a vertex outside 0..{n - 1}")
     return t
+
+
+def _is_canonical(edges, r: int, n: int) -> bool:
+    """True iff every edge is an increasing tuple of r ints in 0..n-1.
+
+    Checked column by column, so the loops over the edges run in C.
+    """
+    if not edges:
+        return True
+    if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {r}:
+        return False
+    previous = None
+    for i in range(r):
+        column = list(map(itemgetter(i), edges))
+        if set(map(type, column)) != {int}:
+            return False
+        if previous is None:
+            if min(column) < 0:
+                return False
+        elif not all(map(lt, previous, column)):
+            return False
+        previous = column
+    return max(previous) < n
 
 
 @dataclass(frozen=True)
@@ -71,8 +102,15 @@ class Hypergraph:
             raise ValueError("uniformity r must be at least 2")
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
-        canon = frozenset(_canonical_edge(e, self.r, self.n) for e in self.edges)
-        object.__setattr__(self, "edges", canon)
+        edges = self.edges
+        if isinstance(edges, Iterator):  # read once, maybe checked twice
+            edges = tuple(edges)
+        # checked before deduplication, which would let (0, True) hide behind (0, 1)
+        if _is_canonical(edges, self.r, self.n):
+            edges = frozenset(edges)
+        else:
+            edges = frozenset(_canonical_edge(e, self.r, self.n) for e in edges)
+        object.__setattr__(self, "edges", edges)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -112,7 +150,10 @@ class RPartiteBlock:
     parts: tuple = ()
 
     def __post_init__(self):
-        parts = tuple(frozenset(int(v) for v in p) for p in self.parts)
+        parts = tuple(map(tuple, self.parts))
+        if set(map(type, itertools.chain.from_iterable(parts))) - {int}:
+            raise ValueError("vertices must be integers")
+        parts = tuple(map(frozenset, parts))
         if len(parts) < 2:
             raise ValueError("a block needs at least 2 parts")
         if any(not p for p in parts):
@@ -259,18 +300,86 @@ class BoundReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _split(mask: int, planes) -> list:
+    """Split mask by the bit-sliced counters `planes` (plane k holds bit k of
+    each count) into non-empty (submask, count) pairs."""
+    groups = [(mask, 0)] if mask else []
+    for k, plane in enumerate(planes):
+        groups = [(m, count) for g, low in groups
+                  for m, count in ((g & ~plane, low), (g & plane, low | 1 << k)) if m]
+    return groups
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _least(masks) -> Edge | None:
+    """The least r-set p + (v,) with bit v set in the mask of prefix p."""
+    found = min(((p, m) for p, m in masks if m), key=itemgetter(0), default=None)
+    if found is None:
+        return None
+    p, m = found
+    return p + ((m & -m).bit_length() - 1,)
+
+
 @dataclass(frozen=True)
 class MultiplicityProfile:
-    """Per-edge coverage counts plus any block-implied edges outside h."""
+    """How many blocks of a cover contain each r-set, held per prefix.
 
-    multiplicity: dict
-    foreign: dict
+    The prefix of an edge is its first r-1 vertices. links[p] has bit v set
+    when p + (v,) is an edge of h. planes[p][k] has bit v set when bit k of
+    the number of blocks containing p + (v,) is 1; prefixes of no block edge
+    have no planes. A covered r-set that is not an edge of h is foreign.
+    """
+
+    links: dict
+    planes: dict
+
+    @cached_property
+    def multiplicity(self) -> dict:
+        """Edge of h -> number of blocks containing it; built on first use."""
+        return {p + (v,): count for p, link in self.links.items()
+                for m, count in _split(link, self.planes.get(p, ())) for v in _bits(m)}
+
+    @cached_property
+    def foreign(self) -> dict:
+        """Foreign r-set -> number of blocks containing it; built on first use."""
+        return {p + (v,): count for p, mask in self._foreign_masks()
+                for m, count in _split(mask, self.planes[p]) for v in _bits(m)}
 
     def histogram(self) -> dict:
-        hist: dict[int, int] = {}
-        for c in self.multiplicity.values():
-            hist[c] = hist.get(c, 0) + 1
+        """Multiplicity -> number of edges of h covered that often, ascending."""
+        hist: Counter = Counter()
+        for p, link in self.links.items():
+            for m, count in _split(link, self.planes.get(p, ())):
+                hist[count] += m.bit_count()
         return dict(sorted(hist.items()))
+
+    def count(self, edge: Edge) -> int:
+        """Number of blocks containing the sorted r-set `edge`."""
+        v = edge[-1]
+        return sum(1 << k for k, plane in enumerate(self.planes.get(edge[:-1], ()))
+                   if plane >> v & 1)
+
+    def foreign_count(self) -> int:
+        return sum(mask.bit_count() for _, mask in self._foreign_masks())
+
+    def least_foreign(self) -> Edge | None:
+        return _least(self._foreign_masks())
+
+    def least_outside(self, lst: "MultiplicityList") -> Edge | None:
+        """The least edge of h whose multiplicity is not in `lst`."""
+        return _least((p, sum(m for m, count in _split(link, self.planes.get(p, ()))
+                              if count not in lst))
+                      for p, link in self.links.items())
+
+    def _foreign_masks(self):
+        for p, planes in self.planes.items():
+            yield p, reduce(or_, planes) & ~self.links.get(p, 0)
 
 
 def _check_compatible(h: Hypergraph, c: Cover) -> None:
@@ -282,22 +391,48 @@ def _check_compatible(h: Hypergraph, c: Cover) -> None:
             raise ValueError(f"block vertex {top} outside 0..{h.n - 1}")
 
 
-def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
-    """Count, for every edge of h, the blocks of c containing it.
+def _cuts(b: RPartiteBlock) -> list:
+    """(the other parts cut to their vertices below max(P), P) for each part P
+    of b. An edge of b whose largest vertex lies in P has one vertex from each
+    cut part as its prefix; the cut parts give each such prefix once."""
+    parts = [sorted(p) for p in b.parts]
+    return [([q[:bisect_left(q, p[-1])] for q in parts if q is not p], p) for p in parts]
 
-    Block edges not in h (foreign coverage) are tallied separately. Every
-    implied edge of every block is enumerated once.
+
+def _add(planes: list, mask: int) -> None:
+    """Add 1 to the bit-sliced counters `planes` at every bit of mask."""
+    for k, plane in enumerate(planes):
+        planes[k] = plane ^ mask
+        mask &= plane
+        if not mask:
+            return
+    planes.append(mask)
+
+
+def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
+    """Count, for every edge of h and every foreign r-set, the blocks of c
+    containing it.
+
+    Block edges are never listed: for each part P of a block and each prefix
+    its cut parts give, one mask of the vertices of P above the prefix is
+    added to the counters of that prefix.
     """
     _check_compatible(h, c)
-    counts = {e: 0 for e in h.edges}
-    foreign: dict[Edge, int] = {}
-    for b in c.blocks:
-        for e in b.implied_edges():
-            if e in counts:
-                counts[e] += 1
-            else:
-                foreign[e] = foreign.get(e, 0) + 1
-    return MultiplicityProfile(counts, foreign)
+    cuts = [cut for b in c.blocks for cut in _cuts(b)]
+    adds = sum(math.prod(map(len, cut)) for cut, _ in cuts)
+    check_guard("multiplicity_profile prefix-mask adds x vertices", adds * h.n,
+                PROFILE_WORK_GUARD)
+    links: dict = {}
+    for e in h.edges:
+        p = e[:-1]
+        links[p] = links.get(p, 0) | 1 << e[-1]
+    planes: dict = {}
+    for cut, part in cuts:
+        whole = sum(1 << v for v in part)
+        for combo in itertools.product(*cut):
+            p = tuple(sorted(combo))
+            _add(planes.setdefault(p, []), whole & (-1 << (p[-1] + 1)))
+    return MultiplicityProfile(links, planes)
 
 
 @dataclass(frozen=True)
@@ -315,12 +450,12 @@ class VerifyResult:
 def verify_cover(h: Hypergraph, c: Cover, lst: MultiplicityList) -> VerifyResult:
     """Pass iff every edge multiplicity lies in `lst` and nothing foreign is covered."""
     profile = multiplicity_profile(h, c)
-    if profile.foreign:
-        e = min(profile.foreign)
-        return VerifyResult(False, "foreign", e, profile.foreign[e], profile)
-    for e in sorted(profile.multiplicity):
-        if profile.multiplicity[e] not in lst:
-            return VerifyResult(False, "multiplicity", e, profile.multiplicity[e], profile)
+    e = profile.least_foreign()
+    if e is not None:
+        return VerifyResult(False, "foreign", e, profile.count(e), profile)
+    e = profile.least_outside(lst)
+    if e is not None:
+        return VerifyResult(False, "multiplicity", e, profile.count(e), profile)
     return VerifyResult(True, profile=profile)
 
 
@@ -340,7 +475,7 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 
 
 def hypergraph_to_json(h: Hypergraph) -> str:
-    doc = {"r": h.r, "n": h.n, "edges": [list(e) for e in h.sorted_edges()]}
+    doc = {"r": h.r, "n": h.n, "edges": h.sorted_edges()}  # tuples dump as arrays
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -348,8 +483,7 @@ def hypergraph_from_json(text: str) -> Hypergraph:
     """Raises ValueError on text that is not a hypergraph document."""
     try:
         doc = json.loads(text)
-        return Hypergraph(int(doc["r"]), int(doc["n"]),
-                          frozenset(tuple(e) for e in doc["edges"]))
+        return Hypergraph(int(doc["r"]), int(doc["n"]), map(tuple, doc["edges"]))
     except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed hypergraph JSON: {exc!r}") from None
 
@@ -364,8 +498,7 @@ def cover_from_json(text: str) -> Cover:
     """Raises ValueError on text that is not a cover document."""
     try:
         doc = json.loads(text)
-        blocks = tuple(RPartiteBlock(tuple(map(frozenset, b["parts"])))
-                       for b in doc["blocks"])
+        blocks = tuple(RPartiteBlock(tuple(b["parts"])) for b in doc["blocks"])
         return Cover(int(doc["r"]), blocks)
     except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed cover JSON: {exc!r}") from None

@@ -73,21 +73,21 @@ class LabelBlock:
     classes: tuple
 
     def __post_init__(self):
-        classes = tuple(frozenset(int(x) for x in s) for s in self.classes)
+        classes = tuple(map(frozenset, self.classes))  # a frozenset is kept, not copied
         if len(classes) != self.r:
             raise ValueError(f"expected {self.r} label classes")
-        for s in classes:
-            if not s:
-                raise ValueError("label classes must be non-empty")
-            if any(not 0 <= x <= self.r for x in s):
-                raise ValueError(f"labels must lie in 0..{self.r}")
+        if not all(classes):
+            raise ValueError("label classes must be non-empty")
+        labels = frozenset().union(*classes)
+        if set(map(type, labels)) != {int} or not labels <= frozenset(range(self.r + 1)):
+            raise ValueError(f"labels must be integers in 0..{self.r}")
         object.__setattr__(self, "classes", classes)
 
     def tuples(self):
-        yield from itertools.product(*(sorted(s) for s in self.classes))
+        yield from itertools.product(*map(sorted, self.classes))
 
     def sort_key(self):
-        return tuple(tuple(sorted(s)) for s in self.classes)
+        return tuple(map(tuple, map(sorted, self.classes)))
 
 
 def label_partition(r: int) -> list[LabelBlock]:
@@ -107,11 +107,12 @@ def label_partition(r: int) -> list[LabelBlock]:
     check_guard("label_partition uniformity", r, LABEL_R_GUARD)
     star = r
     full = frozenset(range(r + 1))
+    single = [frozenset({v}) for v in range(r)]
     blocks = [LabelBlock(r, (frozenset({star}),) + (full,) * (r - 1))]
     for j in range(2, r + 1):
         for prefix in itertools.permutations(range(r), j - 1):
             saturated = frozenset(prefix) | {star}
-            classes = tuple(frozenset({v}) for v in prefix)
+            classes = tuple(map(single.__getitem__, prefix))
             classes += (saturated,) + (full,) * (r - j)
             blocks.append(LabelBlock(r, classes))
     blocks.sort(key=LabelBlock.sort_key)

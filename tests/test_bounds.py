@@ -14,7 +14,6 @@ from hypercover import (
     complete_hypergraph,
     cover_incidence,
     derandomized_extraction,
-    expected_survivors,
     greedy_color,
     independent_matchings_lower_bound,
     is_proper_coloring,
@@ -157,7 +156,6 @@ class TestExtraction:
     def test_guarantee_uses_exact_arithmetic(self):
         # 6 * (2/3) is exactly 4, but the float sum lands at 4.000000000000001
         assert survivor_guarantee([1] * 6, 3) == 4
-        assert math.ceil(expected_survivors([1] * 6, 3)) == 5
 
     def test_expectations_never_decrease(self):
         rng = random.Random(11)

@@ -259,6 +259,24 @@ class TestMalformedInput:
                                "--cover", str(c), "--list", "any"))
 
 
+class TestNonIntegerVertices:
+    """Vertices must be JSON integers: true, 2.5 and "2" are refused, not rounded."""
+
+    @pytest.mark.parametrize("hyper,cover", [
+        ('{"r":2,"n":3,"edges":[[0,1],[0,2],[1,2]]}',
+         '{"r":2,"blocks":[{"parts":[[0.9],[true,2.5]]},{"parts":[[1],[2]]}]}'),
+        ('{"r":2,"n":3,"edges":[[0,1.7]]}', '{"r":2,"blocks":[{"parts":[[0],[1]]}]}'),
+        ('{"r":2,"n":3,"edges":[[0,"2"]]}', '{"r":2,"blocks":[{"parts":[[0],[2]]}]}'),
+    ], ids=["float-and-bool-part", "float-edge", "string-edge"])
+    def test_verify_partition(self, tmp_path, hyper, cover):
+        h, c = tmp_path / "h.json", tmp_path / "c.json"
+        h.write_text(hyper)
+        c.write_text(cover)
+        proc = cli("verify", "--hypergraph", str(h), "--cover", str(c), "--partition")
+        assert_input_error(proc)
+        assert "integer" in proc.stderr
+
+
 class TestHostileSizes:
     """Sizes whose work has no practical bound are refused before it starts."""
 
@@ -279,6 +297,20 @@ class TestHostileSizes:
         files["c"].write_text(cover_to_json(c))
         start = time.perf_counter()
         proc = cli(*(a.format(**files) for a in argv))
+        elapsed = time.perf_counter() - start
+        assert_input_error(proc)
+        assert "exceeds guard" in proc.stderr
+        assert elapsed < 1.0
+
+
+    def test_foreign_coverage_refused(self, tmp_path):
+        # one half/half block on 100,000 vertices covers 2.5e9 r-sets, none an edge
+        h, c = tmp_path / "h.json", tmp_path / "c.json"
+        h.write_text('{"r": 2, "n": 100000, "edges": []}')
+        c.write_text(json.dumps({"r": 2, "blocks": [
+            {"parts": [list(range(50_000)), list(range(50_000, 100_000))]}]}))
+        start = time.perf_counter()
+        proc = cli("verify", "--hypergraph", str(h), "--cover", str(c), "--list", "any")
         elapsed = time.perf_counter() - start
         assert_input_error(proc)
         assert "exceeds guard" in proc.stderr

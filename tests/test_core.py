@@ -52,6 +52,11 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Hypergraph(2, 3, frozenset({(1, 3)}))
 
+    @pytest.mark.parametrize("vertex", [True, 1.0, 1.5, "1", None])
+    def test_rejects_non_integer_vertex(self, vertex):
+        with pytest.raises(ValueError, match="not an integer"):
+            Hypergraph(2, 3, [(0, vertex)])
+
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
             Hypergraph(3, 4, frozenset({(0, 1)}))
@@ -70,6 +75,13 @@ class TestBlock:
     def test_rejects_empty_part(self):
         with pytest.raises(ValueError):
             RPartiteBlock((frozenset(), frozenset({1})))
+
+    @pytest.mark.parametrize("vertex", [True, 1.0, "1", None])
+    def test_rejects_non_integer_vertex(self, vertex):
+        with pytest.raises(ValueError, match="integers"):
+            RPartiteBlock(({0}, {vertex}))
+        with pytest.raises(ValueError, match="integers"):
+            RPartiteBlock(([0, 2], [1, vertex]))  # True would hide behind 1 in a set
 
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):
@@ -270,6 +282,9 @@ class TestJson:
         '{"r": 2, "n": 3, "edges": [5]}',
         '{"r": null, "n": 3, "edges": []}',
         '[1, 2]',
+        '{"r": 2, "n": 3, "edges": [[0, 1], [0, true]]}',
+        '{"r": 2, "n": 3, "edges": [[0, 1], [0, 1.0]]}',
+        '{"r": 2, "n": 3, "edges": [[0, [1]]]}',
     ])
     def test_malformed_hypergraph_raises_value_error(self, text):
         with pytest.raises(ValueError):
@@ -281,6 +296,8 @@ class TestJson:
         '{"r": 2, "blocks": [{}]}',
         '{"r": 2, "blocks": [[0, 1]]}',
         '{"r": 2, "blocks": [{"parts": [0, 1]}]}',
+        '{"r": 2, "blocks": [{"parts": [[0, true], [2]]}]}',
+        '{"r": 2, "blocks": [{"parts": [[0], ["1"]]}]}',
     ])
     def test_malformed_cover_raises_value_error(self, text):
         with pytest.raises(ValueError):

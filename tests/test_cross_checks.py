@@ -1,36 +1,48 @@
 """Differential checks: every optimized engine against a naive re-implementation.
 
 The naive versions here are deliberately the dumbest possible enumerations so
-the clever ones (bit-packed elimination, iterative deepening, branch and
-bound) are never the only source of truth.
+the clever ones (bit-sliced counting, bulk canonicalisation, bit-packed
+elimination, iterative deepening, branch and bound) are never the only source
+of truth.
 """
 
 import itertools
 import math
 import random
-from collections import Counter
+import re
+from collections import Counter, namedtuple
 
 import pytest
 
-from conftest import random_hypergraph
+from conftest import random_block, random_cover_of, random_hypergraph
 
 from hypercover import (
+    Cover,
     GF2Matrix,
+    Hypergraph,
     MultiplicityList,
+    RPartiteBlock,
     SubsetIndex,
     adjacency_cube_matrix,
     chromatic_number,
     complete_hypergraph,
     cube_graph,
+    derandomized_extraction,
     disjointness_matrix,
     disjointness_matrix_upto,
     enumerate_blocks,
     gf2_rank,
+    grid3_cover,
+    hex_cover,
     independence_number,
+    log_cover,
     matching_number,
     min_cover_size,
     min_partition_size,
     min_sum_of_orders,
+    multiplicity_profile,
+    pi_partition,
+    verify_cover,
 )
 
 # gapped lists ({2}, {1,3}) need more than one multiplicity level in the search
@@ -139,6 +151,188 @@ def naive_adjacency_rows(r, m):
             if not set(s) & set(t) and tuple(sorted(s + t)) in edges)
         for s in subsets
     )
+
+
+def naive_profile(h, c):
+    """List every implied edge of every block: (edge of h -> count, foreign r-set -> count)."""
+    counts = {e: 0 for e in h.edges}
+    foreign = {}
+    for b in c.blocks:
+        for e in b.implied_edges():
+            if e in counts:
+                counts[e] += 1
+            else:
+                foreign[e] = foreign.get(e, 0) + 1
+    return counts, foreign
+
+
+def naive_verify(h, c, lst):
+    """(ok, reason, witness edge, witness multiplicity) by a sorted scan over all edges."""
+    counts, foreign = naive_profile(h, c)
+    if foreign:
+        e = min(foreign)
+        return False, "foreign", e, foreign[e]
+    for e in sorted(counts):
+        if counts[e] not in lst:
+            return False, "multiplicity", e, counts[e]
+    return True, None, None, None
+
+
+def naive_canonical(edges, r, n):
+    """Sort and check the edges one by one."""
+    out = set()
+    for edge in edges:
+        if any(type(v) is not int for v in edge):
+            raise ValueError(f"edge {edge!r} has a vertex that is not an integer")
+        t = tuple(sorted(edge))
+        if len(t) != r or len(set(t)) != r:
+            raise ValueError(f"edge {edge!r} must have exactly {r} distinct vertices")
+        if t[0] < 0 or t[-1] >= n:
+            raise ValueError(f"edge {edge!r} has a vertex outside 0..{n - 1}")
+        out.add(t)
+    return frozenset(out)
+
+
+def random_profile_case(rng):
+    """A hypergraph and a cover, r = 2..5, drawn so that edges of h no block
+    reaches, blocks that reach no edge of h, and prefixes (first r-1
+    vertices) found only in h or only in the cover all turn up."""
+    r = rng.randint(2, 5)
+    n = rng.randint(r, r + 4)
+    h = random_hypergraph(rng, n, r, rng.choice((0.0, 0.3, 0.7, 1.0)), nonempty=False)
+    shape = rng.choice(("cover-of-h", "random", "empty", "off-h"))
+    if shape == "cover-of-h":
+        return h, random_cover_of(rng, h, extra=rng.randint(0, 2))
+    if shape == "empty":
+        return h, Cover(r, ())
+    blocks = [random_block(rng, n, r) for _ in range(rng.randint(1, 3))]
+    if shape == "off-h":  # h avoids the top vertex; every block edge uses it
+        top = n - 1
+        h = Hypergraph(r, n, frozenset(e for e in h.edges if top not in e))
+        others = rng.sample(range(top), rng.randint(r - 1, top))
+        parts = [others[i::r - 1] for i in range(r - 1)] + [[top]]
+        blocks.append(RPartiteBlock(tuple(map(frozenset, parts))))
+        blocks = [b for b in blocks if top in b.support()]
+    return h, Cover(r, tuple(blocks))
+
+
+MISSED = MultiplicityList.any_positive()
+VERIFY_LISTS = LISTS + (MultiplicityList.of(2, 3), MultiplicityList.up_to(4))
+
+
+def assert_profile_matches(h, c):
+    counts, foreign = naive_profile(h, c)
+    profile = multiplicity_profile(h, c)
+    assert profile.multiplicity == counts
+    assert profile.foreign == foreign
+    assert profile.foreign_count() == len(foreign)
+    assert list(profile.histogram().items()) == sorted(Counter(counts.values()).items())
+    for lst in VERIFY_LISTS:
+        res = verify_cover(h, c, lst)
+        assert (res.ok, res.reason, res.witness_edge, res.witness_multiplicity) == \
+            naive_verify(h, c, lst)
+    missed = min((e for e, k in counts.items() if k == 0), default=None)
+    assert profile.least_outside(MISSED) == missed
+    if missed is None:
+        derandomized_extraction(h, c)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"misses edge {missed};")):
+            derandomized_extraction(h, c)
+
+
+class TestProfileAgainstEnumeration:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_covers(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            assert_profile_matches(*random_profile_case(rng))
+
+    @pytest.mark.parametrize("case", ["hex-3", "hex-4", "grid3-3", "grid3-4", "log-9",
+                                      "pi-2-2", "pi-3-2", "pi-4-1"])
+    def test_constructions(self, case):
+        kind, *args = case.split("-")
+        args = tuple(map(int, args))
+        if kind == "pi":
+            h, c = cube_graph(*args).hypergraph, pi_partition(*args)
+        else:
+            h, c = {"hex": hex_cover, "grid3": grid3_cover, "log": log_cover}[kind](*args)
+        assert_profile_matches(h, c)
+        # dropping a block leaves some edges short, adding one covers some twice
+        assert_profile_matches(h, Cover(c.r, c.blocks[1:]))
+        assert_profile_matches(h, Cover(c.r, c.blocks + c.blocks[:1]))
+
+
+def canonical_input(rng):
+    """An edge collection in some container, with at most one bad edge."""
+    r = rng.randint(2, 5)
+    n = rng.randint(r, r + 4)
+    edges = list(random_hypergraph(rng, n, r, rng.random(), nonempty=True).edges)
+    edges += rng.sample(edges, rng.randint(0, len(edges)))  # duplicates
+    for i in rng.sample(range(len(edges)), rng.randint(0, len(edges))):
+        e = list(edges[i])
+        rng.shuffle(e)  # unsorted
+        edges[i] = tuple(e)
+    bad = rng.choice(("none", "range-high", "range-low", "repeat", "short", "long",
+                      "bool", "float", "str"))
+    if bad != "none":
+        i = rng.randrange(len(edges))
+        e = list(edges[i])
+        j = rng.randrange(r)
+        e = {"range-high": lambda: e[:j] + [n] + e[j + 1:],
+             "range-low": lambda: e[:j] + [-1] + e[j + 1:],
+             "repeat": lambda: e[:j] + [e[j - 1]] + e[j + 1:],
+             "short": lambda: e[:-1],
+             "long": lambda: e + [n + 1],
+             "bool": lambda: e[:j] + [e[j] == 1] + e[j + 1:],
+             "float": lambda: e[:j] + [e[j] + 0.5] + e[j + 1:],
+             "str": lambda: e[:j] + [str(e[j])] + e[j + 1:]}[bad]()
+        edges[i] = tuple(e)
+    container = rng.choice(("frozenset", "list", "lists", "iterator"))
+    if container == "frozenset":
+        edges = frozenset(edges)
+    elif container == "lists":
+        edges = [list(e) for e in edges]
+    elif container == "iterator":
+        edges = iter(edges)
+    return r, n, edges
+
+
+class TestCanonicalAgainstPerEdge:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_inputs(self, seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            r, n, edges = canonical_input(rng)
+            if not isinstance(edges, (frozenset, list)):
+                edges = list(edges)  # read by both sides
+                given = iter(edges)
+            else:
+                given = edges
+            try:
+                expected = naive_canonical(edges, r, n)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    Hypergraph(r, n, given)
+            else:
+                assert Hypergraph(r, n, given).edges == expected
+
+    def test_canonical_input_is_stored_as_given(self):
+        edges = frozenset(itertools.combinations(range(7), 3))
+        assert Hypergraph(3, 7, edges).edges is edges
+
+    def test_unhashable_and_subclassed_edges(self):
+        pairs = [[1, 0], [2, 1], [0, 1]]
+        assert Hypergraph(2, 3, pairs).edges == {(0, 1), (1, 2)}
+        assert Hypergraph(2, 3, (list(p) for p in pairs)).edges == {(0, 1), (1, 2)}
+        Pair = namedtuple("Pair", "u v")
+        edges = Hypergraph(2, 3, [Pair(0, 1), Pair(1, 2)]).edges
+        assert edges == {(0, 1), (1, 2)} and {type(e) for e in edges} == {tuple}
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (0, True)], [(0, 1), (0, 1.0)],
+                                       [(0, 1), ("0", 1)], [(0, 1), (0, [1])]])
+    def test_non_integer_hidden_behind_a_duplicate(self, edges):
+        with pytest.raises(ValueError, match="not an integer"):
+            Hypergraph(2, 3, edges)
 
 
 class TestSearchAgainstMultisetEnumeration:

@@ -8,6 +8,7 @@ import pytest
 
 from hypercover import (
     GuardError,
+    LabelBlock,
     block_count_by_recurrence,
     check_gamma_closed_form,
     cube_graph,
@@ -74,6 +75,18 @@ def assert_tiles_non_permutation_tuples(r):
     for perm in itertools.permutations(range(r)):
         assert not seen[tuple_code(perm, base)], f"permutation {perm} covered"
     assert total == base**r - math.factorial(r)
+
+
+class TestLabelBlock:
+    @pytest.mark.parametrize("classes", [({0}, {3}), ({0}, {-1}), ({0}, {True}),
+                                         ({0}, {1.0}), ({0}, {"1"}), ({0}, set())])
+    def test_rejects_bad_labels(self, classes):
+        with pytest.raises(ValueError):
+            LabelBlock(2, classes)
+
+    def test_accepts_any_iterable_class(self):
+        block = LabelBlock(2, ([0, 2], range(3)))
+        assert block.classes == (frozenset({0, 2}), frozenset({0, 1, 2}))
 
 
 class TestLabelPartition:
