@@ -126,7 +126,9 @@ def derandomized_extraction(h: Hypergraph, c: Cover) -> ExtractionResult:
     maximizing the conditional expectation of the survivor count, ties going
     to the lowest-indexed part. The final expectation equals the survivor
     count exactly and never drops below the initial one, so the survivor set
-    is independent and has size >= ceil(sum (1 - 1/r)^{a_i}).
+    is independent and has size >= ceil(sum (1 - 1/r)^{a_i}). The
+    expectations are exact (integer weights over a common denominator), so
+    ties and small gaps between parts are decided exactly.
     """
     missed = multiplicity_profile(h, c).least_outside(MultiplicityList.any_positive())
     if missed is not None:
@@ -134,8 +136,8 @@ def derandomized_extraction(h: Hypergraph, c: Cover) -> ExtractionResult:
     r = h.r
     incidence = cover_incidence(h.n, c)
     top = max(incidence, default=0)
-    # a survivor still in a blocks survives the rest with probability
-    # ((r-1)/r)^a = weight / r^top, weight = (r-1)^a r^(top-a) an integer
+    # a survivor that a of the blocks still to come contain outlives them with
+    # probability ((r-1)/r)^a = weight / r^top, weight = (r-1)^a r^(top-a)
     start = {a: (r - 1) ** a * r ** (top - a) for a in set(incidence)}
     weight = [start[a] for a in incidence]
     total, scale = sum(weight), r**top
@@ -151,7 +153,8 @@ def derandomized_extraction(h: Hypergraph, c: Cover) -> ExtractionResult:
         survivors -= b.parts[loss.index(least)]
         total -= least
         expectations.append(Fraction(total, scale))
-    return ExtractionResult(frozenset(survivors), math.ceil(expectations[0]), tuple(expectations))
+    guarantee = survivor_guarantee(incidence, r)
+    return ExtractionResult(frozenset(survivors), guarantee, tuple(expectations))
 
 
 @dataclass(frozen=True)

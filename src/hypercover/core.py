@@ -3,7 +3,8 @@ and the multiplicity verifier every construction in this package is checked
 against.
 
 Conventions
-- Vertices are integers 0..n-1.
+- Vertices are integers 0..n-1, of type int exactly: bool, float and str
+  vertices are refused, never converted.
 - An edge is a sorted tuple of r distinct vertices; edge sets are stored
   deduplicated in this canonical form.
 - A complete r-partite block is given by r pairwise-disjoint non-empty vertex
@@ -150,7 +151,7 @@ class RPartiteBlock:
     parts: tuple = ()
 
     def __post_init__(self):
-        parts = tuple(map(tuple, self.parts))
+        parts = tuple(map(tuple, self.parts))  # checked before a set merges True into 1
         if set(map(type, itertools.chain.from_iterable(parts))) - {int}:
             raise ValueError("vertices must be integers")
         parts = tuple(map(frozenset, parts))
