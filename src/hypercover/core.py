@@ -19,18 +19,18 @@ import itertools
 import json
 import math
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import itemgetter, lt, or_
+from operator import itemgetter, lt, or_, sub
 
 Edge = tuple[int, ...]
 
 GUARD_ENV = "HYPERCOVER_GUARD_OVERRIDE"
 LIST_RANGE_GUARD = 100_000  # multiplicities in one "lo..hi" list
-PROFILE_WORK_GUARD = 2_000_000_000  # prefix-mask adds x vertices in multiplicity_profile
+PROFILE_WORK_GUARD = 2_000_000_000  # counter bits added in multiplicity_profile
 
 
 class GuardError(ValueError):
@@ -301,6 +301,15 @@ class BoundReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def packed_bits(positions, width: int) -> int:
+    """The int with bit j set for each j in `positions` (all below width),
+    built in O(len(positions) + width) rather than by summing shifts."""
+    row = bytearray((width + 7) // 8)
+    for j in positions:
+        row[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(row, "little")
+
+
 def _split(mask: int, planes) -> list:
     """Split mask by the bit-sliced counters `planes` (plane k holds bit k of
     each count) into non-empty (submask, count) pairs."""
@@ -311,93 +320,115 @@ def _split(mask: int, planes) -> list:
     return groups
 
 
-def _bits(mask: int):
+def _vertices(p: Edge, mask: int):
+    """The last vertices that bit i of a mask of prefix p stands for: p[-1] + 1 + i."""
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        yield p[-1] + low.bit_length()
         mask ^= low
 
 
 def _least(masks) -> Edge | None:
-    """The least r-set p + (v,) with bit v set in the mask of prefix p."""
+    """The least r-set p + (v,) with v a vertex of the mask of prefix p."""
     found = min(((p, m) for p, m in masks if m), key=itemgetter(0), default=None)
     if found is None:
         return None
     p, m = found
-    return p + ((m & -m).bit_length() - 1,)
+    return p + (p[-1] + (m & -m).bit_length(),)
 
 
 @dataclass(frozen=True)
 class MultiplicityProfile:
     """How many blocks of a cover contain each r-set, held per prefix.
 
-    The prefix of an edge is its first r-1 vertices. links[p] has bit v set
-    when p + (v,) is an edge of h. planes[p][k] has bit v set when bit k of
-    the number of blocks containing p + (v,) is 1; prefixes of no block edge
-    have no planes. A covered r-set that is not an edge of h is foreign.
+    The prefix of an edge is its first r-1 vertices. Bit i of a mask of
+    prefix p stands for the last vertex p[-1] + 1 + i, so a mask is as wide as
+    the span it covers above p, whatever n is. planes[p][k] has bit i set when
+    bit k of the number of blocks containing that r-set is 1; prefixes of no
+    block edge have no planes. links[p] holds the edges of h within the width
+    of planes[p]; the other edges of h, which no block contains, are bare. A
+    covered r-set that is not an edge of h is foreign.
     """
 
     links: dict
     planes: dict
+    bare: frozenset
 
     @cached_property
     def multiplicity(self) -> dict:
         """Edge of h -> number of blocks containing it; built on first use."""
-        return {p + (v,): count for p, link in self.links.items()
-                for m, count in _split(link, self.planes.get(p, ())) for v in _bits(m)}
+        counts = dict.fromkeys(self.bare, 0)
+        counts.update((p + (v,), count) for p, groups in self._link_groups.items()
+                      for m, count in groups for v in _vertices(p, m))
+        return counts
 
     @cached_property
     def foreign(self) -> dict:
         """Foreign r-set -> number of blocks containing it; built on first use."""
-        return {p + (v,): count for p, mask in self._foreign_masks()
-                for m, count in _split(mask, self.planes[p]) for v in _bits(m)}
+        return {p + (v,): count for p, mask in self._foreign_masks.items()
+                for m, count in _split(mask, self.planes[p]) for v in _vertices(p, m)}
 
     def histogram(self) -> dict:
         """Multiplicity -> number of edges of h covered that often, ascending."""
         hist: Counter = Counter()
-        for p, link in self.links.items():
-            for m, count in _split(link, self.planes.get(p, ())):
+        if self.bare:
+            hist[0] = len(self.bare)
+        for groups in self._link_groups.values():
+            for m, count in groups:
                 hist[count] += m.bit_count()
         return dict(sorted(hist.items()))
 
     def count(self, edge: Edge) -> int:
         """Number of blocks containing the sorted r-set `edge`."""
-        v = edge[-1]
+        i = edge[-1] - edge[-2] - 1
         return sum(1 << k for k, plane in enumerate(self.planes.get(edge[:-1], ()))
-                   if plane >> v & 1)
+                   if plane >> i & 1)
 
     def foreign_count(self) -> int:
-        return sum(mask.bit_count() for _, mask in self._foreign_masks())
+        return sum(mask.bit_count() for mask in self._foreign_masks.values())
 
     def least_foreign(self) -> Edge | None:
-        return _least(self._foreign_masks())
+        return _least(self._foreign_masks.items())
 
     def least_outside(self, lst: "MultiplicityList") -> Edge | None:
         """The least edge of h whose multiplicity is not in `lst`."""
-        return _least((p, sum(m for m, count in _split(link, self.planes.get(p, ()))
-                              if count not in lst))
-                      for p, link in self.links.items())
+        least = _least((p, sum(m for m, count in groups if count not in lst))
+                       for p, groups in self._link_groups.items())
+        if 0 in lst or not self.bare:
+            return least
+        first_bare = min(self.bare)
+        return first_bare if least is None else min(least, first_bare)
 
-    def _foreign_masks(self):
-        for p, planes in self.planes.items():
-            yield p, reduce(or_, planes) & ~self.links.get(p, 0)
+    @cached_property
+    def _link_groups(self) -> dict:
+        """Prefix -> its link mask split into (submask, count) by the counters."""
+        return {p: _split(link, self.planes[p]) for p, link in self.links.items()}
 
-
-def _check_compatible(h: Hypergraph, c: Cover) -> None:
-    if c.r != h.r:
-        raise ValueError(f"cover uniformity {c.r} != hypergraph uniformity {h.r}")
-    for b in c.blocks:
-        top = max(b.support(), default=-1)
-        if top >= h.n:
-            raise ValueError(f"block vertex {top} outside 0..{h.n - 1}")
+    @cached_property
+    def _foreign_masks(self) -> dict:
+        """Prefix -> the non-empty mask of its foreign r-sets."""
+        masks = ((p, reduce(or_, planes) & ~self.links.get(p, 0))
+                 for p, planes in self.planes.items())
+        return {p: mask for p, mask in masks if mask}
 
 
 def _cuts(b: RPartiteBlock) -> list:
-    """(the other parts cut to their vertices below max(P), P) for each part P
-    of b. An edge of b whose largest vertex lies in P has one vertex from each
-    cut part as its prefix; the cut parts give each such prefix once."""
-    parts = [sorted(p) for p in b.parts]
-    return [([q[:bisect_left(q, p[-1])] for q in parts if q is not p], p) for p in parts]
+    """(cut, upper, bits) for each part P of b that holds the largest vertex
+    of some edge of b. An edge whose largest vertex lies in P has one vertex
+    from each of the other parts cut below max(P) as its prefix; the cut
+    parts give each such prefix once. upper holds the vertices of P above the
+    least top a prefix can have, the only ones a mask of P can take. bits
+    bounds the bits of those masks: each spans at most max(P) minus that top."""
+    # tuples of ints, which the garbage collector stops tracking
+    parts = [tuple(sorted(p)) for p in b.parts]
+    cuts = []
+    for p in parts:
+        cut = tuple([q[:bisect_left(q, p[-1])] for q in parts if q is not p])
+        if all(cut):
+            floor = max(q[0] for q in cut)
+            bits = math.prod(map(len, cut)) * (p[-1] - floor)
+            cuts.append((cut, p[bisect_right(p, floor):], bits))
+    return cuts
 
 
 def _add(planes: list, mask: int) -> None:
@@ -416,24 +447,45 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
 
     Block edges are never listed: for each part P of a block and each prefix
     its cut parts give, one mask of the vertices of P above the prefix is
-    added to the counters of that prefix.
+    added to the counters of that prefix. Masks start just above their
+    prefix, so the work is the span the blocks cover, not the vertex count.
     """
-    _check_compatible(h, c)
-    cuts = [cut for b in c.blocks for cut in _cuts(b)]
-    adds = sum(math.prod(map(len, cut)) for cut, _ in cuts)
-    check_guard("multiplicity_profile prefix-mask adds x vertices", adds * h.n,
-                PROFILE_WORK_GUARD)
-    links: dict = {}
-    for e in h.edges:
-        p = e[:-1]
-        links[p] = links.get(p, 0) | 1 << e[-1]
+    if c.r != h.r:
+        raise ValueError(f"cover uniformity {c.r} != hypergraph uniformity {h.r}")
+    cuts = []
+    for b in c.blocks:
+        block_cuts = _cuts(b)
+        top = max(upper[-1] for _, upper, _ in block_cuts)  # the part of b's top is never cut away
+        if top >= h.n:
+            raise ValueError(f"block vertex {top} outside 0..{h.n - 1}")
+        cuts += block_cuts
+    check_guard("multiplicity_profile counter bits added",
+                sum(bits for _, _, bits in cuts), PROFILE_WORK_GUARD)
     planes: dict = {}
-    for cut, part in cuts:
-        whole = sum(1 << v for v in part)
+    for cut, upper, _ in cuts:
+        low = upper[0]
+        whole = packed_bits([v - low for v in upper], upper[-1] - low + 1)
         for combo in itertools.product(*cut):
             p = tuple(sorted(combo))
-            _add(planes.setdefault(p, []), whole & (-1 << (p[-1] + 1)))
-    return MultiplicityProfile(links, planes)
+            shift = p[-1] + 1 - low
+            _add(planes.setdefault(p, []), whole >> shift if shift >= 0 else whole << -shift)
+    lasts: dict = {}
+    bare = []
+    for e in h.edges:
+        p = e[:-1]
+        if p in planes:
+            lasts.setdefault(p, []).append(e[-1])
+        else:
+            bare.append(e)
+    links: dict = {}
+    for p, vs in lasts.items():
+        top = p[-1] + max(map(int.bit_length, planes[p]))  # the last vertex counted
+        if max(vs) > top:
+            bare.extend(p + (v,) for v in vs if v > top)
+            vs = [v for v in vs if v <= top]
+        if vs:
+            links[p] = sum(map((1).__lshift__, map(sub, vs, itertools.repeat(p[-1] + 1))))
+    return MultiplicityProfile(links, planes, frozenset(bare))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import check_guard
+from .core import check_guard, packed_bits
 from .cube import cube_graph
 
 MATRIX_ROW_GUARD = 20_000
@@ -40,7 +40,7 @@ class GF2Matrix:
 
     def transpose(self) -> "GF2Matrix":
         return GF2Matrix(self.cols, self.rows, tuple(
-            _packed_row((i for i, row in enumerate(self.data) if row >> j & 1), self.rows)
+            packed_bits((i for i, row in enumerate(self.data) if row >> j & 1), self.rows)
             for j in range(self.cols)))
 
 
@@ -99,14 +99,6 @@ class SubsetIndex:
                            key=lambda s: s[::-1]))
 
 
-def _packed_row(columns, width: int) -> int:
-    """The packed row with bit j set for each j in `columns`."""
-    row = bytearray((width + 7) // 8)
-    for j in columns:
-        row[j >> 3] |= 1 << (j & 7)
-    return int.from_bytes(row, "little")
-
-
 def _disjointness(n: int, low: int, k: int, description: str) -> GF2Matrix:
     """Disjointness over the subsets of 0..n-1 of size low..k, size by size in
     colexicographic order: each row lists the subsets of its complement."""
@@ -119,7 +111,7 @@ def _disjointness(n: int, low: int, k: int, description: str) -> GF2Matrix:
     data = []
     for s in subsets:
         rest = [v for v in range(n) if v not in s]
-        data.append(_packed_row((index[t] for size in sizes
+        data.append(packed_bits((index[t] for size in sizes
                                  for t in itertools.combinations(rest, size)), len(subsets)))
     return GF2Matrix(len(subsets), len(subsets), tuple(data))
 
@@ -160,7 +152,7 @@ def adjacency_cube_matrix(r: int, m: int) -> GF2Matrix:
         halves = [index[s] for s in itertools.combinations(e, r // 2)]
         for i, j in zip(halves, reversed(halves)):
             columns[i].append(j)
-    return GF2Matrix(idx.size, idx.size, tuple(_packed_row(c, idx.size) for c in columns))
+    return GF2Matrix(idx.size, idx.size, tuple(packed_bits(c, idx.size) for c in columns))
 
 
 def partition_lower_bound(r: int, m: int) -> int:

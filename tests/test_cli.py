@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -216,13 +217,20 @@ class TestSearch:
         assert code == EXIT_ERROR and "max_seconds" in err
 
 
-def cli(*argv):
-    """Run the command in a fresh interpreter, so a traceback would show."""
+def cli(*argv, memory_mb=None):
+    """Run the command in a fresh interpreter, so a traceback would show,
+    with its address space capped at memory_mb if given."""
     src = os.path.dirname(os.path.dirname(hypercover.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("HYPERCOVER_GUARD_OVERRIDE", None)
+
+    def cap():
+        limit = memory_mb << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     return subprocess.run([sys.executable, "-m", "hypercover.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=cap if memory_mb else None)
 
 
 def assert_input_error(proc):
@@ -303,18 +311,75 @@ class TestHostileSizes:
         assert elapsed < 1.0
 
 
-    def test_foreign_coverage_refused(self, tmp_path):
-        # one half/half block on 100,000 vertices covers 2.5e9 r-sets, none an edge
+    @pytest.mark.parametrize("low", [list(range(50_000)), [*range(30_000), 89_999]],
+                             ids=["half-half", "one-high-vertex"])
+    def test_foreign_coverage_refused(self, tmp_path, low):
+        # one block on 100,000 vertices, none of its r-sets an edge, whose
+        # masks add up to over 2*10^9 bits; in the second the low part has
+        # one vertex just below the high part, so only the widest mask of a
+        # part bounds the work
         h, c = tmp_path / "h.json", tmp_path / "c.json"
         h.write_text('{"r": 2, "n": 100000, "edges": []}')
         c.write_text(json.dumps({"r": 2, "blocks": [
-            {"parts": [list(range(50_000)), list(range(50_000, 100_000))]}]}))
+            {"parts": [low, list(range(low[-1] + 1, 100_000))]}]}))
         start = time.perf_counter()
-        proc = cli("verify", "--hypergraph", str(h), "--cover", str(c), "--list", "any")
+        proc = cli("verify", "--hypergraph", str(h), "--cover", str(c), "--list", "any",
+                   memory_mb=512)
         elapsed = time.perf_counter() - start
         assert_input_error(proc)
         assert "exceeds guard" in proc.stderr
         assert elapsed < 1.0
+
+
+class TestSparseLargeN:
+    """Few edges on many vertices cost what the blocks span, not n."""
+
+    def test_spread_matching_in_bounded_memory(self, tmp_path):
+        # 20,000 edges 50 apart on 10^6 vertices: masks as wide as the vertex
+        # ids would take about 1.2 GB, over the 512 MB cap
+        edges = [[50 * i, 50 * i + 1] for i in range(20_000)]
+        h, c = tmp_path / "h.json", tmp_path / "c.json"
+        h.write_text(json.dumps({"r": 2, "n": 1_000_000, "edges": edges}))
+        c.write_text(json.dumps({"r": 2, "blocks": [{"parts": [[u], [v]]}
+                                                    for u, v in edges[::20]]}))
+        proc = cli("verify", "--hypergraph", str(h), "--cover", str(c), "--list", "1",
+                   memory_mb=512)
+        assert proc.returncode == EXIT_FAIL, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["histogram"] == {"0": 19_000, "1": 1_000}
+        assert payload["foreign"] == 0
+        assert payload["witness"] == {"edge": [50, 51], "multiplicity": 0,
+                                      "reason": "multiplicity"}
+
+    def test_star_partition_within_guard(self, tmp_path):
+        # the leaves 0..2999 below their centre 3000, as one block on 10^6
+        # vertices: 3,000 prefix-mask adds of at most 3,000 bits each, where
+        # adds x n would be 3*10^9
+        leaves = list(range(3000))
+        h, c = tmp_path / "h.json", tmp_path / "c.json"
+        h.write_text(json.dumps({"r": 2, "n": 1_000_000,
+                                 "edges": [[v, 3000] for v in leaves]}))
+        c.write_text(json.dumps({"r": 2, "blocks": [{"parts": [leaves, [3000]]}]}))
+        proc = cli("verify", "--hypergraph", str(h), "--cover", str(c), "--partition")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["histogram"] == {"1": 3000}
+
+
+    def test_part_far_below_the_prefixes(self, tmp_path):
+        # one 3-uniform block with 2 r-sets on 4*10^9 vertices; its part
+        # {0, n-1} adds only above the prefix (n-3, n-2), so it never needs
+        # a mask from 0
+        n = 4_000_000_000
+        h, c = tmp_path / "h.json", tmp_path / "c.json"
+        h.write_text(json.dumps({"r": 3, "n": n, "edges": []}))
+        c.write_text(json.dumps({"r": 3, "blocks": [{"parts": [[0, n - 1], [n - 3], [n - 2]]}]}))
+        proc = cli("verify", "--hypergraph", str(h), "--cover", str(c), "--list", "any",
+                   memory_mb=256)
+        assert proc.returncode == EXIT_FAIL, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["foreign"] == 2
+        assert payload["witness"] == {"edge": [0, n - 3, n - 2], "multiplicity": 1,
+                                      "reason": "foreign"}
 
 
 class TestPayloadSchemas:

@@ -161,6 +161,17 @@ class TestMultiplicityProfile:
         # contributes exactly its edge count
         assert contributed == sum(b.edge_count() for b in cover.blocks)
 
+    def test_masks_start_above_their_prefix(self):
+        # edges near the top of a million vertices: every mask is a few bits
+        n = 1_000_000
+        edges = frozenset({(n - 5, n - 4), (n - 5, n - 1), (n - 3, n - 2)})
+        c = Cover(2, (RPartiteBlock(({n - 5}, {n - 4, n - 3})),))
+        profile = multiplicity_profile(Hypergraph(2, n, edges), c)
+        masks = [*profile.links.values(), *itertools.chain(*profile.planes.values())]
+        assert max(m.bit_length() for m in masks) <= 2
+        assert profile.multiplicity == {(n - 5, n - 4): 1, (n - 5, n - 1): 0, (n - 3, n - 2): 0}
+        assert profile.foreign == {(n - 5, n - 3): 1}
+
     def test_uniformity_mismatch(self):
         with pytest.raises(ValueError):
             multiplicity_profile(complete_hypergraph(4, 3), Cover(2, k4_bit_blocks()))

@@ -216,6 +216,16 @@ def random_profile_case(rng):
     return h, Cover(r, tuple(blocks))
 
 
+def spread(rng, h, c, n=5000):
+    """The same case with its vertices moved, in order, to far-apart ids in
+    0..n-1, so that masks offset from their prefix are exercised."""
+    ids = sorted(rng.sample(range(n), h.n))
+    moved = Hypergraph(h.r, n, frozenset(tuple(ids[v] for v in e) for e in h.edges))
+    blocks = (RPartiteBlock(tuple(frozenset(ids[v] for v in p) for p in b.parts))
+              for b in c.blocks)
+    return moved, Cover(c.r, tuple(blocks))
+
+
 MISSED = MultiplicityList.any_positive()
 VERIFY_LISTS = LISTS + (MultiplicityList.of(2, 3), MultiplicityList.up_to(4))
 
@@ -246,6 +256,12 @@ class TestProfileAgainstEnumeration:
         rng = random.Random(seed)
         for _ in range(50):
             assert_profile_matches(*random_profile_case(rng))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spread_vertices(self, seed):
+        rng = random.Random(50 + seed)
+        for _ in range(30):
+            assert_profile_matches(*spread(rng, *random_profile_case(rng)))
 
     @pytest.mark.parametrize("case", ["hex-3", "hex-4", "grid3-3", "grid3-4", "log-9",
                                       "pi-2-2", "pi-3-2", "pi-4-1"])
