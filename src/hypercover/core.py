@@ -187,20 +187,6 @@ class RPartiteBlock:
         for combo in itertools.product(*(sorted(p) for p in self.parts)):
             yield tuple(sorted(combo))
 
-    def contains_edge(self, edge: Edge) -> bool:
-        """True iff `edge` takes exactly one vertex from each part."""
-        hit = [False] * len(self.parts)
-        for v in edge:
-            for i, p in enumerate(self.parts):
-                if v in p:
-                    if hit[i]:
-                        return False
-                    hit[i] = True
-                    break
-            else:
-                return False
-        return all(hit)
-
 
 @dataclass(frozen=True)
 class Cover:
@@ -532,11 +518,19 @@ def hypergraph_to_json(h: Hypergraph) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _json_int(doc, key: str) -> int:
+    """doc[key], which must be a JSON integer (true, 2.0 and "2" are refused)."""
+    value = doc[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, not {type(value).__name__}")
+    return value
+
+
 def hypergraph_from_json(text: str) -> Hypergraph:
     """Raises ValueError on text that is not a hypergraph document."""
     try:
         doc = json.loads(text)
-        return Hypergraph(int(doc["r"]), int(doc["n"]), map(tuple, doc["edges"]))
+        return Hypergraph(_json_int(doc, "r"), _json_int(doc, "n"), map(tuple, doc["edges"]))
     except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed hypergraph JSON: {exc!r}") from None
 
@@ -552,6 +546,6 @@ def cover_from_json(text: str) -> Cover:
     try:
         doc = json.loads(text)
         blocks = tuple(RPartiteBlock(tuple(b["parts"])) for b in doc["blocks"])
-        return Cover(int(doc["r"]), blocks)
+        return Cover(_json_int(doc, "r"), blocks)
     except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed cover JSON: {exc!r}") from None

@@ -72,57 +72,57 @@ class _Deadline:
             raise _OutOfTime
 
 
-def enumerate_blocks(h: Hypergraph, within_edges: bool = True) -> list[RPartiteBlock]:
-    """All complete r-partite blocks on subsets of the vertices, deduplicated
-    up to part reordering; with within_edges, only blocks whose implied edges
-    are edges of h."""
-    r, n = h.r, h.n
+def _fits(edges, parts, v: int, i: int) -> bool:
+    """True iff every transversal of the parts other than i, plus v, is an edge
+    (vacuously while another part is empty)."""
+    others = parts[:i] + parts[i + 1:]
+    return all(tuple(sorted((*c, v))) in edges for c in itertools.product(*others))
+
+
+def enumerate_blocks(h: Hypergraph) -> list[RPartiteBlock]:
+    """All complete r-partite blocks on subsets of the vertices whose implied
+    edges are edges of h, each once up to part reordering, sorted by parts.
+
+    Vertices are given out in order: each stays out, joins an open part or
+    opens the next, so parts open in order of their least vertex and every
+    block is built once. A vertex joins a part only if it fits; each
+    transversal is checked when its largest vertex joins, and a failed check
+    prunes the subtree. The (r+1)^n part assignments bound the work.
+    """
+    r, n, edges = h.r, h.n, h.edges
     check_power_guard("enumerate_blocks assignments", 1, r + 1, n, ENUMERATION_GUARD)
-    seen = set()
+    parts: list[list[int]] = [[] for _ in range(r)]
     out = []
-    for assign in itertools.product(range(r + 1), repeat=n):
-        parts = [tuple(v for v in range(n) if assign[v] == p + 1) for p in range(r)]
-        if any(not p for p in parts):
-            continue
-        key = tuple(sorted(parts))
-        if key in seen:
-            continue
-        seen.add(key)
-        if within_edges:
-            if any(tuple(sorted(c)) not in h.edges
-                   for c in itertools.product(*parts)):
-                continue
-        out.append(RPartiteBlock(tuple(map(frozenset, key))))
+
+    def grow(v: int, opened: int):
+        if n - v < r - opened:
+            return
+        if v == n:
+            out.append(RPartiteBlock(tuple(parts)))
+            return
+        grow(v + 1, opened)
+        for i in range(min(opened + 1, r)):
+            if _fits(edges, parts, v, i):
+                parts[i].append(v)
+                grow(v + 1, max(opened, i + 1))
+                parts[i].pop()
+
+    grow(0, 0)
     out.sort(key=lambda b: tuple(tuple(sorted(p)) for p in b.parts))
     return out
 
 
 def _locally_maximal(blocks, h: Hypergraph) -> list[RPartiteBlock]:
-    """Blocks no single vertex can extend while staying inside h's edges.
+    """The blocks of h (all their edges in h) that no single vertex can extend
+    while staying inside h's edges.
 
     For covers with unbounded admissible multiplicity, any block may be grown
     to such a block without hurting validity, so restricting the search to
     them preserves the minimum.
     """
-    out = []
-    for b in blocks:
-        support = b.support()
-        extendable = False
-        for v in range(h.n):
-            if v in support:
-                continue
-            for i in range(b.r):
-                parts = [set(p) for p in b.parts]
-                parts[i].add(v)
-                if all(tuple(sorted(c)) in h.edges
-                       for c in itertools.product(*parts)):
-                    extendable = True
-                    break
-            if extendable:
-                break
-        if not extendable:
-            out.append(b)
-    return out
+    return [b for b in blocks
+            if not any(_fits(h.edges, b.parts, v, i)
+                       for v in set(range(h.n)) - b.support() for i in range(b.r))]
 
 
 def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudget,

@@ -248,7 +248,13 @@ class TestMalformedInput:
         '{"r": 2, "n": 4, "edges": 5}',
         '["not", "a", "hypergraph"]',
         "[" * 100_000 + "]" * 100_000,
-    ], ids=["no-edges", "edges-not-a-list", "not-an-object", "deep-nesting"])
+        '{"r": "2", "n": 3.9, "edges": [[0,1],[0,2],[1,2]]}',
+        '{"r": 2, "n": 3.9, "edges": [[0,1],[0,2],[1,2]]}',
+        '{"r": 2, "n": 1e400, "edges": []}',
+        '{"r": 2, "n": true, "edges": []}',
+        '{"r": 2.0, "n": 3, "edges": [[0,1]]}',
+    ], ids=["no-edges", "edges-not-a-list", "not-an-object", "deep-nesting",
+            "string-r", "float-n", "overflowing-n", "bool-n", "float-r"])
     def test_search(self, tmp_path, text):
         path = tmp_path / "h.json"
         path.write_text(text)
@@ -258,10 +264,15 @@ class TestMalformedInput:
         ('{"r": 2, "n": 4}', '{"r": 2, "blocks": []}'),
         (None, '{"r": 2, "blocks": [{"parts": 3}]}'),
         (None, '{"r": 2}'),
-    ], ids=["no-edges", "parts-not-a-list", "no-blocks"])
+        ('{"r": "2", "n": 3.9, "edges": [[0,1],[0,2],[1,2]]}',
+         '{"r": 2.7, "blocks": [{"parts": [[0],[1,2]]},{"parts": [[1],[2]]}]}'),
+        (None, '{"r": 2.7, "blocks": [{"parts": [[0],[1,2]]},{"parts": [[1],[2]]}]}'),
+        (None, '{"r": "2", "blocks": [{"parts": [[0],[1,2]]},{"parts": [[1],[2]]}]}'),
+    ], ids=["no-edges", "parts-not-a-list", "no-blocks", "non-integer-r-and-n",
+            "float-cover-r", "string-cover-r"])
     def test_verify(self, tmp_path, hyper, cover):
         h, c = tmp_path / "h.json", tmp_path / "c.json"
-        h.write_text(hyper or hypergraph_to_json(complete_hypergraph(4)))
+        h.write_text(hyper or hypergraph_to_json(complete_hypergraph(3)))
         c.write_text(cover)
         assert_input_error(cli("verify", "--hypergraph", str(h),
                                "--cover", str(c), "--list", "any"))

@@ -108,12 +108,6 @@ class TestBlock:
         b = RPartiteBlock(({2, 0}, {1, 3}))
         assert sorted(b.implied_edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
-    def test_contains_edge(self):
-        b = RPartiteBlock(({0, 1}, {2, 3}))
-        assert b.contains_edge((1, 2))
-        assert not b.contains_edge((0, 1))
-        assert not b.contains_edge((0, 4))
-
 
 class TestMultiplicityProfile:
     def test_star_partition_profile(self):
@@ -309,6 +303,8 @@ class TestJson:
         '{"r": 2, "blocks": [{"parts": [0, 1]}]}',
         '{"r": 2, "blocks": [{"parts": [[0, true], [2]]}]}',
         '{"r": 2, "blocks": [{"parts": [[0], ["1"]]}]}',
+        '{"r": true, "blocks": []}',
+        '{"r": 2.0, "blocks": []}',
     ])
     def test_malformed_cover_raises_value_error(self, text):
         with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 
 The naive versions here are deliberately the dumbest possible enumerations so
 the clever ones (bit-sliced counting, bulk canonicalisation, bit-packed
-elimination, iterative deepening, branch and bound) are never the only source
-of truth.
+elimination, backtracking block enumeration, iterative deepening, branch and
+bound) are never the only source of truth.
 """
 
 import itertools
@@ -44,6 +44,7 @@ from hypercover import (
     pi_partition,
     verify_cover,
 )
+from hypercover.oracles import _locally_maximal
 
 # gapped lists ({2}, {1,3}) need more than one multiplicity level in the search
 LISTS = (MultiplicityList.any_positive(), MultiplicityList.up_to(2), MultiplicityList.of(2),
@@ -191,6 +192,41 @@ def naive_canonical(edges, r, n):
             raise ValueError(f"edge {edge!r} has a vertex outside 0..{n - 1}")
         out.add(t)
     return frozenset(out)
+
+
+def naive_enumerate_blocks(h):
+    """Filter all (r+1)^n part assignments: skip those with an empty part or
+    seen under another part order, keep those whose transversals are edges."""
+    r, n = h.r, h.n
+    seen = set()
+    out = []
+    for assign in itertools.product(range(r + 1), repeat=n):
+        parts = [tuple(v for v in range(n) if assign[v] == p + 1) for p in range(r)]
+        if any(not p for p in parts):
+            continue
+        key = tuple(sorted(parts))
+        if key in seen:
+            continue
+        seen.add(key)
+        if any(tuple(sorted(c)) not in h.edges for c in itertools.product(*parts)):
+            continue
+        out.append(RPartiteBlock(tuple(map(frozenset, key))))
+    out.sort(key=lambda b: tuple(tuple(sorted(p)) for p in b.parts))
+    return out
+
+
+def naive_locally_maximal(blocks, h):
+    """Blocks to which no vertex outside can be added, in any part, keeping
+    every transversal of the grown block an edge of h."""
+    out = []
+    for b in blocks:
+        grown = (b.parts[:i] + (p | {v},) + b.parts[i + 1:]
+                 for v in range(h.n) if v not in b.support()
+                 for i, p in enumerate(b.parts))
+        if not any(all(tuple(sorted(c)) in h.edges for c in itertools.product(*parts))
+                   for parts in grown):
+            out.append(b)
+    return out
 
 
 def random_profile_case(rng):
@@ -349,6 +385,31 @@ class TestCanonicalAgainstPerEdge:
     def test_non_integer_hidden_behind_a_duplicate(self, edges):
         with pytest.raises(ValueError, match="not an integer"):
             Hypergraph(2, 3, edges)
+
+
+def enumeration_corpus():
+    """Hypergraphs at r = 2..4, n <= 7 (n <= 6 at r = 4): seeded random ones
+    at several densities, the empty one, complete ones and a single edge."""
+    rng = random.Random(41)
+    corpus = [Hypergraph(2, 0), Hypergraph(3, 2), Hypergraph(2, 5), Hypergraph(4, 6),
+              complete_hypergraph(5), complete_hypergraph(7), complete_hypergraph(6, 3),
+              complete_hypergraph(6, 4), Hypergraph(3, 6, [(1, 3, 5)])]
+    for p in (0.15, 0.5, 0.9):
+        for r in (2, 3, 4):
+            for _ in range(3):
+                corpus.append(random_hypergraph(rng, rng.randint(r, 6 if r == 4 else 7), r, p))
+    return corpus
+
+
+class TestBlocksAgainstAssignments:
+    """The backtracking enumerator lists the same blocks, in the same order,
+    as filtering every part assignment."""
+
+    @pytest.mark.parametrize("h", enumeration_corpus(), ids=lambda h: f"r{h.r}n{h.n}e{len(h.edges)}")
+    def test_same_list(self, h):
+        blocks = enumerate_blocks(h)
+        assert blocks == naive_enumerate_blocks(h)
+        assert _locally_maximal(blocks, h) == naive_locally_maximal(blocks, h)
 
 
 class TestSearchAgainstMultisetEnumeration:
