@@ -5,8 +5,8 @@ against.
 Conventions
 - Vertices are integers 0..n-1, of type int exactly: bool, float and str
   vertices are refused, never converted.
-- An edge is a sorted tuple of r distinct vertices; edge sets are stored
-  deduplicated in this canonical form.
+- An edge is a sorted tuple of r distinct vertices; a hypergraph stores its
+  edges deduplicated in this canonical form, as one increasing tuple.
 - A complete r-partite block is given by r pairwise-disjoint non-empty vertex
   sets; its implied edges are all r-sets taking exactly one vertex per part.
 
@@ -92,51 +92,55 @@ def _is_canonical(edges, r: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """An r-uniform hypergraph on vertices 0..n-1."""
+    """An r-uniform hypergraph on vertices 0..n-1.
+
+    `edges` is the strictly increasing tuple of its edges, which is their
+    canonical order; `edge_set` holds the same edges for membership tests.
+    """
 
     r: int
     n: int
-    edges: frozenset = frozenset()
+    edges: tuple = ()
 
     def __post_init__(self):
-        if self.r < 2:
+        r, n, edges = self.r, self.n, self.edges
+        if r < 2:
             raise ValueError("uniformity r must be at least 2")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        edges = self.edges
         if isinstance(edges, Iterator):  # read once, maybe checked twice
             edges = tuple(edges)
         # checked before deduplication, which would let (0, True) hide behind (0, 1)
-        if _is_canonical(edges, self.r, self.n):
-            edges = frozenset(edges)
+        if not _is_canonical(edges, r, n):
+            edges = sorted(_canonical_edge(e, r, n) for e in edges)
+        elif not all(map(lt, edges, itertools.islice(edges, 1, None))):
+            edges = sorted(edges)
         else:
-            edges = frozenset(_canonical_edge(e, self.r, self.n) for e in edges)
-        object.__setattr__(self, "edges", edges)
+            object.__setattr__(self, "edges", tuple(edges))
+            return
+        # sorted, so equal edges are adjacent
+        object.__setattr__(self, "edges", tuple(map(itemgetter(0), itertools.groupby(edges))))
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    @cached_property
+    def edge_set(self) -> frozenset:
+        """The edges as a frozenset, built on first use."""
+        return frozenset(self.edges)
 
 
 def complete_hypergraph(n: int, r: int = 2) -> Hypergraph:
     """K_n^r: all r-subsets of 0..n-1."""
-    return Hypergraph(r, n, frozenset(itertools.combinations(range(n), r)))
+    return Hypergraph(r, n, tuple(itertools.combinations(range(n), r)))
 
 
 def induced_subhypergraph(h: Hypergraph, vertices) -> tuple[Hypergraph, list[int]]:
     """Subhypergraph induced by `vertices`, relabeled to 0..len-1.
 
     Returns (subhypergraph, old_ids) where old_ids[new] = original vertex.
+    The relabelling keeps the order of vertices, so the edges stay sorted.
     """
     old = sorted(set(vertices))
     pos = {v: i for i, v in enumerate(old)}
-    keep = set(old)
-    edges = frozenset(
-        tuple(pos[v] for v in e) for e in h.edges if all(v in keep for v in e)
-    )
+    edges = tuple(tuple(pos[v] for v in e) for e in h.edges if all(v in pos for v in e))
     return Hypergraph(h.r, len(old), edges), old
 
 
@@ -455,22 +459,28 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
             p = tuple(sorted(combo))
             shift = p[-1] + 1 - low
             _add(planes.setdefault(p, []), whole >> shift if shift >= 0 else whole << -shift)
-    lasts: dict = {}
-    bare = []
-    for e in h.edges:
-        p = e[:-1]
-        if p in planes:
-            lasts.setdefault(p, []).append(e[-1])
-        else:
-            bare.append(e)
+    # h's edges are sorted, so those of a prefix p form one run, which starts
+    # at p itself and ends before p + (n,); the runs of prefixes no block
+    # counts lie between those of the counted ones and are bare
+    edges = h.edges
     links: dict = {}
-    for p, vs in lasts.items():
+    bare: list = []
+    done = 0
+    for p in sorted(planes):
+        start = bisect_left(edges, p, done)
+        bare += edges[done:start]
         top = p[-1] + max(map(int.bit_length, planes[p]))  # the last vertex counted
-        if max(vs) > top:
-            bare.extend(p + (v,) for v in vs if v > top)
-            vs = [v for v in vs if v <= top]
-        if vs:
-            links[p] = sum(map((1).__lshift__, map(sub, vs, itertools.repeat(p[-1] + 1))))
+        stop = bisect_left(edges, p + (top + 1,), start)
+        done = bisect_left(edges, p + (h.n,), stop)
+        bare += edges[stop:done]
+        if stop > start:
+            first, last = edges[start][-1], edges[stop - 1][-1]
+            if last - first == stop - 1 - start:  # consecutive last vertices
+                links[p] = ((1 << (stop - start)) - 1) << (first - p[-1] - 1)
+            else:
+                links[p] = packed_bits(map(sub, map(itemgetter(-1), edges[start:stop]),
+                                           itertools.repeat(p[-1] + 1)), last - p[-1])
+    bare += edges[done:]
     return MultiplicityProfile(links, planes, frozenset(bare))
 
 
@@ -514,7 +524,7 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 
 
 def hypergraph_to_json(h: Hypergraph) -> str:
-    doc = {"r": h.r, "n": h.n, "edges": h.sorted_edges()}  # tuples dump as arrays
+    doc = {"r": h.r, "n": h.n, "edges": h.edges}  # tuples dump as arrays, already sorted
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 

@@ -178,11 +178,11 @@ def cube_graph(r: int, m: int) -> CubeGraph:
                       (m - 1) * r, CUBE_EDGE_GUARD)
     base = r + 1
     n = base**m
-    edges = set()
+    edges = []  # an edge with several such coordinates repeats; Hypergraph drops repeats
     for j in range(m):
         weight = base ** (m - 1 - j)
         with_digit = [[v for v in range(n) if v // weight % base == x] for x in range(r)]
-        edges.update(tuple(sorted(e)) for e in itertools.product(*with_digit))
+        edges.extend(tuple(sorted(e)) for e in itertools.product(*with_digit))
     return CubeGraph(r, m, Hypergraph(r, n, edges))
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .core import check_guard, packed_bits
 from .cube import cube_graph
@@ -101,18 +103,20 @@ class SubsetIndex:
 
 def _disjointness(n: int, low: int, k: int, description: str) -> GF2Matrix:
     """Disjointness over the subsets of 0..n-1 of size low..k, size by size in
-    colexicographic order: each row lists the subsets of its complement."""
+    colexicographic order: each row is every column but those that share one
+    of its vertices."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     sizes = range(low, k + 1)
     check_guard(description, sum(math.comb(n, size) for size in sizes), MATRIX_ROW_GUARD)
     subsets = [s for size in sizes for s in SubsetIndex(n, size).subsets()]
-    index = {s: i for i, s in enumerate(subsets)}
-    data = []
-    for s in subsets:
-        rest = [v for v in range(n) if v not in s]
-        data.append(packed_bits((index[t] for size in sizes
-                                 for t in itertools.combinations(rest, size)), len(subsets)))
+    columns: list[list[int]] = [[] for _ in range(n)]
+    for j, s in enumerate(subsets):
+        for v in s:
+            columns[v].append(j)
+    containing = [packed_bits(c, len(subsets)) for c in columns]  # vertex -> columns holding it
+    full = (1 << len(subsets)) - 1
+    data = (full & ~reduce(or_, map(containing.__getitem__, s), 0) for s in subsets)
     return GF2Matrix(len(subsets), len(subsets), tuple(data))
 
 

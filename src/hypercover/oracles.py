@@ -89,7 +89,7 @@ def enumerate_blocks(h: Hypergraph) -> list[RPartiteBlock]:
     transversal is checked when its largest vertex joins, and a failed check
     prunes the subtree. The (r+1)^n part assignments bound the work.
     """
-    r, n, edges = h.r, h.n, h.edges
+    r, n, edges = h.r, h.n, h.edge_set
     check_power_guard("enumerate_blocks assignments", 1, r + 1, n, ENUMERATION_GUARD)
     parts: list[list[int]] = [[] for _ in range(r)]
     out = []
@@ -121,7 +121,7 @@ def _locally_maximal(blocks, h: Hypergraph) -> list[RPartiteBlock]:
     them preserves the minimum.
     """
     return [b for b in blocks
-            if not any(_fits(h.edges, b.parts, v, i)
+            if not any(_fits(h.edge_set, b.parts, v, i)
                        for v in set(range(h.n)) - b.support() for i in range(b.r))]
 
 
@@ -138,7 +138,7 @@ def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudg
     remembered across levels. Unit-cost searches stop after budget.max_blocks;
     cost searches go up to r|E|, the cost of the all-singleton cover.
     """
-    index = {e: i for i, e in enumerate(h.sorted_edges())}
+    index = {e: i for i, e in enumerate(h.edges)}
     full = (1 << len(index)) - 1
     masks, costs = [], []
     cover_by_edge: list[list[int]] = [[] for _ in index]
@@ -267,7 +267,7 @@ def independence_number(h: Hypergraph) -> int:
 
 def matching_number(h: Hypergraph) -> int:
     """Largest set of pairwise disjoint edges."""
-    edges = h.sorted_edges()
+    edges = h.edges
     emasks = [sum(1 << v for v in e) for e in edges]
     support = 0
     for em in emasks:

@@ -39,7 +39,7 @@ def random_cover_of(rng: random.Random, h: Hypergraph, extra: int = 2) -> Cover:
     The random extras may cover non-edges (foreign coverage), which the
     extraction machinery explicitly tolerates.
     """
-    blocks = [singleton_block(e) for e in h.sorted_edges()]
+    blocks = [singleton_block(e) for e in h.edges]
     for _ in range(extra):
         if h.n >= h.r:
             blocks.append(random_block(rng, h.n, h.r))

@@ -197,7 +197,7 @@ class TestPeel:
     def test_single_triple_two_colors(self):
         h = Hypergraph(3, 3, frozenset({(0, 1, 2)}))
         provider = lambda sub: Cover(
-            3, tuple(singleton_block(e) for e in sub.sorted_edges())
+            3, tuple(singleton_block(e) for e in sub.edges)
         )
         res = peel_coloring(h, provider)
         assert len(set(res.colors)) <= 2
@@ -210,7 +210,7 @@ class TestPeel:
             r = rng.choice((2, 3))
             h = random_hypergraph(rng, rng.randint(r, 6), r)
             provider = lambda sub: Cover(
-                sub.r, tuple(singleton_block(e) for e in sub.sorted_edges())
+                sub.r, tuple(singleton_block(e) for e in sub.edges)
             )
             res = peel_coloring(h, provider)
             assert is_proper_coloring(h, res.colors)

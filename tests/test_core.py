@@ -1,6 +1,7 @@
 """Core types, the multiplicity verifier, and JSON round trips."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -15,10 +16,14 @@ from hypercover import (
     complete_hypergraph,
     cover_from_json,
     cover_to_json,
+    cube_graph,
+    grid3_cover,
+    hex_cover,
     hypergraph_from_json,
     hypergraph_to_json,
     induced_subhypergraph,
     multiplicity_profile,
+    pi_partition,
     verify_cover,
     verify_partition,
 )
@@ -42,7 +47,12 @@ def k4_bit_blocks():
 class TestHypergraph:
     def test_canonicalization(self):
         h = Hypergraph(2, 4, frozenset({(3, 1), (1, 3), (0, 2)}))
-        assert h.sorted_edges() == [(0, 2), (1, 3)]
+        assert h.edges == ((0, 2), (1, 3))
+
+    def test_edge_set_built_on_first_use(self):
+        h = complete_hypergraph(4)
+        assert "edge_set" not in vars(h)
+        assert h.edge_set == frozenset(h.edges) and "edge_set" in vars(h)
 
     def test_rejects_repeated_vertex(self):
         with pytest.raises(ValueError):
@@ -275,6 +285,24 @@ class TestJson:
         assert hypergraph_to_json(hypergraph_from_json(text)) == text
         doc = json.loads(text)
         assert doc["edges"] == sorted(doc["edges"])
+
+    # sha256 of (hypergraph_to_json, cover_to_json), recorded when the files
+    # were first pinned: a change to either dump shows here
+    @pytest.mark.parametrize("name,build,digests", [
+        ("hex m=5", lambda: hex_cover(5),
+         ("cfc36d3caa317dc689eb6a230c828e0d6ad6cb0d226d72209e9e35ccfc80901d",
+          "76fbd7b10c789aa4f36f7bffe263ccd35550be28349403c8710cb5806d6446ed")),
+        ("grid3 m=4", lambda: grid3_cover(4),
+         ("d3d0b7373a947e8c9e9db258085fbee494cab911107587e9cb9ed6fb33bdb697",
+          "9ba40191073c509421034211a98de0429c79766b95bbb3658d163358cc0c5db6")),
+        ("pi-partition r=2 m=3", lambda: (cube_graph(2, 3).hypergraph, pi_partition(2, 3)),
+         ("044c02d2a4f0ea474ad39a1830294be2b2a343b160c27af1b646bd366739556b",
+          "65c015da222f4e0f3c6b45416466501614bc60d8bc986aa47520ff3be1ddc2b8")),
+    ])
+    def test_constructions_dump_pinned_bytes(self, name, build, digests):
+        h, c = build()
+        texts = (hypergraph_to_json(h), cover_to_json(c))
+        assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == digests
 
     def test_cover_round_trip_byte_identical(self):
         c = Cover(2, k4_star_blocks() + k4_bit_blocks())

@@ -65,7 +65,7 @@ def naive_min_cover(h, lst, candidates, max_t=4):
 def naive_min_order(h, candidates):
     """Least total order of a set of candidates covering every edge, by a
     shortest-path sweep over all 2^|E| covered-edge sets in increasing order."""
-    bit = {e: 1 << i for i, e in enumerate(h.sorted_edges())}
+    bit = {e: 1 << i for i, e in enumerate(h.edges)}
     blocks = [(sum(bit[e] for e in b.implied_edges()), b.order()) for b in candidates]
     best = {0: 0}
     for mask in range(1 << len(bit)):
@@ -89,7 +89,7 @@ def naive_independence(h):
 
 
 def naive_matching(h):
-    edges = h.sorted_edges()
+    edges = h.edges
     best = 0
     for size in range(len(edges), -1, -1):
         for combo in itertools.combinations(edges, size):
@@ -366,19 +366,19 @@ class TestCanonicalAgainstPerEdge:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
                     Hypergraph(r, n, given)
             else:
-                assert Hypergraph(r, n, given).edges == expected
+                assert Hypergraph(r, n, given).edges == tuple(sorted(expected))
 
     def test_canonical_input_is_stored_as_given(self):
-        edges = frozenset(itertools.combinations(range(7), 3))
+        edges = tuple(itertools.combinations(range(7), 3))
         assert Hypergraph(3, 7, edges).edges is edges
 
     def test_unhashable_and_subclassed_edges(self):
         pairs = [[1, 0], [2, 1], [0, 1]]
-        assert Hypergraph(2, 3, pairs).edges == {(0, 1), (1, 2)}
-        assert Hypergraph(2, 3, (list(p) for p in pairs)).edges == {(0, 1), (1, 2)}
+        assert Hypergraph(2, 3, pairs).edges == ((0, 1), (1, 2))
+        assert Hypergraph(2, 3, (list(p) for p in pairs)).edges == ((0, 1), (1, 2))
         Pair = namedtuple("Pair", "u v")
         edges = Hypergraph(2, 3, [Pair(0, 1), Pair(1, 2)]).edges
-        assert edges == {(0, 1), (1, 2)} and {type(e) for e in edges} == {tuple}
+        assert edges == ((0, 1), (1, 2)) and {type(e) for e in edges} == {tuple}
 
     @pytest.mark.parametrize("edges", [[(0, 1), (0, True)], [(0, 1), (0, 1.0)],
                                        [(0, 1), ("0", 1)], [(0, 1), (0, [1])]])
@@ -532,7 +532,7 @@ class TestCubeAgainstDefinition:
     @pytest.mark.parametrize("r,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
                                      (3, 3), (4, 1), (4, 2), (5, 1), (6, 1)])
     def test_cube_graph_edges(self, r, m):
-        assert cube_graph(r, m).hypergraph.edges == naive_cube_edges(r, m)
+        assert cube_graph(r, m).hypergraph.edges == tuple(sorted(naive_cube_edges(r, m)))
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_disjointness_rows(self, n):

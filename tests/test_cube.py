@@ -137,10 +137,10 @@ class TestCubeGraph:
     def test_single_coordinate(self):
         cg = cube_graph(2, 1)
         assert cg.hypergraph.n == 3
-        assert cg.hypergraph.sorted_edges() == [(0, 1)]
+        assert cg.hypergraph.edges == ((0, 1),)
         cg = cube_graph(3, 1)
         assert cg.hypergraph.n == 4
-        assert cg.hypergraph.sorted_edges() == [(0, 1, 2)]
+        assert cg.hypergraph.edges == ((0, 1, 2),)
 
     def test_m2_edge_count_golden(self):
         # brute-force count frozen: 2 * 9 - 2 pairs separate on some coordinate

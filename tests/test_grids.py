@@ -136,5 +136,5 @@ class TestLogCover:
         h, c = log_cover(n)
         assert len(c.blocks) == max(1, (n - 1).bit_length())
         profile = multiplicity_profile(h, c)
-        for u, v in h.sorted_edges():
+        for u, v in h.edges:
             assert profile.multiplicity[(u, v)] == bin(u ^ v).count("1")

@@ -1,5 +1,6 @@
-"""Property tests: the JSON loaders on arbitrary field values, and the block
-enumerator against filtering every part assignment.
+"""Property tests: the JSON loaders on arbitrary field values, edge storage and
+the JSON round trip, the multiplicity profiler against listing every block
+edge, and the block enumerator against filtering every part assignment.
 
 Examples are drawn deterministically (derandomize) and no example database
 is kept, so the suite gives the same verdict every time.
@@ -7,19 +8,29 @@ is kept, so the suite gives the same verdict every time.
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from test_cross_checks import naive_enumerate_blocks  # noqa: E402
+from test_cross_checks import (  # noqa: E402
+    LISTS,
+    naive_canonical,
+    naive_enumerate_blocks,
+    naive_profile,
+)
 
 from hypercover import (  # noqa: E402
+    Cover,
     Hypergraph,
+    RPartiteBlock,
     cover_from_json,
     enumerate_blocks,
     hypergraph_from_json,
+    hypergraph_to_json,
+    multiplicity_profile,
 )
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -80,3 +91,79 @@ def hypergraphs(draw):
 @given(h=hypergraphs())
 def test_enumerator_matches_assignments(h):
     assert enumerate_blocks(h) == naive_enumerate_blocks(h)
+
+
+@st.composite
+def edge_inputs(draw):
+    """(r, n, edges, container): unsorted vertex lists, repeats included."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 9))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True),
+                          max_size=12)) if n >= r else []
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges).map(lambda e: e[::-1]), max_size=4))
+    return r, n, edges, draw(st.sampled_from(["tuples", "lists", "frozenset", "iterator"]))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(case=edge_inputs())
+def test_edges_stored_sorted_and_deduplicated(case):
+    r, n, edges, container = case
+    tuples = [tuple(e) for e in edges]
+    given_edges = {"tuples": tuples, "lists": edges, "frozenset": frozenset(tuples),
+                   "iterator": iter(tuples)}[container]
+    stored = Hypergraph(r, n, given_edges).edges
+    assert stored == tuple(sorted(naive_canonical(tuples, r, n)))
+    assert all(a < b for a, b in zip(stored, stored[1:]))
+
+
+@st.composite
+def spread_hypergraphs(draw):
+    """Sparse r-graphs on a few far-apart vertex ids, so the runs of last
+    vertices under a prefix have gaps, plus unused vertices above them."""
+    r = draw(st.integers(2, 4))
+    ids = sorted(draw(st.sets(st.integers(0, 300), min_size=r, max_size=8)))
+    candidates = list(itertools.combinations(ids, r))
+    keep = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    n = ids[-1] + 1 + draw(st.integers(0, 3))
+    return Hypergraph(r, n, [e for e, k in zip(candidates, keep) if k]), ids
+
+
+@settings(SETTINGS, max_examples=40)
+@given(case=spread_hypergraphs())
+def test_json_round_trip(case):
+    h, _ = case
+    text = hypergraph_to_json(h)
+    assert hypergraph_from_json(text) == h
+    assert hypergraph_to_json(hypergraph_from_json(text)) == text
+
+
+@st.composite
+def spread_covers(draw):
+    """A spread hypergraph and up to four blocks on some of its ids, so some
+    edges lie above every vertex a block counts under their prefix."""
+    h, ids = draw(spread_hypergraphs())
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        vertices = draw(st.lists(st.sampled_from(ids), min_size=h.r, unique=True))
+        part_of = draw(st.lists(st.integers(0, h.r - 1), min_size=len(vertices),
+                                max_size=len(vertices)))
+        parts = [[v for v, i in zip(vertices, part_of) if i == j] for j in range(h.r)]
+        if all(parts):
+            blocks.append(RPartiteBlock(tuple(parts)))
+    return h, Cover(h.r, tuple(blocks))
+
+
+@settings(SETTINGS, max_examples=40)
+@given(case=spread_covers())
+def test_profile_matches_listing(case):
+    h, c = case
+    counts, foreign = naive_profile(h, c)
+    profile = multiplicity_profile(h, c)
+    assert profile.histogram() == dict(sorted(Counter(counts.values()).items()))
+    assert profile.foreign_count() == len(foreign)
+    for e, count in [*counts.items(), *foreign.items()]:
+        assert profile.count(e) == count
+    for lst in LISTS:
+        outside = [e for e in h.edges if counts[e] not in lst]
+        assert profile.least_outside(lst) == (outside[0] if outside else None)
