@@ -150,7 +150,7 @@ def derandomized_extraction(h: Hypergraph, c: Cover) -> ExtractionResult:
             weight[v] = grown
         loss = [sum(weight[v] for v in p if v in survivors) for p in b.parts]
         least = min(loss)
-        survivors -= b.parts[loss.index(least)]
+        survivors.difference_update(b.parts[loss.index(least)])
         total -= least
         expectations.append(Fraction(total, scale))
     guarantee = survivor_guarantee(incidence, r)

@@ -9,6 +9,8 @@ Conventions
   edges deduplicated in this canonical form, as one increasing tuple.
 - A complete r-partite block is given by r pairwise-disjoint non-empty vertex
   sets; its implied edges are all r-sets taking exactly one vertex per part.
+  It stores each part as an increasing tuple and the parts in lexicographic
+  order, so equal blocks compare equal and no consumer sorts a part again.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -148,8 +150,8 @@ def induced_subhypergraph(h: Hypergraph, vertices) -> tuple[Hypergraph, list[int
 class RPartiteBlock:
     """A complete r-partite r-graph: r disjoint non-empty vertex classes.
 
-    Parts are canonicalized (vertices sorted inside each part, parts ordered
-    by their sorted vertex tuples) so equal blocks compare equal.
+    `parts` holds each class as an increasing tuple of vertices, the classes
+    in lexicographic order, so equal blocks compare equal.
     """
 
     parts: tuple = ()
@@ -158,20 +160,16 @@ class RPartiteBlock:
         parts = tuple(map(tuple, self.parts))  # checked before a set merges True into 1
         if set(map(type, itertools.chain.from_iterable(parts))) - {int}:
             raise ValueError("vertices must be integers")
-        parts = tuple(map(frozenset, parts))
+        parts = [tuple(sorted(set(p))) for p in parts]
         if len(parts) < 2:
             raise ValueError("a block needs at least 2 parts")
-        if any(not p for p in parts):
+        if not all(parts):
             raise ValueError("empty parts are rejected")
-        support = set()
-        for p in parts:
-            if support & p:
-                raise ValueError("parts must be pairwise disjoint")
-            support |= p
-        if any(v < 0 for v in support):
+        if len(set().union(*parts)) != sum(map(len, parts)):
+            raise ValueError("parts must be pairwise disjoint")
+        if min(p[0] for p in parts) < 0:
             raise ValueError("vertices must be non-negative")
-        ordered = tuple(sorted(parts, key=lambda p: tuple(sorted(p))))
-        object.__setattr__(self, "parts", ordered)
+        object.__setattr__(self, "parts", tuple(sorted(parts)))
 
     @property
     def r(self) -> int:
@@ -188,7 +186,7 @@ class RPartiteBlock:
 
     def implied_edges(self):
         """Yield every edge of the block in canonical sorted-tuple form."""
-        for combo in itertools.product(*(sorted(p) for p in self.parts)):
+        for combo in itertools.product(*self.parts):
             yield tuple(sorted(combo))
 
 
@@ -336,13 +334,13 @@ class MultiplicityProfile:
     the span it covers above p, whatever n is. planes[p][k] has bit i set when
     bit k of the number of blocks containing that r-set is 1; prefixes of no
     block edge have no planes. links[p] holds the edges of h within the width
-    of planes[p]; the other edges of h, which no block contains, are bare. A
-    covered r-set that is not an edge of h is foreign.
+    of planes[p]; the other edges of h, which no block contains, are bare,
+    in increasing order. A covered r-set that is not an edge of h is foreign.
     """
 
     links: dict
     planes: dict
-    bare: frozenset
+    bare: tuple
 
     @cached_property
     def multiplicity(self) -> dict:
@@ -386,7 +384,7 @@ class MultiplicityProfile:
                        for p, groups in self._link_groups.items())
         if 0 in lst or not self.bare:
             return least
-        first_bare = min(self.bare)
+        first_bare = self.bare[0]
         return first_bare if least is None else min(least, first_bare)
 
     @cached_property
@@ -409,8 +407,7 @@ def _cuts(b: RPartiteBlock) -> list:
     parts give each such prefix once. upper holds the vertices of P above the
     least top a prefix can have, the only ones a mask of P can take. bits
     bounds the bits of those masks: each spans at most max(P) minus that top."""
-    # tuples of ints, which the garbage collector stops tracking
-    parts = [tuple(sorted(p)) for p in b.parts]
+    parts = b.parts
     cuts = []
     for p in parts:
         cut = tuple([q[:bisect_left(q, p[-1])] for q in parts if q is not p])
@@ -481,7 +478,7 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
                 links[p] = packed_bits(map(sub, map(itemgetter(-1), edges[start:stop]),
                                            itertools.repeat(p[-1] + 1)), last - p[-1])
     bare += edges[done:]
-    return MultiplicityProfile(links, planes, frozenset(bare))
+    return MultiplicityProfile(links, planes, tuple(bare))
 
 
 @dataclass(frozen=True)
@@ -546,7 +543,7 @@ def hypergraph_from_json(text: str) -> Hypergraph:
 
 
 def cover_to_json(c: Cover) -> str:
-    blocks = [{"parts": [sorted(p) for p in b.parts]} for b in c.blocks]
+    blocks = [{"parts": b.parts} for b in c.blocks]  # tuples dump as arrays, already sorted
     return json.dumps({"r": c.r, "blocks": blocks}, sort_keys=True,
                       separators=(",", ":"))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import Cover, Hypergraph, RPartiteBlock, check_guard, check_power_guard
 
@@ -66,28 +67,28 @@ def check_gamma_closed_form(r: int, rel_tol: float = 1e-6) -> bool:
 class LabelBlock:
     """One symbolic block: label sets S_1..S_r over the alphabet {0..r-1, r=*}.
 
-    Its implied tuples are S_1 x S_2 x ... x S_r.
+    `classes` holds each S_j as an increasing tuple of labels. Its implied
+    tuples are S_1 x S_2 x ... x S_r.
     """
 
     r: int
     classes: tuple
 
     def __post_init__(self):
-        classes = tuple(map(frozenset, self.classes))  # a frozenset is kept, not copied
+        classes = tuple(map(tuple, self.classes))  # checked before a set merges True into 1
         if len(classes) != self.r:
             raise ValueError(f"expected {self.r} label classes")
         if not all(classes):
             raise ValueError("label classes must be non-empty")
-        labels = frozenset().union(*classes)
-        if set(map(type, labels)) != {int} or not labels <= frozenset(range(self.r + 1)):
+        if set(map(type, itertools.chain.from_iterable(classes))) != {int}:
+            raise ValueError(f"labels must be integers in 0..{self.r}")
+        classes = tuple(tuple(sorted(set(c))) for c in classes)
+        if min(c[0] for c in classes) < 0 or max(c[-1] for c in classes) > self.r:
             raise ValueError(f"labels must be integers in 0..{self.r}")
         object.__setattr__(self, "classes", classes)
 
     def tuples(self):
-        yield from itertools.product(*map(sorted, self.classes))
-
-    def sort_key(self):
-        return tuple(map(tuple, map(sorted, self.classes)))
+        yield from itertools.product(*self.classes)
 
 
 def label_partition(r: int) -> list[LabelBlock]:
@@ -106,16 +107,14 @@ def label_partition(r: int) -> list[LabelBlock]:
         raise ValueError("uniformity must be at least 2")
     check_guard("label_partition uniformity", r, LABEL_R_GUARD)
     star = r
-    full = frozenset(range(r + 1))
-    single = [frozenset({v}) for v in range(r)]
-    blocks = [LabelBlock(r, (frozenset({star}),) + (full,) * (r - 1))]
+    full = tuple(range(r + 1))
+    blocks = [LabelBlock(r, ((star,),) + (full,) * (r - 1))]
     for j in range(2, r + 1):
         for prefix in itertools.permutations(range(r), j - 1):
-            saturated = frozenset(prefix) | {star}
-            classes = tuple(map(single.__getitem__, prefix))
-            classes += (saturated,) + (full,) * (r - j)
+            classes = tuple((x,) for x in prefix)
+            classes += (prefix + (star,),) + (full,) * (r - j)
             blocks.append(LabelBlock(r, classes))
-    blocks.sort(key=LabelBlock.sort_key)
+    blocks.sort(key=attrgetter("classes"))
     return blocks
 
 
@@ -128,7 +127,7 @@ def label_table(blocks: list[LabelBlock]) -> str:
     def cell(x: int, j: int) -> str:
         return ("*" if x == r else str(x)) + f"a{j + 1}"
 
-    columns = [[[cell(x, j) for x in sorted(b.classes[j])] for j in range(r)]
+    columns = [[[cell(x, j) for x in b.classes[j]] for j in range(r)]
                for b in blocks]
     widths = [max(len(c) for cols in columns for c in cols[j]) for j in range(r)]
     stanzas = []
@@ -211,15 +210,14 @@ def pi_partition(r: int, m: int) -> Cover:
     check_guard("pi_partition blocks x vertices",
                 pinto_upper_bound(r, m) * (r + 1) ** m, CUBE_EDGE_GUARD)
     base = r + 1
-    blocks = [tuple(frozenset({i}) for i in range(r))]
+    blocks = [tuple((i,) for i in range(r))]
     size = base
     for _ in range(m - 1):
-        grown = [tuple(frozenset(i * size + t for t in range(size))
-                       for i in range(r))]
+        grown = [tuple(tuple(range(i * size, (i + 1) * size)) for i in range(r))]
         for parent in blocks:
             for lab in labels:
                 grown.append(tuple(
-                    frozenset(x * size + v for x in lab.classes[j] for v in parent[j])
+                    tuple(x * size + v for x in lab.classes[j] for v in parent[j])
                     for j in range(r)
                 ))
         blocks = grown

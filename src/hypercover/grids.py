@@ -100,13 +100,13 @@ def grid3_cover(m: int) -> tuple[Hypergraph, Cover]:
     vid = {rc: grid_vertex_id(GridCoord(*rc), m) for rc in cells}
 
     families = [
-        (lambda rc: rc[0], range(1, m + 1), range(2, m)),            # rows
-        (lambda rc: rc[1], range(1, m + 1), range(2, m)),            # columns
-        (lambda rc: rc[0] - rc[1] + m, range(1, 2 * m), range(2, 2 * m - 1)),
-        (lambda rc: rc[0] + rc[1] - 1, range(1, 2 * m), range(2, 2 * m - 1)),
+        (lambda rc: rc[0], range(2, m)),                      # rows
+        (lambda rc: rc[1], range(2, m)),                      # columns
+        (lambda rc: rc[0] - rc[1] + m, range(2, 2 * m - 1)),  # diagonals
+        (lambda rc: rc[0] + rc[1] - 1, range(2, 2 * m - 1)),  # counter-diagonals
     ]
     blocks = []
-    for key, _all_lines, middle in families:
+    for key, middle in families:
         for i in middle:
             line = frozenset(vid[rc] for rc in cells if key(rc) == i)
             later = frozenset(vid[rc] for rc in cells if key(rc) > i)

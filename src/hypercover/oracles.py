@@ -13,6 +13,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import (
     Cover,
@@ -24,16 +25,16 @@ from .core import (
 )
 
 ENUMERATION_GUARD = 16_500  # assignments (r+1)^n: n <= 8 at r = 2, n <= 7 at r = 3
+CANDIDATE_GUARD = 200_000  # candidate blocks handed to one search
 
 
 @dataclass(frozen=True)
 class SearchBudget:
     max_blocks: int = 16
-    max_candidates: int = 200_000
     max_seconds: float = 120.0
 
     def __post_init__(self):
-        if self.max_blocks < 0 or self.max_candidates < 1 or not 0 < self.max_seconds < math.inf:
+        if self.max_blocks < 0 or not 0 < self.max_seconds < math.inf:
             raise ValueError("budget fields must be positive and max_seconds finite")
 
 
@@ -91,24 +92,21 @@ def enumerate_blocks(h: Hypergraph) -> list[RPartiteBlock]:
     """
     r, n, edges = h.r, h.n, h.edge_set
     check_power_guard("enumerate_blocks assignments", 1, r + 1, n, ENUMERATION_GUARD)
-    parts: list[list[int]] = [[] for _ in range(r)]
     out = []
-
-    def grow(v: int, opened: int):
+    stack = [(0, 0, ((),) * r)]  # (next vertex, parts opened, parts); depth does not grow with n
+    while stack:
+        v, opened, parts = stack.pop()
         if n - v < r - opened:
-            return
+            continue
         if v == n:
-            out.append(RPartiteBlock(tuple(parts)))
-            return
-        grow(v + 1, opened)
+            out.append(RPartiteBlock(parts))
+            continue
+        stack.append((v + 1, opened, parts))
         for i in range(min(opened + 1, r)):
             if _fits(edges, parts, v, i):
-                parts[i].append(v)
-                grow(v + 1, max(opened, i + 1))
-                parts[i].pop()
-
-    grow(0, 0)
-    out.sort(key=lambda b: tuple(tuple(sorted(p)) for p in b.parts))
+                stack.append((v + 1, max(opened, i + 1),
+                              parts[:i] + (parts[i] + (v,),) + parts[i + 1:]))
+    out.sort(key=attrgetter("parts"))
     return out
 
 
@@ -219,7 +217,7 @@ def min_cover_size(
         candidates = enumerate_blocks(h)
         if lst.allowed is None:
             candidates = _locally_maximal(candidates, h)
-    check_guard("min_cover_size candidates", len(candidates), budget.max_candidates)
+    check_guard("min_cover_size candidates", len(candidates), CANDIDATE_GUARD)
     return _search(h, candidates, lst, budget)
 
 

@@ -97,6 +97,11 @@ class TestBlock:
         with pytest.raises(ValueError):
             RPartiteBlock((frozenset({0, 1}), frozenset({1, 2})))
 
+    @pytest.mark.parametrize("parts", [({-1}, {0}), ([2, -1], [3]), ([0], [4, 1, -2])])
+    def test_rejects_negative_vertex(self, parts):
+        with pytest.raises(ValueError, match="non-negative"):
+            RPartiteBlock(parts)
+
     def test_edge_count_singletons(self):
         assert RPartiteBlock(({0}, {1})).edge_count() == 1
 
@@ -298,6 +303,12 @@ class TestJson:
         ("pi-partition r=2 m=3", lambda: (cube_graph(2, 3).hypergraph, pi_partition(2, 3)),
          ("044c02d2a4f0ea474ad39a1830294be2b2a343b160c27af1b646bd366739556b",
           "65c015da222f4e0f3c6b45416466501614bc60d8bc986aa47520ff3be1ddc2b8")),
+        ("pi-partition r=3 m=3", lambda: (cube_graph(3, 3).hypergraph, pi_partition(3, 3)),
+         ("4c138e960847f7eddc646c0f75e03c9b29fb670f9dd982a1900a05a6996a1799",
+          "0d9ba6e73c77e64e94cd2d3497ce64c968d38d2c6e18529362cc079339250307")),
+        ("pi-partition r=5 m=2", lambda: (cube_graph(5, 2).hypergraph, pi_partition(5, 2)),
+         ("b1984115165e7b88901381771761f3decbe1a0d741f1e27aa9ea51530f9446ad",
+          "41d8d85b906d6a26da98fedbc76efe7a1682ff10c150fb5311ae4afc4d56303c")),
     ])
     def test_constructions_dump_pinned_bytes(self, name, build, digests):
         h, c = build()

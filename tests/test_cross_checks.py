@@ -194,6 +194,37 @@ def naive_canonical(edges, r, n):
     return frozenset(out)
 
 
+def naive_block_parts(parts):
+    """Check the parts as frozensets, one rule at a time, and order them by
+    their sorted vertex tuples; raise what RPartiteBlock raises."""
+    parts = [list(p) for p in parts]
+    if any(type(v) is not int for p in parts for v in p):
+        raise ValueError("vertices must be integers")
+    sets = [frozenset(p) for p in parts]
+    if len(sets) < 2:
+        raise ValueError("a block needs at least 2 parts")
+    if not all(sets):
+        raise ValueError("empty parts are rejected")
+    if any(a & b for a, b in itertools.combinations(sets, 2)):
+        raise ValueError("parts must be pairwise disjoint")
+    if any(v < 0 for p in sets for v in p):
+        raise ValueError("vertices must be non-negative")
+    return tuple(tuple(sorted(p)) for p in sorted(sets, key=lambda p: tuple(sorted(p))))
+
+
+def naive_label_classes(r, classes):
+    """Check the label classes as given, then keep each as the sorted tuple
+    of its frozenset; raise what LabelBlock raises."""
+    classes = [list(c) for c in classes]
+    if len(classes) != r:
+        raise ValueError(f"expected {r} label classes")
+    if not all(classes):
+        raise ValueError("label classes must be non-empty")
+    if any(type(x) is not int or not 0 <= x <= r for c in classes for x in c):
+        raise ValueError(f"labels must be integers in 0..{r}")
+    return tuple(tuple(sorted(frozenset(c))) for c in classes)
+
+
 def naive_enumerate_blocks(h):
     """Filter all (r+1)^n part assignments: skip those with an empty part or
     seen under another part order, keep those whose transversals are edges."""
@@ -220,7 +251,7 @@ def naive_locally_maximal(blocks, h):
     every transversal of the grown block an edge of h."""
     out = []
     for b in blocks:
-        grown = (b.parts[:i] + (p | {v},) + b.parts[i + 1:]
+        grown = (b.parts[:i] + (set(p) | {v},) + b.parts[i + 1:]
                  for v in range(h.n) if v not in b.support()
                  for i, p in enumerate(b.parts))
         if not any(all(tuple(sorted(c)) in h.edges for c in itertools.product(*parts))

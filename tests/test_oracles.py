@@ -1,6 +1,8 @@
 """Exact brute-force oracles: candidate enumeration and minimum searches."""
 
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -26,6 +28,7 @@ from hypercover import (
     verify_cover,
     verify_partition,
 )
+from hypercover import oracles
 
 ANY = MultiplicityList.any_positive()
 
@@ -62,6 +65,18 @@ class TestEnumerateBlocks:
         monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", value)
         with pytest.raises(GuardError):
             enumerate_blocks(complete_hypergraph(9))
+
+    def test_depth_does_not_grow_with_vertices(self, monkeypatch):
+        # a frame per vertex would need 150 frames beyond the 100 left here
+        monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
+        h = Hypergraph(150, 150, [tuple(range(150))])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            blocks = enumerate_blocks(h)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [b.parts for b in blocks] == [tuple((v,) for v in range(150))]
 
 
 class TestMinPartition:
@@ -142,6 +157,15 @@ class TestMinCover:
         assert outcome.status == "unknown"
         assert outcome.lower == 3  # sizes 0..2 proven impossible
         assert outcome.value is None
+
+    def test_candidate_guard_on_given_lists(self, monkeypatch):
+        h = complete_hypergraph(4)
+        blocks = enumerate_blocks(h)
+        monkeypatch.setattr(oracles, "CANDIDATE_GUARD", len(blocks) - 1)
+        with pytest.raises(GuardError):
+            min_cover_size(h, ANY, candidates=blocks)
+        monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
+        assert min_cover_size(h, ANY, candidates=blocks).value == 2
 
     @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 0.0, -1.0])
     def test_budget_rejects_non_finite_or_non_positive_seconds(self, seconds):

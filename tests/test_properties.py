@@ -1,6 +1,7 @@
-"""Property tests: the JSON loaders on arbitrary field values, edge storage and
-the JSON round trip, the multiplicity profiler against listing every block
-edge, and the block enumerator against filtering every part assignment.
+"""Property tests: the JSON loaders on arbitrary field values, edge, block and
+label class storage, the JSON round trips, the multiplicity profiler against
+listing every block edge, and the block enumerator against filtering every
+part assignment.
 
 Examples are drawn deterministically (derandomize) and no example database
 is kept, so the suite gives the same verdict every time.
@@ -17,16 +18,20 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from test_cross_checks import (  # noqa: E402
     LISTS,
+    naive_block_parts,
     naive_canonical,
     naive_enumerate_blocks,
+    naive_label_classes,
     naive_profile,
 )
 
 from hypercover import (  # noqa: E402
     Cover,
     Hypergraph,
+    LabelBlock,
     RPartiteBlock,
     cover_from_json,
+    cover_to_json,
     enumerate_blocks,
     hypergraph_from_json,
     hypergraph_to_json,
@@ -117,6 +122,81 @@ def test_edges_stored_sorted_and_deduplicated(case):
     assert all(a < b for a, b in zip(stored, stored[1:]))
 
 
+def outcome(build, *args):
+    """What build(*args) gives, or the message of the ValueError it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+CONTAINERS = {"frozenset": frozenset, "list": list, "tuple": tuple, "iterator": iter}
+
+
+@st.composite
+def given_collections(draw, collections):
+    """(raw, given): unsorted collections with repeats, and the same ones
+    each wrapped in a container drawn from CONTAINERS. raw holds what the
+    container gives out: a frozenset has merged True into 1 already."""
+    raw = [draw(st.permutations(c + draw(st.lists(st.sampled_from(c), max_size=2))))
+           if c else [] for c in collections]
+    kinds = draw(st.lists(st.sampled_from(sorted(CONTAINERS)), min_size=len(raw),
+                          max_size=len(raw)))
+    return ([list(frozenset(c)) if k == "frozenset" else c for k, c in zip(kinds, raw)],
+            [CONTAINERS[k](c) for k, c in zip(kinds, raw)])
+
+
+@st.composite
+def valid_parts(draw):
+    """r disjoint non-empty parts over ids in 0..30."""
+    r = draw(st.integers(2, 4))
+    vertices = draw(st.lists(st.integers(0, 30), min_size=r, max_size=12, unique=True))
+    part_of = list(range(r)) + draw(st.lists(st.integers(0, r - 1), min_size=len(vertices) - r,
+                                             max_size=len(vertices) - r))
+    return draw(given_collections([[v for v, i in zip(vertices, part_of) if i == j]
+                                   for j in range(r)]))
+
+
+loose_parts = st.lists(st.lists(st.integers(-1, 8) | st.booleans(), max_size=4), max_size=4)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(case=valid_parts())
+def test_block_parts_stored_sorted(case):
+    raw, parts = case
+    stored = RPartiteBlock(parts).parts
+    assert stored == naive_block_parts(raw)
+    assert all(type(p) is tuple and all(a < b for a, b in zip(p, p[1:])) for p in stored)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(case=loose_parts.flatmap(given_collections))
+def test_block_checks_match_reference(case):
+    raw, parts = case
+    assert (outcome(lambda: RPartiteBlock(parts).parts)
+            == outcome(naive_block_parts, raw))
+
+
+@st.composite
+def label_classes(draw):
+    """(r, raw, given): r label classes, mostly valid, at times with a label
+    outside 0..r, a bool next to its int, or one class too few or too many."""
+    r = draw(st.integers(2, 4))
+    labels = st.integers(0, r) | st.integers(-1, r + 1) | st.booleans()
+    count = draw(st.sampled_from([r, r, r, r - 1, r + 1]))
+    classes = draw(st.lists(st.lists(labels, min_size=1, max_size=r + 1), min_size=count,
+                            max_size=count))
+    return (r, *draw(given_collections(classes)))
+
+
+@settings(SETTINGS, max_examples=80)
+@given(case=label_classes())
+def test_label_classes_match_reference(case):
+    r, raw, classes = case
+    assert (outcome(lambda: LabelBlock(r, classes).classes)
+            == outcome(naive_label_classes, r, raw))
+
+
 @st.composite
 def spread_hypergraphs(draw):
     """Sparse r-graphs on a few far-apart vertex ids, so the runs of last
@@ -167,3 +247,12 @@ def test_profile_matches_listing(case):
     for lst in LISTS:
         outside = [e for e in h.edges if counts[e] not in lst]
         assert profile.least_outside(lst) == (outside[0] if outside else None)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(case=spread_covers())
+def test_cover_json_round_trip(case):
+    _, c = case
+    text = cover_to_json(c)
+    assert cover_from_json(text) == c
+    assert cover_to_json(cover_from_json(text)) == text
