@@ -54,9 +54,11 @@ from .bounds import (
     derandomized_extraction,
     greedy_color,
     independent_matchings_lower_bound,
+    inertia,
     is_proper_coloring,
     ks_chromatic_lower_bound,
     ks_order_lower_bound,
+    link_lower_bound,
     matching_cover_lower_bound,
     peel_coloring,
     sum_of_orders,

@@ -8,11 +8,15 @@ leaves an independent set, and choosing deletions by conditional expectation
 guarantees at least ceil(sum_i (1 - 1/r)^{a_i}) survivors, a_i being the
 number of blocks containing vertex i.
 
+The link bound closes exact searches from below: it lifts the eigenvalue
+proof of Graham–Pollak to r-graphs through the links of (r-2)-sets.
+
 All logarithms are base 2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +27,11 @@ from .core import (
     MultiplicityList,
     induced_subhypergraph,
     multiplicity_profile,
+    packed_bits,
 )
+from .gf2 import GF2Matrix, gf2_rank
+
+LINK_WORK_CAP = 200_000  # sum of m^3 over the link matrices link_lower_bound eliminates
 
 
 def ks_order_lower_bound(n: int, alpha: float, r: int) -> float:
@@ -85,6 +93,82 @@ def independent_matchings_lower_bound(k: int, m: int, edge_count: int, r: int) -
         raise ValueError("edge count below k * m is impossible")
     e = 1.0 / (r - 1)
     return k**e * m ** (1 + e) / edge_count**e
+
+
+def inertia(matrix) -> tuple[int, int]:
+    """(n+, n-): how many eigenvalues of a symmetric rational matrix, given as
+    a sequence of rows, are positive and how many negative.
+
+    Sylvester's law of inertia: a congruence keeps both counts, so eliminate
+    symmetrically over Fraction and count the pivots by sign. A non-zero
+    diagonal entry is a pivot as it stands. When the diagonal left is all zero
+    but a_ij is not, adding row and column j to row and column i makes
+    a_ii = 2 a_ij the pivot; when everything left is zero, so is the rest of
+    the spectrum.
+    """
+    a = [[Fraction(x) for x in row] for row in matrix]
+    plus = minus = 0
+    while a:
+        m = len(a)
+        i = next((k for k in range(m) if a[k][k]), None)
+        if i is None:
+            i, j = next(((k, l) for k in range(m) for l in range(m) if a[k][l]), (None, None))
+            if i is None:
+                break
+            for row in a:
+                row[i] += row[j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+        pivot = a[i]
+        if pivot[i] > 0:
+            plus += 1
+        else:
+            minus += 1
+        rest = [k for k in range(m) if k != i]
+        a = [[a[k][l] - f * pivot[l] for l in rest] if (f := a[k][i] / pivot[i])
+             else [a[k][l] for l in rest] for k in rest]
+    return plus, minus
+
+
+def link_lower_bound(h: Hypergraph, lst: MultiplicityList) -> int:
+    """A lower bound on the block count of every L-cover of h by blocks that
+    imply only edges of h, from the links of its (r-2)-sets; 0 where no
+    argument applies.
+
+    The link of an (r-2)-set S is the graph of the pairs {u, v} with S + {u, v}
+    an edge. A block covers an edge through S only if it puts S's vertices in
+    distinct parts, and then the edges it covers through S form a biclique
+    between its two other parts. With L = {k} these bicliques add up to k
+    times the link's adjacency matrix A; each has one positive and one
+    negative eigenvalue, so the cover has at least max(n+, n-) blocks (the
+    Graham–Pollak proof; Alon's n - 2 for K_n^3). With every value of L odd
+    they add up to A over GF(2), each of rank at most 2, so it has at least
+    ceil(rank2(A) / 2). Other lists get 0. The bound is the largest over all
+    S. It is not computed, and 0 is returned, when the sum of m^3 over the
+    links, m the vertices of a link, exceeds LINK_WORK_CAP.
+    """
+    allowed = lst.allowed
+    if allowed is None or (len(allowed) > 1 and not all(k % 2 for k in allowed)):
+        return 0
+    links: dict[tuple, list] = {}
+    for e in h.edges:
+        for i, j in itertools.combinations(range(h.r), 2):
+            links.setdefault(e[:i] + e[i + 1:j] + e[j + 1:], []).append((e[i], e[j]))
+    vertex_sets = [sorted({v for pair in pairs for v in pair}) for pairs in links.values()]
+    if sum(len(vs) ** 3 for vs in vertex_sets) > LINK_WORK_CAP:
+        return 0
+    best = 0
+    for pairs, vertices in zip(links.values(), vertex_sets):
+        at = {v: i for i, v in enumerate(vertices)}
+        m = len(vertices)
+        rows = [[0] * m for _ in range(m)]
+        for u, v in pairs:
+            rows[at[u]][at[v]] = rows[at[v]][at[u]] = 1
+        if len(allowed) == 1:
+            best = max(best, *inertia(rows))
+        else:
+            packed = (packed_bits(itertools.compress(range(m), row), m) for row in rows)
+            best = max(best, -(-gf2_rank(GF2Matrix(m, m, tuple(packed))) // 2))
+    return best
 
 
 def sum_of_orders(c: Cover) -> int:

@@ -5,6 +5,13 @@ Every search either returns a proven exact value or an explicit "unknown"
 outcome carrying the proven lower bracket; a wrong number is never emitted.
 Candidate blocks are restricted to those whose implied edges lie inside the
 target hypergraph, which covers-with-foreign-coverage never satisfy anyway.
+
+The three cover searches share one core, `_search`. Block-count searches
+start deepening at `bounds.link_lower_bound`, the eigenvalue (or GF(2) rank)
+bound of the links, since every smaller count is proven infeasible there.
+Every search drops a state as soon as the blocks it can still afford cannot
+reach every edge that still needs one, and tries the widest of the cheapest
+blocks first.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import time
 from dataclasses import dataclass
 from operator import attrgetter
 
+from .bounds import link_lower_bound
 from .core import (
     Cover,
     Hypergraph,
@@ -46,6 +54,7 @@ class SearchOutcome:
     lower: int
     value: int | None = None
     witness: Cover | None = None
+    nodes: int = 0  # states the search visited
 
     def __post_init__(self):
         if self.status not in ("exact", "unknown"):
@@ -88,10 +97,12 @@ def enumerate_blocks(h: Hypergraph) -> list[RPartiteBlock]:
     opens the next, so parts open in order of their least vertex and every
     block is built once. A vertex joins a part only if it fits; each
     transversal is checked when its largest vertex joins, and a failed check
-    prunes the subtree. The (r+1)^n part assignments bound the work.
+    prunes the subtree. A vertex in no edge only stays out: every vertex of a
+    block lies in one of its edges. The (r+1)^n part assignments bound the work.
     """
     r, n, edges = h.r, h.n, h.edge_set
     check_power_guard("enumerate_blocks assignments", 1, r + 1, n, ENUMERATION_GUARD)
+    in_edge = {v for e in h.edges for v in e}
     out = []
     stack = [(0, 0, ((),) * r)]  # (next vertex, parts opened, parts); depth does not grow with n
     while stack:
@@ -102,7 +113,7 @@ def enumerate_blocks(h: Hypergraph) -> list[RPartiteBlock]:
             out.append(RPartiteBlock(parts))
             continue
         stack.append((v + 1, opened, parts))
-        for i in range(min(opened + 1, r)):
+        for i in range(min(opened + 1, r) if v in in_edge else 0):
             if _fits(edges, parts, v, i):
                 stack.append((v + 1, max(opened, i + 1),
                               parts[:i] + (parts[i] + (v,),) + parts[i + 1:]))
@@ -128,13 +139,18 @@ def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudg
     """Least total cost of a multiset of candidates giving every edge of h a
     multiplicity in `lst`; a block costs cost(block), or 1 when cost is None.
 
-    Iterative deepening on the total cost. The state is one edge bitmask per
-    multiplicity level: plane k holds the edges covered at least k+1 times, up
-    to max(lst); the unbounded list keeps a single plane that saturates. The
-    search branches on the lowest edge whose multiplicity is not admissible,
-    trying its blocks cheapest first. Failed (state, remaining cost) pairs are
-    remembered across levels. Unit-cost searches stop after budget.max_blocks;
-    cost searches go up to r|E|, the cost of the all-singleton cover.
+    Iterative deepening on the total cost. Unit-cost searches start at
+    `link_lower_bound(h, lst)`, below which no cover exists, and stop after
+    budget.max_blocks; cost searches start at 0 and go up to r|E|, the cost of
+    the all-singleton cover. The state is one edge bitmask per multiplicity
+    level: plane k holds the edges covered at least k+1 times, up to max(lst);
+    the unbounded list keeps a single plane that saturates. A state fails at
+    once when the blocks left to it, each covering at most as many edges as
+    the widest candidate, cannot reach every edge whose multiplicity is not
+    admissible, since each such edge needs one more block. Otherwise the search
+    branches on the lowest such edge, trying its blocks cheapest first and,
+    among equal costs, widest first (ties keep the candidates' order). Failed
+    (state, remaining cost) pairs are remembered across levels.
     """
     index = {e: i for i, e in enumerate(h.edges)}
     full = (1 << len(index)) - 1
@@ -149,9 +165,10 @@ def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudg
             cover_by_edge[index[e]].append(bi)
         masks.append(mask)
         costs.append(1 if cost is None else cost(b))
+    widths = [mask.bit_count() for mask in masks]
     for blocks in cover_by_edge:
-        blocks.sort(key=costs.__getitem__)
-    cheapest = min(costs, default=0)
+        blocks.sort(key=lambda bi: (costs[bi], -widths[bi]))
+    cheapest, widest = min(costs, default=1), max(widths, default=0)
     saturate = lst.allowed is None
     levels = (1,) if saturate else sorted(lst.allowed)
     depth = levels[-1]
@@ -167,7 +184,7 @@ def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudg
         bad = full & ~ok
         if not bad:
             return True
-        if left < cheapest:
+        if left // cheapest * widest < bad.bit_count():
             return False
         key = (planes, left)
         if key in failed:
@@ -188,16 +205,19 @@ def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudg
         failed.add(key)
         return False
 
-    top = budget.max_blocks if cost is None else h.r * len(index)
-    for t in range(top + 1):
+    if cost is None:
+        top, start = budget.max_blocks, link_lower_bound(h, lst)
+    else:
+        top, start = h.r * len(index), 0
+    for t in range(start, top + 1):
         try:
             found = dfs((0,) * depth, t)
         except _OutOfTime:
-            return SearchOutcome("unknown", t)
+            return SearchOutcome("unknown", t, nodes=deadline.calls)
         if found:
             witness = Cover(h.r, tuple(candidates[bi] for bi in chosen))
-            return SearchOutcome("exact", t, t, witness)
-    return SearchOutcome("unknown", top + 1)
+            return SearchOutcome("exact", t, t, witness, deadline.calls)
+    return SearchOutcome("unknown", max(start, top + 1), nodes=deadline.calls)
 
 
 def min_cover_size(

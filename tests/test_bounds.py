@@ -3,24 +3,32 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_cover_of, random_hypergraph, singleton_block
 
+from hypercover import bounds
 from hypercover import (
     Cover,
+    GF2Matrix,
     Hypergraph,
+    MultiplicityList,
     complete_hypergraph,
     cover_incidence,
     derandomized_extraction,
+    gf2_rank,
     greedy_color,
     independent_matchings_lower_bound,
+    inertia,
     is_proper_coloring,
     ks_chromatic_lower_bound,
     ks_order_lower_bound,
+    link_lower_bound,
     log_cover,
     matching_cover_lower_bound,
+    min_partition_size,
     min_sum_of_orders,
     independence_number,
     peel_coloring,
@@ -263,3 +271,90 @@ class TestBoundDominance:
             c = random_cover_of(rng, h)
             alpha = independence_number(h)
             assert sum_of_orders(c) >= ks_order_lower_bound(h.n, alpha, r) - 1e-9
+
+
+def adjacency(n, edges):
+    rows = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        rows[u][v] = rows[v][u] = 1
+    return rows
+
+
+PETERSEN = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+class TestInertia:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_complete_graph(self, n):
+        # eigenvalues n - 1 once and -1 n - 1 times
+        assert inertia(adjacency(n, itertools.combinations(range(n), 2))) == (int(n > 1), n - 1)
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 4), (2, 3), (3, 3)])
+    def test_complete_bipartite(self, a, b):
+        # +-sqrt(ab), the rest 0
+        edges = [(u, a + v) for u in range(a) for v in range(b)]
+        assert inertia(adjacency(a + b, edges)) == (1, 1)
+
+    def test_five_cycle(self):
+        # 2 cos(2 pi k / 5): 2, 0.618 twice, -1.618 twice
+        assert inertia(adjacency(5, [(i, (i + 1) % 5) for i in range(5)])) == (3, 2)
+
+    def test_petersen(self):
+        # 3 once, 1 five times, -2 four times
+        assert inertia(adjacency(10, PETERSEN)) == (6, 4)
+
+    @pytest.mark.parametrize("n", (0, 1, 4))
+    def test_empty_graph(self, n):
+        assert inertia(adjacency(n, [])) == (0, 0)
+
+    def test_rational_entries(self):
+        # det < 0 and a positive diagonal: one eigenvalue of each sign
+        assert inertia([[Fraction(1, 2), 3], [3, Fraction(1, 3)]]) == (1, 1)
+        assert inertia([[-2, 1], [1, -2]]) == (0, 2)
+
+
+class TestLinkLowerBound:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_graham_pollak(self, n):
+        assert link_lower_bound(complete_hypergraph(n), MultiplicityList.of(1)) == n - 1
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_alon_three_uniform(self, n):
+        # the link of a vertex of K_n^3 is K_(n-1)
+        assert link_lower_bound(complete_hypergraph(n, 3), MultiplicityList.of(1)) == n - 2
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_any_single_multiplicity(self, k):
+        # k times the link is still the sum of the bicliques
+        assert link_lower_bound(complete_hypergraph(6), MultiplicityList.of(k)) == 5
+
+    @pytest.mark.parametrize("lst", [MultiplicityList.any_positive(), MultiplicityList.up_to(2),
+                                     MultiplicityList.of(1, 2), MultiplicityList.of(2, 4)],
+                             ids=MultiplicityList.describe)
+    def test_no_bound_for_other_lists(self, lst):
+        assert link_lower_bound(complete_hypergraph(6), lst) == 0
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_odd_lists_use_half_the_gf2_rank(self, n):
+        # J - I over GF(2) has rank n for even n and n - 1 for odd n
+        rows = adjacency(n, itertools.combinations(range(n), 2))
+        rank = gf2_rank(GF2Matrix(n, n, [sum(bit << j for j, bit in enumerate(row))
+                                         for row in rows]))
+        assert rank == n - n % 2
+        for lst in (MultiplicityList.of(1, 3), MultiplicityList.of(1, 3, 5)):
+            assert link_lower_bound(complete_hypergraph(n), lst) == -(-rank // 2)
+
+    def test_largest_link_counts(self):
+        # K_5^3 plus a pendant triple: most vertex links are K_4, inertia (1, 3),
+        # but that of 4 is K_4 plus the edge {5, 6}, inertia (2, 4)
+        h = Hypergraph(3, 7, list(itertools.combinations(range(5), 3)) + [(4, 5, 6)])
+        assert link_lower_bound(h, MultiplicityList.of(1)) == 4
+        assert min_partition_size(h).value == 4
+
+    def test_not_computed_above_the_work_cap(self, monkeypatch):
+        h = complete_hypergraph(6)  # one link on 6 vertices: 216
+        monkeypatch.setattr(bounds, "LINK_WORK_CAP", 215)
+        assert link_lower_bound(h, MultiplicityList.of(1)) == 0
+        monkeypatch.setattr(bounds, "LINK_WORK_CAP", 216)
+        assert link_lower_bound(h, MultiplicityList.of(1)) == 5

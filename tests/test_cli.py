@@ -202,7 +202,7 @@ class TestSearch:
                                "--max-blocks", "1")
         assert code == EXIT_UNKNOWN
         assert payload["status"] == "unknown"
-        assert payload["lower"] == 2
+        assert payload["lower"] == 3  # the link bound of K_4: n - 1
         assert payload["value"] is None
 
     def test_min_cover_requires_list(self, capsys, tmp_path):
@@ -375,6 +375,17 @@ class TestSparseLargeN:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["histogram"] == {"1": 3000}
 
+
+    def test_search_skips_vertices_in_no_edge(self, capsys, tmp_path, monkeypatch):
+        # such a vertex can be in no block, so listing the blocks of the
+        # edgeless graph takes time linear in n, not doubling per vertex
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"r": 2, "n": 1200, "edges": []}))
+        monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
+        start = time.perf_counter()
+        code, payload, _ = run(capsys, "search", "min-partition", "--file", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK and payload["value"] == 0
 
     def test_part_far_below_the_prefixes(self, tmp_path):
         # one 3-uniform block with 2 r-sets on 4*10^9 vertices; its part

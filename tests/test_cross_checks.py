@@ -3,7 +3,8 @@
 The naive versions here are deliberately the dumbest possible enumerations so
 the clever ones (bit-sliced counting, bulk canonicalisation, bit-packed
 elimination, backtracking block enumeration, iterative deepening, branch and
-bound) are never the only source of truth.
+bound, the link bound and inertia by elimination) are never the only source
+of truth.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import math
 import random
 import re
 from collections import Counter, namedtuple
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +24,8 @@ from hypercover import (
     Hypergraph,
     MultiplicityList,
     RPartiteBlock,
+    SearchBudget,
+    SearchOutcome,
     SubsetIndex,
     adjacency_cube_matrix,
     chromatic_number,
@@ -35,6 +39,7 @@ from hypercover import (
     grid3_cover,
     hex_cover,
     independence_number,
+    link_lower_bound,
     log_cover,
     matching_number,
     min_cover_size,
@@ -60,6 +65,73 @@ def naive_min_cover(h, lst, candidates, max_t=4):
             if all(counts[e] in lst for e in h.edges):
                 return t
     return None
+
+
+def naive_search(h, candidates, lst, max_blocks=SearchBudget().max_blocks):
+    """The search core kept simple: iterative deepening on the block count from
+    0, one edge bitmask per multiplicity level, branching on the lowest edge
+    whose multiplicity is not admissible with its blocks in candidate order,
+    failed (state, blocks left) pairs remembered; no lower bound, no cut.
+    `nodes` counts the DFS calls."""
+    index = {e: i for i, e in enumerate(h.edges)}
+    full = (1 << len(index)) - 1
+    masks = [sum(1 << index[e] for e in b.implied_edges()) for b in candidates]
+    cover_by_edge = [[bi for bi, m in enumerate(masks) if m >> i & 1] for i in range(len(index))]
+    saturate = lst.allowed is None
+    levels = (1,) if saturate else sorted(lst.allowed)
+    depth = levels[-1]
+    failed, chosen, nodes = set(), [], [0]
+
+    def dfs(planes, left):
+        nodes[0] += 1
+        ok = 0
+        for k in levels:
+            ok |= planes[k - 1] if k == depth else planes[k - 1] & ~planes[k]
+        bad = full & ~ok
+        if not bad:
+            return True
+        if left == 0 or (planes, left) in failed:
+            return False
+        for bi in cover_by_edge[(bad & -bad).bit_length() - 1]:
+            b = masks[bi]
+            if not saturate and planes[-1] & b:
+                continue
+            grown = [planes[0] | b]
+            for k in range(1, depth):
+                grown.append(planes[k] | (planes[k - 1] & b))
+            chosen.append(bi)
+            if dfs(tuple(grown), left - 1):
+                return True
+            chosen.pop()
+        failed.add((planes, left))
+        return False
+
+    for t in range(max_blocks + 1):
+        if dfs((0,) * depth, t):
+            witness = Cover(h.r, tuple(candidates[bi] for bi in chosen))
+            return SearchOutcome("exact", t, t, witness, nodes[0])
+    return SearchOutcome("unknown", max_blocks + 1, nodes=nodes[0])
+
+
+def naive_inertia(matrix):
+    """(n+, n-) of a symmetric matrix from its characteristic polynomial, by
+    Faddeev–LeVerrier over Fraction, and Descartes' rule of signs, which counts
+    the positive roots exactly when every root is real."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    coeffs = [Fraction(1)]  # of x^n, x^(n-1), ..., x^0
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):  # M_k = A M_(k-1) + c I, next c = -tr(A M_k) / k
+        m = [[sum(a[i][l] * m[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        coeffs.append(-sum(a[i][l] * m[l][i] for i in range(n) for l in range(n)) / k)
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return (sign_changes(coeffs),
+            sign_changes([c if (n - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]))
 
 
 def naive_min_order(h, candidates):
@@ -502,6 +574,46 @@ class TestSearchAgainstMultisetEnumeration:
         candidates = enumerate_blocks(h)
         assert naive_min_cover(h, MultiplicityList.of(3), candidates) == 3
         assert min_cover_size(h, MultiplicityList.of(3)).value == 3
+
+
+def search_candidates(h, lst):
+    """The candidates min_cover_size searches when it lists them itself."""
+    blocks = enumerate_blocks(h)
+    return _locally_maximal(blocks, h) if lst.allowed is None else blocks
+
+
+class TestSearchAgainstKeptSimpleCore:
+    """The search core, which starts at the link bound, cuts states that cannot
+    finish and tries wide blocks first, against naive_search, which does none
+    of these."""
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_seeded_corpus(self, seed):
+        rng = random.Random(700 + seed)
+        r = (2, 3)[seed % 2]
+        h = random_hypergraph(rng, rng.randint(r, 6), r)
+        for lst in LISTS:
+            candidates = search_candidates(h, lst)
+            expected = naive_search(h, candidates, lst)
+            got = min_cover_size(h, lst, candidates=candidates)
+            assert (got.status, got.value) == (expected.status, expected.value)
+            if got.is_exact:
+                assert verify_cover(h, got.witness, lst).ok
+                assert len(got.witness.blocks) == got.value
+                assert link_lower_bound(h, lst) <= expected.value
+
+    # {2} is left out: the reference takes 12 s on K_6 and 42 s on K_6^3 there
+    @pytest.mark.parametrize("r", (2, 3))
+    @pytest.mark.parametrize("lst", [lst for lst in LISTS if lst.allowed != {2}],
+                             ids=MultiplicityList.describe)
+    def test_complete_visits_no_more_states(self, r, lst):
+        h = complete_hypergraph(6, r)
+        candidates = search_candidates(h, lst)
+        expected = naive_search(h, candidates, lst)
+        got = min_cover_size(h, lst, candidates=candidates)
+        assert got.is_exact and got.value == expected.value
+        assert verify_cover(h, got.witness, lst).ok
+        assert 0 < got.nodes <= expected.nodes
 
 
 class TestNumbersAgainstSubsetEnumeration:

@@ -3,6 +3,7 @@
 import inspect
 import random
 import sys
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from hypercover import (
     GuardError,
     Hypergraph,
     MultiplicityList,
+    RPartiteBlock,
     SearchBudget,
     chromatic_number,
     complete_hypergraph,
@@ -98,6 +100,14 @@ class TestMinPartition:
     def test_empty(self):
         assert min_partition_size(Hypergraph(2, 3)).value == 0
 
+    @pytest.mark.parametrize("r,expected", [(2, 6), (3, 5)])
+    def test_seven_vertices_within_default_budget(self, r, expected):
+        # the link bound is tight, so the first level searched has the witness
+        h = complete_hypergraph(7, r)
+        outcome = min_partition_size(h)
+        assert outcome.is_exact and outcome.value == expected
+        assert verify_partition(h, outcome.witness).ok
+
     @pytest.mark.parametrize("r,m", [(3, 1), (4, 1)])
     def test_cube_between_bounds(self, r, m):
         h = cube_graph(r, m).hypergraph
@@ -155,8 +165,16 @@ class TestMinCover:
         outcome = min_cover_size(h, MultiplicityList.of(1), SearchBudget(max_blocks=2))
         assert not outcome.is_exact
         assert outcome.status == "unknown"
-        assert outcome.lower == 3  # sizes 0..2 proven impossible
+        assert outcome.lower == 4  # the link bound n - 1 rules out sizes 0..3
         assert outcome.value is None
+
+    def test_budget_exhaustion_without_a_link_bound(self):
+        # no link bound holds for 1..2, so the levels 0..1 searched are what is proven
+        h = complete_hypergraph(5)
+        outcome = min_cover_size(h, MultiplicityList.up_to(2), SearchBudget(max_blocks=1))
+        assert outcome.status == "unknown" and outcome.value is None
+        assert outcome.lower == 2
+        assert outcome.nodes > 0
 
     def test_candidate_guard_on_given_lists(self, monkeypatch):
         h = complete_hypergraph(4)
@@ -166,6 +184,16 @@ class TestMinCover:
             min_cover_size(h, ANY, candidates=blocks)
         monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
         assert min_cover_size(h, ANY, candidates=blocks).value == 2
+
+    def test_link_bound_not_computed_above_its_work_cap(self):
+        # a matching on 2,000 vertices is one link of m = 2,000 vertices,
+        # m^3 = 8*10^9 over the cap; the one candidate leaves 999 edges bare
+        h = Hypergraph(2, 2000, [(2 * i, 2 * i + 1) for i in range(1000)])
+        start = time.perf_counter()
+        outcome = min_cover_size(h, MultiplicityList.of(1),
+                                 candidates=[RPartiteBlock(((0,), (1,)))])
+        assert time.perf_counter() - start < 1.0
+        assert outcome.status == "unknown" and outcome.lower == SearchBudget().max_blocks + 1
 
     @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 0.0, -1.0])
     def test_budget_rejects_non_finite_or_non_positive_seconds(self, seconds):

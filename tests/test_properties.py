@@ -1,7 +1,8 @@
 """Property tests: the JSON loaders on arbitrary field values, edge, block and
 label class storage, the JSON round trips, the multiplicity profiler against
-listing every block edge, and the block enumerator against filtering every
-part assignment.
+listing every block edge, the block enumerator against filtering every
+part assignment, and the inertia by elimination against the characteristic
+polynomial.
 
 Examples are drawn deterministically (derandomize) and no example database
 is kept, so the suite gives the same verdict every time.
@@ -21,6 +22,7 @@ from test_cross_checks import (  # noqa: E402
     naive_block_parts,
     naive_canonical,
     naive_enumerate_blocks,
+    naive_inertia,
     naive_label_classes,
     naive_profile,
 )
@@ -35,6 +37,7 @@ from hypercover import (  # noqa: E402
     enumerate_blocks,
     hypergraph_from_json,
     hypergraph_to_json,
+    inertia,
     multiplicity_profile,
 )
 
@@ -256,3 +259,22 @@ def test_cover_json_round_trip(case):
     text = cover_to_json(c)
     assert cover_from_json(text) == c
     assert cover_to_json(cover_from_json(text)) == text
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric 0/1 matrix up to 9 x 9, its diagonal included."""
+    n = draw(st.integers(0, 9))
+    bits = iter(draw(st.lists(st.integers(0, 1), min_size=n * (n + 1) // 2,
+                              max_size=n * (n + 1) // 2)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(bits)
+    return rows
+
+
+@settings(SETTINGS, max_examples=60)
+@given(matrix=symmetric_matrices())
+def test_inertia_matches_characteristic_polynomial(matrix):
+    assert inertia(matrix) == naive_inertia(matrix)
