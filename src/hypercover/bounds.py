@@ -16,6 +16,7 @@ All logarithms are base 2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,6 +35,22 @@ from .gf2 import GF2Matrix, gf2_rank
 LINK_WORK_CAP = 200_000  # sum of m^3 over the link matrices link_lower_bound eliminates
 
 
+def _float_domain(bound):
+    """Let a closed form raise ValueError, not OverflowError, where an input or
+    its value does not fit a float."""
+
+    @functools.wraps(bound)
+    def checked(*args, **kwargs):
+        try:
+            return bound(*args, **kwargs)
+        except OverflowError:
+            raise ValueError(f"{bound.__name__}: an input or the value does not fit"
+                             " a float") from None
+
+    return checked
+
+
+@_float_domain
 def ks_order_lower_bound(n: int, alpha: float, r: int) -> float:
     """n * log2(n/alpha) / log2(1 + 1/(r-1)): no cover has total order below this.
 
@@ -42,7 +59,9 @@ def ks_order_lower_bound(n: int, alpha: float, r: int) -> float:
     pushes to n (1-1/r)^{b/n} <= alpha for total order b. The popular
     simplification to (r-1) n log(n/alpha) is only sound for the natural
     logarithm; in base 2 (which the r = 2 tight case n log2 n forces) it
-    overstates the bound for r >= 3, so the exact form is used.
+    overstates the bound for r >= 3, so the exact form is used. The ratio of
+    logarithms is taken in natural logarithms, the denominator as log1p, which
+    stays accurate (and non-zero) where 1 + 1/(r-1) rounds to 1.
     """
     if r < 2:
         raise ValueError("uniformity must be at least 2")
@@ -50,9 +69,10 @@ def ks_order_lower_bound(n: int, alpha: float, r: int) -> float:
         raise ValueError("need 1 <= alpha <= n")
     if alpha == n:
         return 0.0
-    return n * math.log2(n / alpha) / math.log2(1 + 1 / (r - 1))
+    return n * math.log(n / alpha) / math.log1p(1 / float(r - 1))
 
 
+@_float_domain
 def ks_chromatic_lower_bound(k: int, r: int) -> float:
     """Order lower bound in terms of the chromatic number k, large k.
 
@@ -73,6 +93,7 @@ def ks_chromatic_lower_bound(k: int, r: int) -> float:
     return min(case_one, case_two)
 
 
+@_float_domain
 def matching_cover_lower_bound(nu: int, edge_count: int, r: int) -> float:
     """nu^(1 + 1/(r-1)) / |E|^(1/(r-1)): no cover has fewer blocks."""
     if r < 2:
@@ -83,6 +104,7 @@ def matching_cover_lower_bound(nu: int, edge_count: int, r: int) -> float:
     return nu ** (1 + e) / edge_count**e
 
 
+@_float_domain
 def independent_matchings_lower_bound(k: int, m: int, edge_count: int, r: int) -> float:
     """k^(1/(r-1)) * m^(1 + 1/(r-1)) / |E|^(1/(r-1)) given k independent m-matchings."""
     if r < 2:

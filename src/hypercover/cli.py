@@ -18,16 +18,13 @@ from . import bounds as bnd
 from . import gf2, oracles
 from .core import (
     BoundReport,
-    Cover,
     GuardError,
-    Hypergraph,
     MultiplicityList,
     cover_from_json,
     cover_to_json,
     hypergraph_from_json,
     hypergraph_to_json,
     verify_cover,
-    verify_partition,
 )
 from .cube import cube_graph, label_partition, label_table, pi_partition, pinto_upper_bound
 from .grids import grid3_cover, hex_cover, log_cover, star_partition
@@ -37,16 +34,6 @@ EXIT_FAIL = 1
 EXIT_UNKNOWN = 3
 EXIT_ERROR = 4
 
-CONSTRUCT_KINDS = (
-    "hex-cover",
-    "grid3-cover",
-    "star-partition",
-    "log-cover",
-    "cube-graph",
-    "pi-partition",
-    "label-partition",
-)
-
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -54,59 +41,70 @@ def _emit(payload: dict) -> None:
 
 def _need(args, names) -> None:
     for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
+        if getattr(args, name) is None:
             raise ValueError(f"--{name} is required for this invocation")
 
 
-def _write(path: str | None, text: str) -> list[str]:
+def _write(path: str | None, render) -> list[str]:
+    """Write render() to path, if one is given."""
     if path is None:
         return []
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(render())
     return [path]
 
 
+def _label_partition(args):
+    blocks = label_partition(args.r)
+    return None, None, {"r": args.r, "blocks": len(blocks), "table": label_table(blocks)}
+
+
+# kind -> (required options, builder: args -> (hypergraph, cover, payload
+# fields)); a "table" field is also written to --table-out. Builders look the
+# constructions up when called, so a wrapper bound in their place is used.
+CONSTRUCTIONS = {
+    "hex-cover": (("m",), lambda a: (*hex_cover(a.m), {})),
+    "grid3-cover": (("m",), lambda a: (*grid3_cover(a.m), {})),
+    "star-partition": (("n",), lambda a: (*star_partition(a.n), {})),
+    "log-cover": (("n",), lambda a: (*log_cover(a.n), {})),
+    "cube-graph": (("r", "m"), lambda a: (cube_graph(a.r, a.m).hypergraph, None, {})),
+    "pi-partition": (("r", "m"), lambda a: (
+        cube_graph(a.r, a.m).hypergraph, pi_partition(a.r, a.m),
+        {"pinto_upper_bound": pinto_upper_bound(a.r, a.m)})),
+    "label-partition": (("r",), _label_partition),
+}
+
+# name -> (closed form, its options in call order, which are also the payload's inputs)
+BOUNDS = {
+    "ks-order": (bnd.ks_order_lower_bound, ("n", "alpha", "r")),
+    "ks-chromatic": (bnd.ks_chromatic_lower_bound, ("k", "r")),
+    "matching": (bnd.matching_cover_lower_bound, ("nu", "edges", "r")),
+    "independent-matchings": (bnd.independent_matchings_lower_bound, ("k", "m", "edges", "r")),
+}
+
+# goal -> (required options, search: (hypergraph, args, budget) -> outcome)
+SEARCHES = {
+    "min-cover": (("list",), lambda h, a, budget: oracles.min_cover_size(
+        h, MultiplicityList.parse(a.list), budget)),
+    "min-partition": ((), lambda h, a, budget: oracles.min_partition_size(h, budget)),
+    "min-sum-orders": ((), lambda h, a, budget: oracles.min_sum_of_orders(h, budget)),
+}
+
+
 def _cmd_construct(args) -> int:
-    kind = args.kind
+    options, build = CONSTRUCTIONS[args.kind]
+    _need(args, options)
+    h, c, payload = build(args)
+    payload["kind"] = args.kind
     written: list[str] = []
-    payload: dict = {"kind": kind}
-    h: Hypergraph | None = None
-    c: Cover | None = None
-    if kind == "hex-cover":
-        _need(args, ["m"])
-        h, c = hex_cover(args.m)
-    elif kind == "grid3-cover":
-        _need(args, ["m"])
-        h, c = grid3_cover(args.m)
-    elif kind == "star-partition":
-        _need(args, ["n"])
-        h, c = star_partition(args.n)
-    elif kind == "log-cover":
-        _need(args, ["n"])
-        h, c = log_cover(args.n)
-    elif kind == "cube-graph":
-        _need(args, ["r", "m"])
-        h = cube_graph(args.r, args.m).hypergraph
-    elif kind == "pi-partition":
-        _need(args, ["r", "m"])
-        h = cube_graph(args.r, args.m).hypergraph
-        c = pi_partition(args.r, args.m)
-        payload["pinto_upper_bound"] = pinto_upper_bound(args.r, args.m)
-    elif kind == "label-partition":
-        _need(args, ["r"])
-        blocks = label_partition(args.r)
-        table = label_table(blocks)
-        payload.update({"r": args.r, "blocks": len(blocks), "table": table})
-        written += _write(args.table_out, table)
-        payload["written"] = written
-        _emit(payload)
-        return EXIT_OK
     if h is not None:
         payload.update({"n": h.n, "r": h.r, "edges": len(h.edges)})
-        written += _write(args.hypergraph_out, hypergraph_to_json(h) + "\n")
+        written += _write(args.hypergraph_out, lambda: hypergraph_to_json(h) + "\n")
     if c is not None:
         payload["blocks"] = len(c.blocks)
-        written += _write(args.cover_out, cover_to_json(c) + "\n")
+        written += _write(args.cover_out, lambda: cover_to_json(c) + "\n")
+    if "table" in payload:
+        written += _write(args.table_out, lambda: payload["table"])
     payload["written"] = written
     _emit(payload)
     return EXIT_OK
@@ -119,12 +117,11 @@ def _cmd_verify(args) -> int:
         c = cover_from_json(fh.read())
     if args.partition:
         lst = MultiplicityList.of(1)
-        result = verify_partition(h, c)
+    elif args.list is None:
+        raise ValueError("pass --list or --partition")
     else:
-        if args.list is None:
-            raise ValueError("pass --list or --partition")
         lst = MultiplicityList.parse(args.list)
-        result = verify_cover(h, c, lst)
+    result = verify_cover(h, c, lst)
     profile = result.profile
     payload = {
         "status": "ok" if result.ok else "fail",
@@ -144,11 +141,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    if args.r % 2 or args.r < 4:
-        raise ValueError(
-            f"certificates need even r >= 4; odd r inherits the even case at "
-            f"r-1 (for r={args.r} consult the formula bound instead)"
-        )
     matrix = gf2.adjacency_cube_matrix(args.r, args.m)
     rank = gf2.gf2_rank(matrix)
     formula = (math.comb(args.r, args.r // 2) + 1) ** args.m - 1
@@ -165,24 +157,10 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    name = args.name
-    if name == "ks-order":
-        _need(args, ["n", "alpha", "r"])
-        value = bnd.ks_order_lower_bound(args.n, args.alpha, args.r)
-        inputs = {"n": args.n, "alpha": args.alpha, "r": args.r}
-    elif name == "ks-chromatic":
-        _need(args, ["k", "r"])
-        value = bnd.ks_chromatic_lower_bound(args.k, args.r)
-        inputs = {"k": args.k, "r": args.r}
-    elif name == "matching":
-        _need(args, ["nu", "edges", "r"])
-        value = bnd.matching_cover_lower_bound(args.nu, args.edges, args.r)
-        inputs = {"nu": args.nu, "edges": args.edges, "r": args.r}
-    else:  # independent-matchings
-        _need(args, ["k", "m", "edges", "r"])
-        value = bnd.independent_matchings_lower_bound(args.k, args.m, args.edges, args.r)
-        inputs = {"k": args.k, "m": args.m, "edges": args.edges, "r": args.r}
-    report = BoundReport(name, inputs, float(value), "lower")
+    bound, options = BOUNDS[args.name]
+    _need(args, options)
+    inputs = {name: getattr(args, name) for name in options}
+    report = BoundReport(args.name, inputs, float(bound(*inputs.values())), "lower")
     _emit(report.to_dict())
     return EXIT_OK
 
@@ -193,26 +171,17 @@ def _cmd_search(args) -> int:
     budget = oracles.SearchBudget(
         max_blocks=args.max_blocks, max_seconds=args.max_seconds
     )
-    if args.goal == "min-cover":
-        if args.list is None:
-            raise ValueError("--list is required for min-cover")
-        lst = MultiplicityList.parse(args.list)
-        outcome = oracles.min_cover_size(h, lst, budget)
-        name = "min-cover"
-    elif args.goal == "min-partition":
-        outcome = oracles.min_partition_size(h, budget)
-        name = "min-partition"
-    else:
-        outcome = oracles.min_sum_of_orders(h, budget)
-        name = "min-sum-orders"
+    options, search = SEARCHES[args.goal]
+    _need(args, options)
+    outcome = search(h, args, budget)
     payload = {
-        "goal": name,
+        "goal": args.goal,
         "status": "ok" if outcome.is_exact else "unknown",
         "value": outcome.value,
         "lower": outcome.lower,
         "exact": outcome.is_exact,
         "report": BoundReport(
-            name, {"n": h.n, "r": h.r, "edges": len(h.edges)},
+            args.goal, {"n": h.n, "r": h.r, "edges": len(h.edges)},
             float(outcome.value if outcome.is_exact else outcome.lower), "lower",
         ).to_dict(),
     }
@@ -228,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named construction")
-    p.add_argument("kind", choices=CONSTRUCT_KINDS)
+    p.add_argument("kind", choices=CONSTRUCTIONS)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
@@ -250,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("bounds", help="evaluate a closed-form lower bound")
-    p.add_argument("name", choices=("ks-order", "ks-chromatic", "matching",
-                                    "independent-matchings"))
+    p.add_argument("name", choices=BOUNDS)
     p.add_argument("--n", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--r", type=int)
@@ -262,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("search", help="exact brute-force search")
-    p.add_argument("goal", choices=("min-cover", "min-partition", "min-sum-orders"))
+    p.add_argument("goal", choices=SEARCHES)
     p.add_argument("--file", required=True)
     p.add_argument("--list", help='for min-cover: "a,b,c", "1..p", or "any"')
     p.add_argument("--max-blocks", type=int, default=16)

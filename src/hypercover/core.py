@@ -33,6 +33,7 @@ Edge = tuple[int, ...]
 GUARD_ENV = "HYPERCOVER_GUARD_OVERRIDE"
 LIST_RANGE_GUARD = 100_000  # multiplicities in one "lo..hi" list
 PROFILE_WORK_GUARD = 2_000_000_000  # counter bits added in multiplicity_profile
+COMPLETE_EDGE_GUARD = 12_000_000  # edges of K_n^r; hex_cover(40) has 10,953,540
 
 
 class GuardError(ValueError):
@@ -58,6 +59,19 @@ def check_power_guard(description: str, factor: int, base: int, exponent: int,
                          f" {limit} (set {GUARD_ENV}=1 to override)")
 
 
+def check_comb_guard(description: str, n: int, k: int, limit: int) -> None:
+    """check_guard on C(n, k) (n >= 0). For 1 <= k < n it is at least n and at least
+    2^min(k, n-k), so it exceeds the limit once n or min(k, n-k) is too large, and
+    is then neither computed nor printed."""
+    k = min(k, n - k)
+    if k < 1 or (n <= limit and k <= limit.bit_length()):
+        check_guard(description, math.comb(n, k) if k >= 0 else 0, limit)
+    elif os.environ.get(GUARD_ENV) != "1":
+        raise GuardError(f"{description}: C(n, k) with n > {limit} or min(k, n - k) >"
+                         f" {limit.bit_length()} exceeds guard {limit}"
+                         f" (set {GUARD_ENV}=1 to override)")
+
+
 def _canonical_edge(edge, r: int, n: int) -> Edge:
     if any(type(v) is not int for v in edge):
         raise ValueError(f"edge {edge!r} has a vertex that is not an integer")
@@ -72,12 +86,17 @@ def _canonical_edge(edge, r: int, n: int) -> Edge:
 def _is_canonical(edges, r: int, n: int) -> bool:
     """True iff every edge is an increasing tuple of r ints in 0..n-1.
 
-    Checked column by column, so the loops over the edges run in C.
+    Checked column by column, so the loops over the edges run in C; fewer
+    edges than columns, such as one edge on 10^6 vertices, are checked edge
+    by edge instead, so the loops over the vertices do.
     """
     if not edges:
         return True
     if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {r}:
         return False
+    if len(edges) < r:
+        return (all(set(map(type, e)) == {int} and all(map(lt, e, e[1:])) for e in edges)
+                and min(e[0] for e in edges) >= 0 and max(e[-1] for e in edges) < n)
     previous = None
     for i in range(r):
         column = list(map(itemgetter(i), edges))
@@ -131,6 +150,7 @@ class Hypergraph:
 
 def complete_hypergraph(n: int, r: int = 2) -> Hypergraph:
     """K_n^r: all r-subsets of 0..n-1."""
+    check_comb_guard("complete_hypergraph edges", n, r, COMPLETE_EDGE_GUARD)
     return Hypergraph(r, n, tuple(itertools.combinations(range(n), r)))
 
 
@@ -160,14 +180,14 @@ class RPartiteBlock:
         parts = tuple(map(tuple, self.parts))  # checked before a set merges True into 1
         if set(map(type, itertools.chain.from_iterable(parts))) - {int}:
             raise ValueError("vertices must be integers")
-        parts = [tuple(sorted(set(p))) for p in parts]
+        parts = [p if len(p) == 1 else tuple(sorted(set(p))) for p in parts]
         if len(parts) < 2:
             raise ValueError("a block needs at least 2 parts")
         if not all(parts):
             raise ValueError("empty parts are rejected")
         if len(set().union(*parts)) != sum(map(len, parts)):
             raise ValueError("parts must be pairwise disjoint")
-        if min(p[0] for p in parts) < 0:
+        if min(map(itemgetter(0), parts)) < 0:
             raise ValueError("vertices must be non-negative")
         object.__setattr__(self, "parts", tuple(sorted(parts)))
 
@@ -408,11 +428,14 @@ def _cuts(b: RPartiteBlock) -> list:
     least top a prefix can have, the only ones a mask of P can take. bits
     bounds the bits of those masks: each spans at most max(P) minus that top."""
     parts = b.parts
+    second, first = sorted(q[0] for q in parts)[-2:]
     cuts = []
     for p in parts:
-        cut = tuple([q[:bisect_left(q, p[-1])] for q in parts if q is not p])
-        if all(cut):
-            floor = max(q[0] for q in cut)
+        # no cut part is empty iff max(P) exceeds the least vertex of every
+        # other part, tested before any cut is built
+        floor = second if p[0] == first else first
+        if p[-1] > floor:
+            cut = tuple([q[:bisect_left(q, p[-1])] for q in parts if q is not p])
             bits = math.prod(map(len, cut)) * (p[-1] - floor)
             cuts.append((cut, p[bisect_right(p, floor):], bits))
     return cuts

@@ -159,11 +159,16 @@ class CubeGraph:
         return v
 
     def decode(self, v: int) -> tuple:
-        digits = []
-        for _ in range(self.m):
-            digits.append(v % (self.r + 1))
-            v //= self.r + 1
-        return tuple(reversed(digits))
+        return cube_labels(v, self.r, self.m)
+
+
+def cube_labels(v: int, r: int, m: int) -> tuple:
+    """The m labels of vertex v of the cube over {0..r-1, *}, first coordinate first."""
+    labels = []
+    for _ in range(m):
+        v, x = divmod(v, r + 1)
+        labels.append(x)
+    return tuple(reversed(labels))
 
 
 def cube_graph(r: int, m: int) -> CubeGraph:
@@ -179,9 +184,11 @@ def cube_graph(r: int, m: int) -> CubeGraph:
     n = base**m
     edges = []  # an edge with several such coordinates repeats; Hypergraph drops repeats
     for j in range(m):
+        # the vertices showing label 0 at j; label x adds x * weight to each
         weight = base ** (m - 1 - j)
-        with_digit = [[v for v in range(n) if v // weight % base == x] for x in range(r)]
-        edges.extend(tuple(sorted(e)) for e in itertools.product(*with_digit))
+        zero = [hi + lo for hi in range(0, n, base * weight) for lo in range(weight)]
+        with_label = zip(*(range(v, v + r * weight, weight) for v in zero))
+        edges.extend(tuple(sorted(e)) for e in itertools.product(*with_label))
     return CubeGraph(r, m, Hypergraph(r, n, edges))
 
 
@@ -210,7 +217,7 @@ def pi_partition(r: int, m: int) -> Cover:
     check_guard("pi_partition blocks x vertices",
                 pinto_upper_bound(r, m) * (r + 1) ** m, CUBE_EDGE_GUARD)
     base = r + 1
-    blocks = [tuple((i,) for i in range(r))]
+    blocks = [tuple(zip(range(r)))]  # the singletons (0,), ..., (r-1,)
     size = base
     for _ in range(m - 1):
         grown = [tuple(tuple(range(i * size, (i + 1) * size)) for i in range(r))]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .core import check_guard, packed_bits
-from .cube import cube_graph
+from .core import check_comb_guard, check_guard, check_power_guard, packed_bits
+from .cube import cube_labels
 
 MATRIX_ROW_GUARD = 20_000
 
@@ -101,6 +101,16 @@ class SubsetIndex:
                            key=lambda s: s[::-1]))
 
 
+def _columns_by(subsets, keys) -> dict:
+    """key -> the mask of the columns j with the key among keys(subsets[j]), in
+    one pass over the subsets."""
+    columns: dict = {}
+    for j, s in enumerate(subsets):
+        for key in keys(s):
+            columns.setdefault(key, []).append(j)
+    return {key: packed_bits(c, len(subsets)) for key, c in columns.items()}
+
+
 def _disjointness(n: int, low: int, k: int, description: str) -> GF2Matrix:
     """Disjointness over the subsets of 0..n-1 of size low..k, size by size in
     colexicographic order: each row is every column but those that share one
@@ -110,11 +120,7 @@ def _disjointness(n: int, low: int, k: int, description: str) -> GF2Matrix:
     sizes = range(low, k + 1)
     check_guard(description, sum(math.comb(n, size) for size in sizes), MATRIX_ROW_GUARD)
     subsets = [s for size in sizes for s in SubsetIndex(n, size).subsets()]
-    columns: list[list[int]] = [[] for _ in range(n)]
-    for j, s in enumerate(subsets):
-        for v in s:
-            columns[v].append(j)
-    containing = [packed_bits(c, len(subsets)) for c in columns]  # vertex -> columns holding it
+    containing = _columns_by(subsets, iter)  # vertex -> the columns holding it
     full = (1 << len(subsets)) - 1
     data = (full & ~reduce(or_, map(containing.__getitem__, s), 0) for s in subsets)
     return GF2Matrix(len(subsets), len(subsets), tuple(data))
@@ -139,24 +145,38 @@ def disjointness_matrix_upto(n: int, k: int) -> GF2Matrix:
 def adjacency_cube_matrix(r: int, m: int) -> GF2Matrix:
     """Adjacency matrix of the dimension-m cube hypergraph on r/2-subsets.
 
-    Entry (e1, e2) is 1 iff e1 and e2 are disjoint and e1 u e2 is an edge,
-    i.e. some coordinate of the union shows all r fixed values. Even r >= 4
-    only; rows and columns follow the colexicographic subset order.
+    Entry (s, t) is 1 iff s and t are disjoint and s u t is an edge, i.e. some
+    coordinate of the union shows all r fixed labels. Such a coordinate shows
+    r/2 distinct fixed labels on s and the other r/2 on t, which also makes s
+    and t disjoint; so row s is the union, over the coordinates where s shows
+    r/2 distinct fixed labels, of the columns showing the others there. Even
+    r >= 4 only; rows and columns follow the colexicographic subset order.
     """
     if r % 2 or r < 4:
-        raise ValueError("even uniformity r >= 4 required")
-    cg = cube_graph(r, m)
-    idx = SubsetIndex(cg.hypergraph.n, r // 2)
-    check_guard("adjacency_cube_matrix rows", idx.size, MATRIX_ROW_GUARD)
-    index = {s: i for i, s in enumerate(idx.subsets())}
-    columns = [[] for _ in range(idx.size)]
-    for e in cg.hypergraph.edges:
-        # the r/2-subsets of a sorted edge, in lexicographic order, meet their
-        # complements in reverse order
-        halves = [index[s] for s in itertools.combinations(e, r // 2)]
-        for i, j in zip(halves, reversed(halves)):
-            columns[i].append(j)
-    return GF2Matrix(idx.size, idx.size, tuple(packed_bits(c, idx.size) for c in columns))
+        raise ValueError(f"certificates need even r >= 4; odd r inherits the even case"
+                         f" at r-1 (for r={r} consult partition_lower_bound instead)")
+    if m < 1:
+        raise ValueError("dimension must be at least 1")
+    half = r // 2
+    # there are at least as many rows as vertices, so m is bounded before (r+1)^m is formed
+    check_power_guard("adjacency_cube_matrix vertices", 1, r + 1, m, MATRIX_ROW_GUARD)
+    check_comb_guard("adjacency_cube_matrix rows", (r + 1) ** m, half, MATRIX_ROW_GUARD)
+    idx = SubsetIndex((r + 1) ** m, half)
+    labels = [cube_labels(v, r, m) for v in range(idx.n)]
+
+    def halves(s):
+        """(j, the labels of s at j) at each coordinate j where s shows r/2
+        distinct fixed labels."""
+        for j, shown in enumerate(map(frozenset, zip(*map(labels.__getitem__, s)))):
+            if len(shown) == half and r not in shown:
+                yield j, shown
+
+    subsets = list(idx.subsets())
+    showing = _columns_by(subsets, halves)
+    fixed = frozenset(range(r))
+    data = (reduce(or_, (showing.get((j, fixed - shown), 0) for j, shown in halves(s)), 0)
+            for s in subsets)
+    return GF2Matrix(idx.size, idx.size, tuple(data))
 
 
 def partition_lower_bound(r: int, m: int) -> int:

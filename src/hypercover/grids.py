@@ -5,6 +5,9 @@ grid3_cover   {1,2,3,4}-multicover of the complete 3-uniform K_{m^2}^3 from a
               square grid (rows, columns, diagonals, counter-diagonals)
 star_partition  the n-1 star bicliques partitioning K_n
 log_cover       the ceil(log2 n) bit-split bicliques covering K_n
+
+Each builds K_n or K_n^3 first, so its size guard refuses a large argument
+before any coordinate or block is built.
 """
 
 from __future__ import annotations
@@ -49,9 +52,11 @@ def hex_cover(m: int) -> tuple[Hypergraph, Cover]:
     union of all later lines. Two cells share at most one line, so an edge is
     covered once per direction in which its cells differ: 2 or 3 times.
     """
+    if m < 1:
+        raise ValueError("side length must be at least 1")
+    h = complete_hypergraph(3 * m * m - 3 * m + 1, 2)
     coords = hex_coordinates(m)
     ids = {c: i for i, c in enumerate(coords)}
-    h = complete_hypergraph(len(coords), 2)
     blocks = []
     for axis in range(3):
         key = lambda c, a=axis: (c.x, c.y, c.z)[a]
@@ -119,11 +124,12 @@ def star_partition(n: int) -> tuple[Hypergraph, Cover]:
     """Partition K_n into the n-1 stars ({i}, {i+1..n-1})."""
     if n < 2:
         raise ValueError("need at least 2 vertices")
+    h = complete_hypergraph(n, 2)
     blocks = tuple(
         RPartiteBlock((frozenset({i}), frozenset(range(i + 1, n))))
         for i in range(n - 1)
     )
-    return complete_hypergraph(n, 2), Cover(2, blocks)
+    return h, Cover(2, blocks)
 
 
 def log_cover(n: int) -> tuple[Hypergraph, Cover]:
@@ -134,6 +140,7 @@ def log_cover(n: int) -> tuple[Hypergraph, Cover]:
     """
     if n < 2:
         raise ValueError("need at least 2 vertices")
+    h = complete_hypergraph(n, 2)
     bits = max(1, (n - 1).bit_length())
     blocks = []
     for i in range(bits):
@@ -141,4 +148,4 @@ def log_cover(n: int) -> tuple[Hypergraph, Cover]:
         ones = frozenset(v for v in range(n) if (v >> i) & 1)
         if zeros and ones:
             blocks.append(RPartiteBlock((zeros, ones)))
-    return complete_hypergraph(n, 2), Cover(2, tuple(blocks))
+    return h, Cover(2, tuple(blocks))

@@ -24,6 +24,7 @@ from operator import attrgetter
 
 from .bounds import link_lower_bound
 from .core import (
+    LIST_RANGE_GUARD,
     Cover,
     Hypergraph,
     MultiplicityList,
@@ -143,8 +144,10 @@ def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudg
     `link_lower_bound(h, lst)`, below which no cover exists, and stop after
     budget.max_blocks; cost searches start at 0 and go up to r|E|, the cost of
     the all-singleton cover. The state is one edge bitmask per multiplicity
-    level: plane k holds the edges covered at least k+1 times, up to max(lst);
-    the unbounded list keeps a single plane that saturates. A state fails at
+    level: plane k holds the edges covered at least k+1 times, up to the
+    largest value of `lst` that the top cost can reach (none above it can be
+    reached, so with no such value the search ends at once); the unbounded
+    list keeps a single plane that saturates. A state fails at
     once when the blocks left to it, each covering at most as many edges as
     the widest candidate, cannot reach every edge whose multiplicity is not
     admissible, since each such edge needs one more block. Otherwise the search
@@ -169,9 +172,18 @@ def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudg
     for blocks in cover_by_edge:
         blocks.sort(key=lambda bi: (costs[bi], -widths[bi]))
     cheapest, widest = min(costs, default=1), max(widths, default=0)
+    if cost is None:
+        top, start = budget.max_blocks, link_lower_bound(h, lst)
+    else:
+        top, start = h.r * len(index), 0
     saturate = lst.allowed is None
-    levels = (1,) if saturate else sorted(lst.allowed)
-    depth = levels[-1]
+    # no edge is covered more often than the top cost allows, so higher levels
+    # admit nothing
+    levels = (1,) if saturate else sorted(k for k in lst.allowed if k <= top)
+    if full and not levels:
+        return SearchOutcome("unknown", max(start, top + 1))
+    depth = max(levels, default=0)
+    check_guard("search multiplicity planes", depth, LIST_RANGE_GUARD)
     deadline = _Deadline(budget.max_seconds)
     failed: set = set()
     chosen: list[int] = []
@@ -205,10 +217,6 @@ def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudg
         failed.add(key)
         return False
 
-    if cost is None:
-        top, start = budget.max_blocks, link_lower_bound(h, lst)
-    else:
-        top, start = h.r * len(index), 0
     for t in range(start, top + 1):
         try:
             found = dfs((0,) * depth, t)

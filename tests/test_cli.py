@@ -1,6 +1,7 @@
 """The command-line surface: payload schemas, exit codes, round trips."""
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -139,6 +140,13 @@ class TestRank:
         assert payload["rank"] >= 48
         assert payload["rank_lower_bound"] == 48
         assert payload["partition_lower_bound"] == 8
+
+    @pytest.mark.parametrize("r,m,rank", [(4, 3, 342), (6, 2, 440)])
+    def test_certificates_beyond_m2(self, capsys, r, m, rank):
+        code, payload, _ = run(capsys, "rank", "--r", str(r), "--m", str(m))
+        assert code == EXIT_OK
+        assert payload["rank"] == payload["rank_lower_bound"] == rank
+        assert payload["status"] == "ok"
 
     def test_odd_r_rejected(self, capsys):
         code, _, err = run(capsys, "rank", "--r", "3", "--m", "1")
@@ -306,11 +314,22 @@ class TestHostileSizes:
         ("construct", "pi-partition", "--r", "3", "--m", "100000"),
         ("construct", "label-partition", "--r", "1000000"),
         ("verify", "--hypergraph", "{h}", "--cover", "{c}", "--list", "1..1000000000"),
-    ], ids=["enumerate", "cube-graph", "rank", "pi-partition", "label-partition", "list"])
+        ("construct", "hex-cover", "--m", "1000000"),
+        ("construct", "grid3-cover", "--m", "1000000"),
+        ("construct", "grid3-cover", "--m", "1" + "0" * 400),
+        ("construct", "star-partition", "--n", "1000000"),
+        ("construct", "log-cover", "--n", "1000000"),
+        ("rank", "--r", "10000", "--m", "1"),
+        ("search", "min-cover", "--file", "{k4}", "--list", "1000000000",
+         "--max-blocks", "1000000000"),
+    ], ids=["enumerate", "cube-graph", "rank", "pi-partition", "label-partition", "list",
+            "hex-cover", "grid3-cover", "grid3-cover-401-digits", "star-partition",
+            "log-cover", "rank-wide", "search-planes"])
     def test_refused_at_once(self, tmp_path, argv):
         files = {"big": tmp_path / "big.json", "h": tmp_path / "h.json",
-                 "c": tmp_path / "c.json"}
+                 "c": tmp_path / "c.json", "k4": tmp_path / "k4.json"}
         files["big"].write_text('{"r": 2, "n": 2000000, "edges": []}')
+        files["k4"].write_text(hypergraph_to_json(complete_hypergraph(4)))
         h, c = log_cover(4)
         files["h"].write_text(hypergraph_to_json(h))
         files["c"].write_text(cover_to_json(c))
@@ -340,6 +359,90 @@ class TestHostileSizes:
         assert_input_error(proc)
         assert "exceeds guard" in proc.stderr
         assert elapsed < 1.0
+
+
+BIG = "1" + "0" * 400  # a 401-digit option value
+
+
+class TestOddFlagValues:
+    """Hostile option values end in a documented exit code at once, never in a
+    traceback or a run without bound."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("flags")
+        files = {name: tmp / f"{name}.json" for name in ("k4", "wide_h", "wide_c")}
+        files["k4"].write_text(hypergraph_to_json(complete_hypergraph(4)))
+        # one block of 8,000 singleton parts, whose one r-set is not an edge
+        files["wide_h"].write_text('{"r": 8000, "n": 8000, "edges": []}')
+        files["wide_c"].write_text(json.dumps({"r": 8000, "blocks": [
+            {"parts": [[v] for v in range(8000)]}]}))
+        return files
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "min-cover", "--file", "{k4}", "--list", "1000000000"),
+        ("search", "min-cover", "--file", "{k4}", "--list", "2,1000000000"),
+        ("search", "min-cover", "--file", "{k4}", "--list", BIG),
+        ("search", "min-cover", "--file", "{k4}", "--list", BIG, "--max-blocks", BIG),
+        ("bounds", "ks-order", "--n", BIG, "--alpha", "1", "--r", "2"),
+        ("bounds", "ks-order", "--n", "8", "--alpha", "1", "--r", BIG),
+        ("bounds", "ks-order", "--n", "8", "--alpha", BIG, "--r", "2"),
+        ("bounds", "ks-order", "--n", "8", "--alpha", "1", "--r", "100000000000000000"),
+        ("bounds", "ks-chromatic", "--k", BIG, "--r", "2"),
+        ("bounds", "ks-chromatic", "--k", "20", "--r", BIG),
+        ("bounds", "matching", "--nu", BIG, "--edges", BIG, "--r", "2"),
+        ("bounds", "matching", "--nu", "2", "--edges", "6", "--r", BIG),
+        ("bounds", "independent-matchings", "--k", BIG, "--m", "1", "--edges", BIG,
+         "--r", "2"),
+        ("bounds", "independent-matchings", "--k", "4", "--m", "2", "--edges", "16",
+         "--r", BIG),
+        ("construct", "cube-graph", "--r", "1000000", "--m", "1"),
+        ("construct", "pi-partition", "--r", "1000000", "--m", "1"),
+        ("verify", "--hypergraph", "{wide_h}", "--cover", "{wide_c}", "--partition"),
+    ], ids=["list-1e9", "list-2-and-1e9", "list-401-digits", "list-and-budget-401-digits",
+            "ks-order-n", "ks-order-r", "ks-order-alpha", "ks-order-r-1e17",
+            "ks-chromatic-k", "ks-chromatic-r", "matching-nu-edges", "matching-r",
+            "independent-matchings-k-edges", "independent-matchings-r",
+            "cube-graph-wide", "pi-partition-wide", "verify-8000-singletons"])
+    def test_documented_exit_at_once(self, files, argv):
+        start = time.perf_counter()
+        proc = cli(*(a.format(**files) for a in argv), memory_mb=2048)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode in (EXIT_OK, EXIT_FAIL, EXIT_UNKNOWN, EXIT_ERROR), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 2.0
+
+    def test_unreachable_multiplicities_are_dropped(self, capsys, files):
+        path = str(files["k4"])
+        results = [run(capsys, "search", "min-cover", "--file", path, "--list", lst)
+                   for lst in ("2", "2,1000000000")]
+        assert results[0][0] == results[1][0] == EXIT_OK
+        assert results[0][1]["value"] == results[1][1]["value"] == 3
+        code, payload, _ = run(capsys, "search", "min-cover", "--file", path,
+                               "--list", "1000000000")
+        assert code == EXIT_UNKNOWN
+        assert payload["lower"] == 17  # past --max-blocks 16; the link bound is 3
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "ks-order", "--n", BIG, "--alpha", "1", "--r", "2"),
+        ("bounds", "ks-order", "--n", "8", "--alpha", "1", "--r", BIG),
+        ("bounds", "ks-chromatic", "--k", BIG, "--r", "2"),
+        ("bounds", "matching", "--nu", "2", "--edges", "6", "--r", BIG),
+        ("bounds", "independent-matchings", "--k", BIG, "--m", "1", "--edges", BIG,
+         "--r", "2"),
+    ], ids=["ks-order-n", "ks-order-r", "ks-chromatic-k", "matching-r",
+            "independent-matchings-k-edges"])
+    def test_bounds_beyond_a_float_are_refused(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert err.startswith("error:") and "float" in err
+
+    def test_ks_order_for_huge_r(self, capsys):
+        # 1 + 1/(r-1) rounds to 1.0 here; log1p keeps the denominator exact enough
+        code, payload, _ = run(capsys, "bounds", "ks-order", "--n", "8", "--alpha", "1",
+                               "--r", "100000000000000000")
+        assert code == EXIT_OK
+        assert payload["value"] == pytest.approx(8 * 3 * math.log(2) * 1e17)
 
 
 class TestSparseLargeN:
@@ -435,3 +538,99 @@ class TestPayloadSchemas:
         path.write_text(hypergraph_to_json(complete_hypergraph(3)))
         _, payload, _ = run(capsys, "search", "min-partition", "--file", str(path))
         assert sorted(payload) == ["exact", "goal", "lower", "report", "status", "value"]
+
+
+# stdout of one invocation per construct kind, bounds name and search goal,
+# plus verify and rank; "{tmp}" stands for the test's directory
+STDOUT_PINS = [
+    (("construct", "hex-cover", "--m", "3", "--hypergraph-out", "{tmp}/h3.json",
+      "--cover-out", "{tmp}/c3.json"), 0,
+     '{"blocks": 12, "edges": 171, "kind": "hex-cover", "n": 19, "r": 2,'
+     ' "written": ["{tmp}/h3.json", "{tmp}/c3.json"]}\n'),
+    (("construct", "grid3-cover", "--m", "3", "--cover-out", "{tmp}/g.json"), 0,
+     '{"blocks": 8, "edges": 84, "kind": "grid3-cover", "n": 9, "r": 3,'
+     ' "written": ["{tmp}/g.json"]}\n'),
+    (("construct", "star-partition", "--n", "5"), 0,
+     '{"blocks": 4, "edges": 10, "kind": "star-partition", "n": 5, "r": 2, "written": []}\n'),
+    (("construct", "log-cover", "--n", "6", "--hypergraph-out", "{tmp}/l.json"), 0,
+     '{"blocks": 3, "edges": 15, "kind": "log-cover", "n": 6, "r": 2,'
+     ' "written": ["{tmp}/l.json"]}\n'),
+    (("construct", "cube-graph", "--r", "2", "--m", "2", "--cover-out", "{tmp}/unused.json"), 0,
+     '{"edges": 16, "kind": "cube-graph", "n": 9, "r": 2, "written": []}\n'),
+    (("construct", "pi-partition", "--r", "2", "--m", "2"), 0,
+     '{"blocks": 4, "edges": 16, "kind": "pi-partition", "n": 9, "pinto_upper_bound": 4,'
+     ' "r": 2, "written": []}\n'),
+    (("construct", "label-partition", "--r", "3", "--table-out", "{tmp}/t.txt",
+      "--hypergraph-out", "{tmp}/unused.json"), 0,
+     '{"blocks": 10, "kind": "label-partition", "r": 3, "table": "0a1  0a2  0a3\\n'
+     '     *a2  1a3\\n          2a3\\n          *a3\\n\\n0a1  1a2  0a3\\n          1a3\\n'
+     '          *a3\\n\\n0a1  2a2  0a3\\n          2a3\\n          *a3\\n\\n1a1  0a2  0a3\\n'
+     '          1a3\\n          *a3\\n\\n1a1  1a2  0a3\\n     *a2  1a3\\n          2a3\\n'
+     '          *a3\\n\\n1a1  2a2  1a3\\n          2a3\\n          *a3\\n\\n2a1  0a2  0a3\\n'
+     '          2a3\\n          *a3\\n\\n2a1  1a2  1a3\\n          2a3\\n          *a3\\n\\n'
+     '2a1  2a2  0a3\\n     *a2  1a3\\n          2a3\\n          *a3\\n\\n*a1  0a2  0a3\\n'
+     '     1a2  1a3\\n     2a2  2a3\\n     *a2  *a3\\n", "written": ["{tmp}/t.txt"]}\n'),
+    (("verify", "--hypergraph", "{tmp}/h.json", "--cover", "{tmp}/c.json", "--list", "2,3"), 0,
+     '{"foreign": 0, "histogram": {"2": 84, "3": 87}, "list": "2,3", "status": "ok",'
+     ' "witness": null}\n'),
+    (("verify", "--hypergraph", "{tmp}/h.json", "--cover", "{tmp}/c.json", "--list", "1"), 1,
+     '{"foreign": 0, "histogram": {"2": 84, "3": 87}, "list": "1", "status": "fail",'
+     ' "witness": {"edge": [0, 1], "multiplicity": 2, "reason": "multiplicity"}}\n'),
+    (("rank", "--r", "4", "--m", "1"), 0,
+     '{"m": 1, "partition_lower_bound": 1, "r": 4, "rank": 6, "rank_lower_bound": 6,'
+     ' "status": "ok"}\n'),
+    (("rank", "--r", "4", "--m", "2"), 0,
+     '{"m": 2, "partition_lower_bound": 8, "r": 4, "rank": 48, "rank_lower_bound": 48,'
+     ' "status": "ok"}\n'),
+    (("bounds", "ks-order", "--n", "8", "--alpha", "1", "--r", "2"), 0,
+     '{"direction": "lower", "inputs": {"alpha": 1.0, "n": 8, "r": 2}, "name": "ks-order",'
+     ' "value": 24.0}\n'),
+    (("bounds", "ks-chromatic", "--k", "20", "--r", "3"), 0,
+     '{"direction": "lower", "inputs": {"k": 20, "r": 3}, "name": "ks-chromatic",'
+     ' "value": -383.1797579994763}\n'),
+    (("bounds", "matching", "--nu", "2", "--edges", "6", "--r", "2"), 0,
+     '{"direction": "lower", "inputs": {"edges": 6, "nu": 2, "r": 2}, "name": "matching",'
+     ' "value": 0.6666666666666666}\n'),
+    (("bounds", "independent-matchings", "--k", "4", "--m", "2", "--edges", "16", "--r", "2"), 0,
+     '{"direction": "lower", "inputs": {"edges": 16, "k": 4, "m": 2, "r": 2},'
+     ' "name": "independent-matchings", "value": 1.0}\n'),
+    (("search", "min-cover", "--file", "{tmp}/k4.json", "--list", "any"), 0,
+     '{"exact": true, "goal": "min-cover", "lower": 2, "report": {"direction": "lower",'
+     ' "inputs": {"edges": 6, "n": 4, "r": 2}, "name": "min-cover", "value": 2.0},'
+     ' "status": "ok", "value": 2}\n'),
+    (("search", "min-partition", "--file", "{tmp}/k5r3.json"), 0,
+     '{"exact": true, "goal": "min-partition", "lower": 3, "report": {"direction": "lower",'
+     ' "inputs": {"edges": 10, "n": 5, "r": 3}, "name": "min-partition", "value": 3.0},'
+     ' "status": "ok", "value": 3}\n'),
+    (("search", "min-sum-orders", "--file", "{tmp}/k4.json"), 0,
+     '{"exact": true, "goal": "min-sum-orders", "lower": 8, "report": {"direction": "lower",'
+     ' "inputs": {"edges": 6, "n": 4, "r": 2}, "name": "min-sum-orders", "value": 8.0},'
+     ' "status": "ok", "value": 8}\n'),
+    (("search", "min-partition", "--file", "{tmp}/k4.json", "--max-blocks", "1"), 3,
+     '{"exact": false, "goal": "min-partition", "lower": 3, "report": {"direction": "lower",'
+     ' "inputs": {"edges": 6, "n": 4, "r": 2}, "name": "min-partition", "value": 3.0},'
+     ' "status": "unknown", "value": null}\n'),
+]
+
+
+class TestStdoutPins:
+    """Every subcommand's stdout, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def pin_dir(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("pins")
+        h, c = hypercover.hex_cover(3)
+        (tmp / "h.json").write_text(hypergraph_to_json(h) + "\n")
+        (tmp / "c.json").write_text(cover_to_json(c) + "\n")
+        (tmp / "k4.json").write_text(hypergraph_to_json(complete_hypergraph(4)))
+        (tmp / "k5r3.json").write_text(hypergraph_to_json(complete_hypergraph(5, 3)))
+        return str(tmp)
+
+    @pytest.mark.parametrize("argv,code,stdout", STDOUT_PINS,
+                             ids=[" ".join(argv[:2]) + f"-{i}"
+                                  for i, (argv, _, _) in enumerate(STDOUT_PINS)])
+    def test_stdout_is_pinned(self, capsys, pin_dir, argv, code, stdout):
+        assert main([a.replace("{tmp}", pin_dir) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out.replace(pin_dir, "{tmp}") == stdout
+        assert captured.err == ""

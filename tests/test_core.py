@@ -74,6 +74,15 @@ class TestHypergraph:
     def test_complete_counts(self):
         assert len(complete_hypergraph(5).edges) == 10
         assert len(complete_hypergraph(5, 3).edges) == 10
+        assert complete_hypergraph(5, 5).edges == ((0, 1, 2, 3, 4),)
+        assert complete_hypergraph(3, 4).edges == ()
+
+    @pytest.mark.parametrize("n,r", [(4_900, 2), (10**6, 2), (10**400, 2), (10**6, 999_990),
+                                     (60, 30)])
+    def test_complete_edges_guarded(self, n, r):
+        # C(n, r) is compared by magnitude first, so none of these is formed
+        with pytest.raises(GuardError, match="exceeds guard"):
+            complete_hypergraph(n, r)
 
     def test_induced(self):
         sub, old = induced_subhypergraph(complete_hypergraph(5), [1, 3, 4])

@@ -685,6 +685,6 @@ class TestCubeAgainstDefinition:
             upto = [s for i in range(k + 1) for s in SubsetIndex(n, i).subsets()]
             assert disjointness_matrix_upto(n, k).data == naive_disjointness_rows(upto)
 
-    @pytest.mark.parametrize("r,m", [(4, 1), (4, 2), (6, 1)])
+    @pytest.mark.parametrize("r,m", [(4, 1), (4, 2), (6, 1), (8, 1), (10, 1)])
     def test_adjacency_rows(self, r, m):
         assert adjacency_cube_matrix(r, m).data == naive_adjacency_rows(r, m)
