@@ -17,6 +17,7 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -24,6 +25,7 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import itemgetter, lt, or_, sub
@@ -70,6 +72,24 @@ def check_comb_guard(description: str, n: int, k: int, limit: int) -> None:
         raise GuardError(f"{description}: C(n, k) with n > {limit} or min(k, n - k) >"
                          f" {limit.bit_length()} exceeds guard {limit}"
                          f" (set {GUARD_ENV}=1 to override)")
+
+
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off, then restore its state.
+
+    For the bulk builds of acyclic data only (a JSON document, tuples of
+    ints): they cannot form a reference cycle, so a collection during the
+    build walks millions of new objects and frees none of them. A collector
+    the caller had turned off stays off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _canonical_edge(edge, r: int, n: int) -> Edge:
@@ -151,7 +171,8 @@ class Hypergraph:
 def complete_hypergraph(n: int, r: int = 2) -> Hypergraph:
     """K_n^r: all r-subsets of 0..n-1."""
     check_comb_guard("complete_hypergraph edges", n, r, COMPLETE_EDGE_GUARD)
-    return Hypergraph(r, n, tuple(itertools.combinations(range(n), r)))
+    with _collector_paused():
+        return Hypergraph(r, n, tuple(itertools.combinations(range(n), r)))
 
 
 def induced_subhypergraph(h: Hypergraph, vertices) -> tuple[Hypergraph, list[int]]:
@@ -556,11 +577,18 @@ def _json_int(doc, key: str) -> int:
     return value
 
 
+def _parse_hypergraph(text: str) -> Hypergraph:
+    doc = json.loads(text)
+    return Hypergraph(_json_int(doc, "r"), _json_int(doc, "n"), map(tuple, doc["edges"]))
+
+
 def hypergraph_from_json(text: str) -> Hypergraph:
     """Raises ValueError on text that is not a hypergraph document."""
     try:
-        doc = json.loads(text)
-        return Hypergraph(_json_int(doc, "r"), _json_int(doc, "n"), map(tuple, doc["edges"]))
+        # the document, one list per edge, is freed when _parse_hypergraph
+        # returns, before collection resumes
+        with _collector_paused():
+            return _parse_hypergraph(text)
     except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed hypergraph JSON: {exc!r}") from None
 

@@ -118,6 +118,11 @@ def _disjointness(n: int, low: int, k: int, description: str) -> GF2Matrix:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     sizes = range(low, k + 1)
+    top = min(max(n // 2, low), k)  # the size of the largest term C(n, size) of the sum
+    if min(top, n - top) * n.bit_length() > 64:
+        # C(n, top) may not fit in 64 bits, so the sum may be too long to form
+        # or print; it is at least its largest term, so refusing that is sound
+        check_comb_guard(description, n, top, MATRIX_ROW_GUARD)
     check_guard(description, sum(math.comb(n, size) for size in sizes), MATRIX_ROW_GUARD)
     subsets = [s for size in sizes for s in SubsetIndex(n, size).subsets()]
     containing = _columns_by(subsets, iter)  # vertex -> the columns holding it

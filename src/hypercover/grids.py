@@ -55,17 +55,19 @@ def hex_cover(m: int) -> tuple[Hypergraph, Cover]:
     if m < 1:
         raise ValueError("side length must be at least 1")
     h = complete_hypergraph(3 * m * m - 3 * m + 1, 2)
-    coords = hex_coordinates(m)
-    ids = {c: i for i, c in enumerate(coords)}
+    cells = [(c.x, c.y, c.z) for c in hex_coordinates(m)]  # vertex i is cells[i]
     blocks = []
     for axis in range(3):
-        key = lambda c, a=axis: (c.x, c.y, c.z)[a]
-        values = sorted(set(key(c) for c in coords))
-        for i, val in enumerate(values[:-1]):
-            line = frozenset(ids[c] for c in coords if key(c) == val)
-            rest = frozenset(ids[c] for c in coords if key(c) > val)
-            if line and rest:
-                blocks.append(RPartiteBlock((line, rest)))
+        lines: dict = {}  # coordinate value -> the vertices of its line, one pass
+        for i, cell in enumerate(cells):
+            lines.setdefault(cell[axis], []).append(i)
+        # from the last line down, so rest is the running union of the later lines
+        axis_blocks, rest = [], []
+        for value in sorted(lines, reverse=True):
+            if rest:
+                axis_blocks.append(RPartiteBlock((lines[value], rest)))
+            rest = rest + lines[value]
+        blocks += reversed(axis_blocks)
     return h, Cover(2, tuple(blocks))
 
 

@@ -1,6 +1,7 @@
 """Core types, the multiplicity verifier, and JSON round trips."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -27,6 +28,7 @@ from hypercover import (
     verify_cover,
     verify_partition,
 )
+from hypercover import core
 
 
 def k4_star_blocks():
@@ -364,3 +366,43 @@ class TestJson:
         assert len(doc["blocks"]) == 2
         restored = cover_from_json(cover_to_json(c))
         assert restored.blocks == c.blocks
+
+
+@pytest.fixture
+def collector_state():
+    """Put the cyclic collector back as it was, whatever the test left."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """The bulk builders pause the cyclic collector and leave it as they found it."""
+
+    @pytest.mark.parametrize("call,raises", [
+        (lambda: hypergraph_from_json('{"r": 2, "n": 3, "edges": [[0, 1], [1, 2]]}'), None),
+        (lambda: hypergraph_from_json('{"r": 2, "n": 3, "edges": [[0, 1]'), ValueError),
+        (lambda: hypergraph_from_json('{"r": 2, "n": 3, "edges": [[0, true]]}'), ValueError),
+        (lambda: complete_hypergraph(6, 3), None),
+        (lambda: complete_hypergraph(10**6, 2), GuardError),
+        (lambda: complete_hypergraph(3, 1), ValueError),  # refused inside the pause
+    ], ids=["valid", "malformed", "bool-vertex", "complete", "complete-guarded",
+            "complete-r1"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_restored(self, collector_state, call, raises, enabled):
+        (gc.enable if enabled else gc.disable)()
+        if raises is None:
+            call()
+        else:
+            with pytest.raises(raises):
+                call()
+        assert gc.isenabled() is enabled
+
+    def test_paused_while_parsing(self, collector_state, monkeypatch):
+        seen = []
+        loads = json.loads
+        monkeypatch.setattr(core.json, "loads",
+                            lambda text: seen.append(gc.isenabled()) or loads(text))
+        gc.enable()
+        hypergraph_from_json(hypergraph_to_json(complete_hypergraph(4)))
+        assert seen == [False] and gc.isenabled()

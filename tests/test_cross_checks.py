@@ -49,6 +49,7 @@ from hypercover import (
     pi_partition,
     verify_cover,
 )
+from hypercover.grids import hex_coordinates
 from hypercover.oracles import _locally_maximal
 
 # gapped lists ({2}, {1,3}) need more than one multiplicity level in the search
@@ -224,6 +225,22 @@ def naive_adjacency_rows(r, m):
             if not set(s) & set(t) and tuple(sorted(s + t)) in edges)
         for s in subsets
     )
+
+
+def naive_hex_cover(m):
+    """hex_cover's blocks, each line and its rest found by scanning every cell."""
+    coords = hex_coordinates(m)
+    ids = {c: i for i, c in enumerate(coords)}
+    blocks = []
+    for axis in range(3):
+        key = lambda c, a=axis: (c.x, c.y, c.z)[a]
+        values = sorted(set(key(c) for c in coords))
+        for val in values[:-1]:
+            line = frozenset(ids[c] for c in coords if key(c) == val)
+            rest = frozenset(ids[c] for c in coords if key(c) > val)
+            if line and rest:
+                blocks.append(RPartiteBlock((line, rest)))
+    return tuple(blocks)
 
 
 def naive_profile(h, c):
@@ -415,6 +432,12 @@ class TestProfileAgainstEnumeration:
         # dropping a block leaves some edges short, adding one covers some twice
         assert_profile_matches(h, Cover(c.r, c.blocks[1:]))
         assert_profile_matches(h, Cover(c.r, c.blocks + c.blocks[:1]))
+
+
+class TestHexCoverAgainstLineScan:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_same_blocks_in_order(self, m):
+        assert hex_cover(m)[1].blocks == naive_hex_cover(m)
 
 
 def canonical_input(rng):

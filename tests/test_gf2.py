@@ -2,11 +2,13 @@
 
 import math
 import random
+import time
 
 import pytest
 
 from hypercover import (
     GF2Matrix,
+    GuardError,
     SubsetIndex,
     adjacency_cube_matrix,
     disjointness_matrix,
@@ -108,6 +110,25 @@ class TestDisjointnessMatrix:
         for i in range(m.rows):
             for j in range(m.cols):
                 assert m.entry(i, j) == m.entry(j, i)
+
+
+    @pytest.mark.parametrize("build", [disjointness_matrix, disjointness_matrix_upto])
+    def test_guard_refuses_the_largest_term_first(self, build):
+        # the exact row count, a sum of C(20000, size), has more digits than
+        # an int may print, so the guard must refuse it before forming it
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="exceeds guard"):
+            build(20_000, 10_000)
+        assert time.perf_counter() - start < 1
+
+    def test_guard_prints_a_count_that_fits(self):
+        with pytest.raises(GuardError, match="^disjointness_matrix rows: 166661666700000"
+                                             " exceeds guard 20000 "):
+            disjointness_matrix(100_000, 3)
+
+    def test_pinned_ranks(self):
+        assert gf2_rank(disjointness_matrix(12, 6)) == 924
+        assert gf2_rank(disjointness_matrix_upto(12, 5)) == 1586
 
 
 class TestAdjacencyCube:
