@@ -37,13 +37,10 @@ from .cube import (
 )
 from .gf2 import (
     GF2Matrix,
-    SubsetIndex,
     adjacency_cube_matrix,
     disjointness_matrix,
     disjointness_matrix_upto,
     gf2_rank,
-    matrix_from_text,
-    matrix_to_text,
     partition_lower_bound,
     rank_bound_from_cover,
 )

@@ -233,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("goal", choices=SEARCHES)
     p.add_argument("--file", required=True)
     p.add_argument("--list", help='for min-cover: "a,b,c", "1..p", or "any"')
-    p.add_argument("--max-blocks", type=int, default=16)
-    p.add_argument("--max-seconds", type=float, default=120.0)
+    p.add_argument("--max-blocks", type=int, default=oracles.SearchBudget.max_blocks)
+    p.add_argument("--max-seconds", type=float, default=oracles.SearchBudget.max_seconds)
     p.set_defaults(func=_cmd_search)
     return parser
 

@@ -420,10 +420,11 @@ class MultiplicityProfile:
         return _least(self._foreign_masks.items())
 
     def least_outside(self, lst: "MultiplicityList") -> Edge | None:
-        """The least edge of h whose multiplicity is not in `lst`."""
+        """The least edge of h whose multiplicity is not in `lst`; the bare edges
+        all are, since no list admits 0."""
         least = _least((p, sum(m for m, count in groups if count not in lst))
                        for p, groups in self._link_groups.items())
-        if 0 in lst or not self.bare:
+        if not self.bare:
             return least
         first_bare = self.bare[0]
         return first_bare if least is None else min(least, first_bare)

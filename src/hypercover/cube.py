@@ -144,22 +144,12 @@ def label_table(blocks: list[LabelBlock]) -> str:
 
 @dataclass(frozen=True)
 class CubeGraph:
-    """The cube hypergraph together with its tuple/id correspondence."""
+    """The cube hypergraph of uniformity r and dimension m; `cube_labels`
+    gives the labels of a vertex."""
 
     r: int
     m: int
     hypergraph: Hypergraph
-
-    def encode(self, labels) -> int:
-        v = 0
-        for x in labels:
-            if not 0 <= x <= self.r:
-                raise ValueError(f"label {x} outside 0..{self.r}")
-            v = v * (self.r + 1) + x
-        return v
-
-    def decode(self, v: int) -> tuple:
-        return cube_labels(v, self.r, self.m)
 
 
 def cube_labels(v: int, r: int, m: int) -> tuple:

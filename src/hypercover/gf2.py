@@ -40,11 +40,6 @@ class GF2Matrix:
     def entry(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
 
-    def transpose(self) -> "GF2Matrix":
-        return GF2Matrix(self.cols, self.rows, tuple(
-            packed_bits((i for i, row in enumerate(self.data) if row >> j & 1), self.rows)
-            for j in range(self.cols)))
-
 
 def gf2_rank(matrix: GF2Matrix) -> int:
     """Rank over GF(2) by Gaussian elimination on packed rows."""
@@ -57,48 +52,9 @@ def gf2_rank(matrix: GF2Matrix) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
-    """Colexicographic bijection between k-subsets of 0..n-1 and 0..C(n,k)-1."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise ValueError("need 0 <= k <= n")
-
-    @property
-    def size(self) -> int:
-        return math.comb(self.n, self.k)
-
-    def rank(self, subset) -> int:
-        s = sorted(subset)
-        if len(s) != self.k or len(set(s)) != self.k:
-            raise ValueError(f"expected {self.k} distinct elements")
-        if s and (s[0] < 0 or s[-1] >= self.n):
-            raise ValueError("element outside the ground set")
-        return sum(math.comb(c, i + 1) for i, c in enumerate(s))
-
-    def unrank(self, index: int) -> tuple:
-        if not 0 <= index < self.size:
-            raise ValueError("index out of range")
-        out = [0] * self.k
-        k, r = self.k, index
-        n = self.n
-        while k > 0:
-            n -= 1
-            c = math.comb(n, k)
-            if r >= c:
-                r -= c
-                k -= 1
-                out[k] = n
-        return tuple(out)
-
-    def subsets(self):
-        """All k-subsets in colexicographic order."""
-        return iter(sorted(itertools.combinations(range(self.n), self.k),
-                           key=lambda s: s[::-1]))
+def colex_subsets(n: int, k: int) -> list:
+    """All k-subsets of 0..n-1 as increasing tuples, in colexicographic order."""
+    return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
 
 
 def _columns_by(subsets, keys) -> dict:
@@ -124,7 +80,7 @@ def _disjointness(n: int, low: int, k: int, description: str) -> GF2Matrix:
         # or print; it is at least its largest term, so refusing that is sound
         check_comb_guard(description, n, top, MATRIX_ROW_GUARD)
     check_guard(description, sum(math.comb(n, size) for size in sizes), MATRIX_ROW_GUARD)
-    subsets = [s for size in sizes for s in SubsetIndex(n, size).subsets()]
+    subsets = [s for size in sizes for s in colex_subsets(n, size)]
     containing = _columns_by(subsets, iter)  # vertex -> the columns holding it
     full = (1 << len(subsets)) - 1
     data = (full & ~reduce(or_, map(containing.__getitem__, s), 0) for s in subsets)
@@ -166,8 +122,7 @@ def adjacency_cube_matrix(r: int, m: int) -> GF2Matrix:
     # there are at least as many rows as vertices, so m is bounded before (r+1)^m is formed
     check_power_guard("adjacency_cube_matrix vertices", 1, r + 1, m, MATRIX_ROW_GUARD)
     check_comb_guard("adjacency_cube_matrix rows", (r + 1) ** m, half, MATRIX_ROW_GUARD)
-    idx = SubsetIndex((r + 1) ** m, half)
-    labels = [cube_labels(v, r, m) for v in range(idx.n)]
+    labels = [cube_labels(v, r, m) for v in range((r + 1) ** m)]
 
     def halves(s):
         """(j, the labels of s at j) at each coordinate j where s shows r/2
@@ -176,12 +131,12 @@ def adjacency_cube_matrix(r: int, m: int) -> GF2Matrix:
             if len(shown) == half and r not in shown:
                 yield j, shown
 
-    subsets = list(idx.subsets())
+    subsets = colex_subsets(len(labels), half)
     showing = _columns_by(subsets, halves)
     fixed = frozenset(range(r))
     data = (reduce(or_, (showing.get((j, fixed - shown), 0) for j, shown in halves(s)), 0)
             for s in subsets)
-    return GF2Matrix(idx.size, idx.size, tuple(data))
+    return GF2Matrix(len(subsets), len(subsets), tuple(data))
 
 
 def partition_lower_bound(r: int, m: int) -> int:
@@ -204,20 +159,3 @@ def rank_bound_from_cover(d: int, r: int) -> int:
     if d < 0:
         raise ValueError("block count must be non-negative")
     return d * math.comb(r, r // 2)
-
-
-# --- text dump: first line "rows cols", then one hex row per line -----------
-
-
-def matrix_to_text(matrix: GF2Matrix) -> str:
-    width = max(1, -(-matrix.cols // 4))
-    lines = [f"{matrix.rows} {matrix.cols}"]
-    lines.extend(format(row, f"0{width}x") for row in matrix.data)
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str) -> GF2Matrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    rows, cols = (int(x) for x in lines[0].split())
-    data = tuple(int(ln, 16) for ln in lines[1 : rows + 1])
-    return GF2Matrix(rows, cols, data)

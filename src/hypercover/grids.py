@@ -12,26 +12,12 @@ before any coordinate or block is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Cover, Hypergraph, RPartiteBlock, complete_hypergraph
 
 
-@dataclass(frozen=True)
-class HexCoord:
-    """Cube coordinates on the hexagonal grid: x + y + z = 0."""
-
-    x: int
-    y: int
-    z: int
-
-    def __post_init__(self):
-        if self.x + self.y + self.z != 0:
-            raise ValueError("hex cube coordinates must sum to 0")
-
-
-def hex_coordinates(m: int) -> list[HexCoord]:
-    """All cells of the side-m hexagon, sorted by (x, y); 3m^2 - 3m + 1 cells."""
+def hex_coordinates(m: int) -> list[tuple]:
+    """All cells of the side-m hexagon as cube coordinates (x, y, z) with
+    x + y + z = 0, sorted by (x, y); 3m^2 - 3m + 1 cells."""
     if m < 1:
         raise ValueError("side length must be at least 1")
     lim = m - 1
@@ -40,7 +26,7 @@ def hex_coordinates(m: int) -> list[HexCoord]:
         for y in range(-lim, lim + 1):
             z = -x - y
             if -lim <= z <= lim:
-                out.append(HexCoord(x, y, z))
+                out.append((x, y, z))
     return out
 
 
@@ -55,7 +41,7 @@ def hex_cover(m: int) -> tuple[Hypergraph, Cover]:
     if m < 1:
         raise ValueError("side length must be at least 1")
     h = complete_hypergraph(3 * m * m - 3 * m + 1, 2)
-    cells = [(c.x, c.y, c.z) for c in hex_coordinates(m)]  # vertex i is cells[i]
+    cells = hex_coordinates(m)  # vertex i is cells[i]
     blocks = []
     for axis in range(3):
         lines: dict = {}  # coordinate value -> the vertices of its line, one pass
@@ -71,26 +57,6 @@ def hex_cover(m: int) -> tuple[Hypergraph, Cover]:
     return h, Cover(2, tuple(blocks))
 
 
-@dataclass(frozen=True)
-class GridCoord:
-    """A cell of the m x m square grid, rows and columns numbered from 1."""
-
-    row: int
-    col: int
-
-
-def grid_vertex_id(c: GridCoord, m: int) -> int:
-    if not (1 <= c.row <= m and 1 <= c.col <= m):
-        raise ValueError(f"{c} outside the {m}x{m} grid")
-    return (c.row - 1) * m + (c.col - 1)
-
-
-def grid_coord(v: int, m: int) -> GridCoord:
-    if not 0 <= v < m * m:
-        raise ValueError(f"vertex {v} outside 0..{m * m - 1}")
-    return GridCoord(v // m + 1, v % m + 1)
-
-
 def grid3_cover(m: int) -> tuple[Hypergraph, Cover]:
     """Cover K_{m^2}^3 so every triple has multiplicity between 1 and 4.
 
@@ -103,10 +69,7 @@ def grid3_cover(m: int) -> tuple[Hypergraph, Cover]:
     if m < 2:
         raise ValueError("grid side must be at least 2")
     h = complete_hypergraph(m * m, 3)
-    cells = [(r, c) for r in range(1, m + 1) for c in range(1, m + 1)]
-    vid = {rc: grid_vertex_id(GridCoord(*rc), m) for rc in cells}
-
-    families = [
+    families = [  # the line of the cell (row, column), both numbered from 1
         (lambda rc: rc[0], range(2, m)),                      # rows
         (lambda rc: rc[1], range(2, m)),                      # columns
         (lambda rc: rc[0] - rc[1] + m, range(2, 2 * m - 1)),  # diagonals
@@ -114,11 +77,13 @@ def grid3_cover(m: int) -> tuple[Hypergraph, Cover]:
     ]
     blocks = []
     for key, middle in families:
+        lines: dict = {}  # line -> its vertices, one pass
+        for v in range(m * m):  # vertex v is the cell (v // m + 1, v % m + 1)
+            lines.setdefault(key((v // m + 1, v % m + 1)), []).append(v)
         for i in middle:
-            line = frozenset(vid[rc] for rc in cells if key(rc) == i)
-            later = frozenset(vid[rc] for rc in cells if key(rc) > i)
-            earlier = frozenset(vid[rc] for rc in cells if key(rc) < i)
-            blocks.append(RPartiteBlock((line, later, earlier)))
+            later = [v for value, line in lines.items() if value > i for v in line]
+            earlier = [v for value, line in lines.items() if value < i for v in line]
+            blocks.append(RPartiteBlock((lines[i], later, earlier)))
     return h, Cover(3, tuple(blocks))
 
 

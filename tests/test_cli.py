@@ -11,8 +11,9 @@ import time
 import pytest
 
 import hypercover
-from hypercover.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, main
-from hypercover import complete_hypergraph, cover_to_json, hypergraph_to_json, log_cover
+from hypercover.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, build_parser, main
+from hypercover import (SearchBudget, complete_hypergraph, cover_to_json, hypergraph_to_json,
+                        log_cover)
 
 
 def run(capsys, *argv):
@@ -223,6 +224,10 @@ class TestSearch:
         code, _, err = run(capsys, "search", "min-partition",
                            "--file", self.write_k4(tmp_path), "--max-seconds", seconds)
         assert code == EXIT_ERROR and "max_seconds" in err
+
+    def test_budget_defaults_are_search_budgets(self):
+        args = build_parser().parse_args(["search", "min-partition", "--file", "k4.json"])
+        assert SearchBudget(args.max_blocks, args.max_seconds) == SearchBudget()
 
 
 def cli(*argv, memory_mb=None):

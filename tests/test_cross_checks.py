@@ -26,7 +26,6 @@ from hypercover import (
     RPartiteBlock,
     SearchBudget,
     SearchOutcome,
-    SubsetIndex,
     adjacency_cube_matrix,
     chromatic_number,
     complete_hypergraph,
@@ -49,6 +48,7 @@ from hypercover import (
     pi_partition,
     verify_cover,
 )
+from hypercover.gf2 import colex_subsets
 from hypercover.grids import hex_coordinates
 from hypercover.oracles import _locally_maximal
 
@@ -219,7 +219,7 @@ def naive_disjointness_rows(subsets):
 def naive_adjacency_rows(r, m):
     """Compare every pair of r/2-subsets: disjoint, and their union a cube edge."""
     edges = naive_cube_edges(r, m)
-    subsets = list(SubsetIndex((r + 1) ** m, r // 2).subsets())
+    subsets = colex_subsets((r + 1) ** m, r // 2)
     return tuple(
         sum(1 << j for j, t in enumerate(subsets)
             if not set(s) & set(t) and tuple(sorted(s + t)) in edges)
@@ -233,13 +233,34 @@ def naive_hex_cover(m):
     ids = {c: i for i, c in enumerate(coords)}
     blocks = []
     for axis in range(3):
-        key = lambda c, a=axis: (c.x, c.y, c.z)[a]
+        key = lambda c, a=axis: c[a]
         values = sorted(set(key(c) for c in coords))
         for val in values[:-1]:
             line = frozenset(ids[c] for c in coords if key(c) == val)
             rest = frozenset(ids[c] for c in coords if key(c) > val)
             if line and rest:
                 blocks.append(RPartiteBlock((line, rest)))
+    return tuple(blocks)
+
+
+def naive_grid3_cover(m):
+    """grid3_cover's blocks, each line, its later and its earlier lines found by
+    scanning every cell; vertex v is the v-th cell in row-major order."""
+    cells = [(row, col) for row in range(1, m + 1) for col in range(1, m + 1)]
+    ids = {c: v for v, c in enumerate(cells)}
+    families = [
+        (lambda c: c[0], range(2, m)),                      # rows
+        (lambda c: c[1], range(2, m)),                      # columns
+        (lambda c: c[0] - c[1] + m, range(2, 2 * m - 1)),  # diagonals
+        (lambda c: c[0] + c[1] - 1, range(2, 2 * m - 1)),  # counter-diagonals
+    ]
+    blocks = []
+    for key, middle in families:
+        for i in middle:
+            line = frozenset(ids[c] for c in cells if key(c) == i)
+            later = frozenset(ids[c] for c in cells if key(c) > i)
+            earlier = frozenset(ids[c] for c in cells if key(c) < i)
+            blocks.append(RPartiteBlock((line, later, earlier)))
     return tuple(blocks)
 
 
@@ -438,6 +459,12 @@ class TestHexCoverAgainstLineScan:
     @pytest.mark.parametrize("m", range(1, 11))
     def test_same_blocks_in_order(self, m):
         assert hex_cover(m)[1].blocks == naive_hex_cover(m)
+
+
+class TestGrid3CoverAgainstLineScan:
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_same_blocks_in_order(self, m):
+        assert grid3_cover(m)[1].blocks == naive_grid3_cover(m)
 
 
 def canonical_input(rng):
@@ -703,9 +730,9 @@ class TestCubeAgainstDefinition:
     @pytest.mark.parametrize("n", range(0, 9))
     def test_disjointness_rows(self, n):
         for k in range(n + 1):
-            exact = list(SubsetIndex(n, k).subsets())
+            exact = colex_subsets(n, k)
             assert disjointness_matrix(n, k).data == naive_disjointness_rows(exact)
-            upto = [s for i in range(k + 1) for s in SubsetIndex(n, i).subsets()]
+            upto = [s for i in range(k + 1) for s in colex_subsets(n, i)]
             assert disjointness_matrix_upto(n, k).data == naive_disjointness_rows(upto)
 
     @pytest.mark.parametrize("r,m", [(4, 1), (4, 2), (6, 1), (8, 1), (10, 1)])

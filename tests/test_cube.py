@@ -19,6 +19,7 @@ from hypercover import (
     pinto_upper_bound,
     verify_partition,
 )
+from hypercover.cube import cube_labels
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -150,17 +151,20 @@ class TestCubeGraph:
         assert len(cube_graph(2, 2).hypergraph.edges) == 16
 
     def test_encode_decode(self):
-        cg = cube_graph(2, 2)
-        for v in range(cg.hypergraph.n):
-            assert cg.encode(cg.decode(v)) == v
-        assert cg.decode(cg.encode((1, 2))) == (1, 2)
+        # cube_labels gives the base-(r+1) digits of a vertex, first coordinate first
+        for r, m in ((2, 2), (3, 3)):
+            for v in range((r + 1) ** m):
+                labels = cube_labels(v, r, m)
+                assert len(labels) == m and all(0 <= x <= r for x in labels)
+                assert tuple_code(labels, r + 1) == v
+        assert cube_labels(5, 2, 2) == (1, 2)
 
     def test_edge_predicate(self):
         cg = cube_graph(2, 2)
         star = 2
-        a, b = cg.encode((0, star)), cg.encode((1, star))
+        a, b = tuple_code((0, star), 3), tuple_code((1, star), 3)
         assert tuple(sorted((a, b))) in cg.hypergraph.edges
-        c, d = cg.encode((star, star)), cg.encode((0, 0))
+        c, d = tuple_code((star, star), 3), tuple_code((0, 0), 3)
         assert tuple(sorted((c, d))) not in cg.hypergraph.edges
 
     def test_size_guard(self):
@@ -185,7 +189,7 @@ class TestPiPartition:
         w = cover.blocks[0]
         fixed_first = set()
         for e in cg.hypergraph.edges:
-            firsts = set(cg.decode(v)[0] for v in e)
+            firsts = set(cube_labels(v, r, m)[0] for v in e)
             if firsts == set(range(r)):
                 fixed_first.add(e)
         assert set(w.implied_edges()) == fixed_first

@@ -7,11 +7,7 @@ import pytest
 
 from hypercover import MultiplicityList, multiplicity_profile, verify_cover, verify_partition
 from hypercover.grids import (
-    GridCoord,
-    HexCoord,
     grid3_cover,
-    grid_coord,
-    grid_vertex_id,
     hex_coordinates,
     hex_cover,
     log_cover,
@@ -43,9 +39,7 @@ class TestHexCover:
         h, c = hex_cover(m)
         profile = multiplicity_profile(h, c)
         for (i, a), (j, b) in itertools.combinations(enumerate(coords), 2):
-            shared = sum(
-                getattr(a, ax) == getattr(b, ax) for ax in ("x", "y", "z")
-            )
+            shared = sum(p == q for p, q in zip(a, b))
             assert shared <= 1  # two distinct cells share at most one line
             assert profile.multiplicity[(i, j)] == 3 - shared
 
@@ -55,11 +49,13 @@ class TestHexCover:
 
     def test_vertex_ids_follow_xy_order(self):
         coords = hex_coordinates(4)
-        assert coords == sorted(coords, key=lambda c: (c.x, c.y))
+        assert coords == sorted(coords, key=lambda c: (c[0], c[1]))
 
     def test_coordinate_invariant(self):
-        with pytest.raises(ValueError):
-            HexCoord(1, 1, 1)
+        # every cell is an (x, y, z) tuple of cube coordinates summing to 0
+        for m in range(1, 8):
+            for cell in hex_coordinates(m):
+                assert type(cell) is tuple and len(cell) == 3 and sum(cell) == 0
 
 
 class TestGrid3Cover:
@@ -90,13 +86,6 @@ class TestGrid3Cover:
             assert all(v == 1 for v in counts.values())
             start += size
         assert start == len(c.blocks)
-
-    def test_grid_coord_bijection(self):
-        m = 4
-        for v in range(m * m):
-            assert grid_vertex_id(grid_coord(v, m), m) == v
-        with pytest.raises(ValueError):
-            grid_vertex_id(GridCoord(0, 1), m)
 
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
