@@ -28,7 +28,6 @@ from .core import (
     MultiplicityList,
     induced_subhypergraph,
     multiplicity_profile,
-    packed_bits,
 )
 from .gf2 import GF2Matrix, gf2_rank
 
@@ -171,25 +170,20 @@ def link_lower_bound(h: Hypergraph, lst: MultiplicityList) -> int:
     allowed = lst.allowed
     if allowed is None or (len(allowed) > 1 and not all(k % 2 for k in allowed)):
         return 0
-    links: dict[tuple, list] = {}
+    links: dict[tuple, dict] = {}  # S -> {link vertex u: the mask of u's link neighbours}
     for e in h.edges:
         for i, j in itertools.combinations(range(h.r), 2):
-            links.setdefault(e[:i] + e[i + 1:j] + e[j + 1:], []).append((e[i], e[j]))
-    vertex_sets = [sorted({v for pair in pairs for v in pair}) for pairs in links.values()]
-    if sum(len(vs) ** 3 for vs in vertex_sets) > LINK_WORK_CAP:
+            rows = links.setdefault(e[:i] + e[i + 1:j] + e[j + 1:], {})
+            rows[e[i]] = rows.get(e[i], 0) | 1 << e[j]
+            rows[e[j]] = rows.get(e[j], 0) | 1 << e[i]
+    if sum(len(rows) ** 3 for rows in links.values()) > LINK_WORK_CAP:
         return 0
     best = 0
-    for pairs, vertices in zip(links.values(), vertex_sets):
-        at = {v: i for i, v in enumerate(vertices)}
-        m = len(vertices)
-        rows = [[0] * m for _ in range(m)]
-        for u, v in pairs:
-            rows[at[u]][at[v]] = rows[at[v]][at[u]] = 1
+    for rows in links.values():
         if len(allowed) == 1:
-            best = max(best, *inertia(rows))
+            best = max(best, *inertia([rows[u] >> v & 1 for v in rows] for u in rows))
         else:
-            packed = (packed_bits(itertools.compress(range(m), row), m) for row in rows)
-            best = max(best, -(-gf2_rank(GF2Matrix(m, m, tuple(packed))) // 2))
+            best = max(best, -(-gf2_rank(GF2Matrix(len(rows), h.n, rows.values())) // 2))
     return best
 
 
@@ -299,20 +293,19 @@ def greedy_color(h: Hypergraph, order) -> list[int]:
     order = list(order)
     if sorted(order) != list(range(h.n)):
         raise ValueError("order must be a permutation of 0..n-1")
-    by_vertex: dict[int, list] = {v: [] for v in range(h.n)}
+    others: list[list[int]] = [[] for _ in range(h.n)]  # per edge of v, its other vertices
     for e in h.edges:
+        mask = sum(1 << v for v in e)
         for v in e:
-            by_vertex[v].append(e)
+            others[v].append(mask ^ 1 << v)
+    classes: list[int] = []  # the vertices given each color so far
     colors = [-1] * h.n
     for v in order:
-        blocked = set()
-        for e in by_vertex[v]:
-            rest = [colors[u] for u in e if u != v]
-            if all(cu >= 0 for cu in rest) and len(set(rest)) == 1:
-                blocked.add(rest[0])
-        c = 0
-        while c in blocked:
-            c += 1
+        c = next((c for c, cls in enumerate(classes) if all(m & ~cls for m in others[v])),
+                 len(classes))
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << v
         colors[v] = c
     return colors
 

@@ -23,7 +23,10 @@ from operator import attrgetter
 from .core import Cover, Hypergraph, RPartiteBlock, check_guard, check_power_guard
 
 CUBE_EDGE_GUARD = 10**7
-LABEL_R_GUARD = 7  # floor((e-1) 7!) = 8659 blocks
+# parts built: of the dimensions m >= 2 the other guards admit, pi_partition(5, 3)
+# builds the most, 213,215; only dimension 1, with r singleton parts, builds more
+CUBE_PART_GUARD = 250_000
+LABEL_R_GUARD = 7  # floor((e-1) 7!) = 8660 blocks
 
 
 def floor_e_minus_one_factorial(r: int) -> int:
@@ -170,6 +173,8 @@ def cube_graph(r: int, m: int) -> CubeGraph:
         raise ValueError("dimension must be at least 1")
     check_power_guard("cube_graph generated vertex entries", m * r, r + 1,
                       (m - 1) * r, CUBE_EDGE_GUARD)
+    # at each coordinate, the r parts of the vertices showing one fixed label there
+    check_guard("cube_graph label parts", m * r, CUBE_PART_GUARD)
     base = r + 1
     n = base**m
     edges = []  # an edge with several such coordinates repeats; Hypergraph drops repeats
@@ -206,6 +211,7 @@ def pi_partition(r: int, m: int) -> Cover:
     labels = label_partition(r) if m > 1 else []
     check_guard("pi_partition blocks x vertices",
                 pinto_upper_bound(r, m) * (r + 1) ** m, CUBE_EDGE_GUARD)
+    check_guard("pi_partition parts", pinto_upper_bound(r, m) * r, CUBE_PART_GUARD)
     base = r + 1
     blocks = [tuple(zip(range(r)))]  # the singletons (0,), ..., (r-1,)
     size = base

@@ -20,7 +20,8 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import reduce
+from operator import attrgetter, or_
 
 from .bounds import link_lower_bound
 from .core import (
@@ -264,14 +265,19 @@ def min_sum_of_orders(h: Hypergraph, budget: SearchBudget | None = None) -> Sear
                    budget or SearchBudget(), cost=RPartiteBlock.order)
 
 
+def _lower_masks(h: Hypergraph) -> list[list[int]]:
+    """For each vertex v, the masks of the other vertices of the edges whose
+    largest vertex is v."""
+    lower: list[list[int]] = [[] for _ in range(h.n)]
+    for e in h.edges:
+        lower[e[-1]].append(sum(1 << v for v in e[:-1]))
+    return lower
+
+
 def independence_number(h: Hypergraph) -> int:
     """Largest vertex set containing no edge of h entirely."""
     check_guard("independence_number vertices", h.n, 20)
-    n = h.n
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
-    for e in h.edges:
-        mask = sum(1 << v for v in e)
-        by_vertex[max(e)].append(mask)
+    n, lower = h.n, _lower_masks(h)
     best = 0
 
     def rec(i: int, chosen: int, count: int):
@@ -281,10 +287,8 @@ def independence_number(h: Hypergraph) -> int:
         if i == n:
             best = count
             return
-        bit = 1 << i
-        grown = chosen | bit
-        if all(em & ~grown for em in by_vertex[i]):
-            rec(i + 1, grown, count + 1)
+        if all(m & ~chosen for m in lower[i]):
+            rec(i + 1, chosen | 1 << i, count + 1)
         rec(i + 1, chosen, count)
 
     rec(0, 0, 0)
@@ -295,16 +299,13 @@ def matching_number(h: Hypergraph) -> int:
     """Largest set of pairwise disjoint edges."""
     edges = h.edges
     emasks = [sum(1 << v for v in e) for e in edges]
-    support = 0
-    for em in emasks:
-        support |= em
+    support = reduce(or_, emasks, 0)
     greedy, used = 0, 0
     for em in emasks:
         if not em & used:
             used |= em
             greedy += 1
-    trivial_cap = bin(support).count("1") // h.r
-    if greedy == trivial_cap:
+    if greedy == support.bit_count() // h.r:
         return greedy
     check_guard("matching_number edges", len(edges), 30)
     best = greedy
@@ -315,8 +316,7 @@ def matching_number(h: Hypergraph) -> int:
             best = count
         if i == len(edges):
             return
-        room = bin(support & ~used).count("1") // h.r
-        if count + room <= best:
+        if count + (support & ~used).bit_count() // h.r <= best:
             return
         if not emasks[i] & used:
             rec(i + 1, used | emasks[i], count + 1)
@@ -329,37 +329,28 @@ def matching_number(h: Hypergraph) -> int:
 def chromatic_number(h: Hypergraph) -> int:
     """Fewest colors so that no edge is monochromatic."""
     check_guard("chromatic_number vertices", h.n, 12)
-    if h.n == 0:
-        return 0
-    if not h.edges:
-        return 1
-    n = h.n
-    by_max: list[list[tuple]] = [[] for _ in range(n)]
-    for e in h.edges:
-        by_max[max(e)].append(e)
-    colors = [-1] * n
+    n, lower = h.n, _lower_masks(h)
 
     def feasible(k: int) -> bool:
+        classes = [0] * k  # the vertices given each color so far
+
         def bt(v: int, used: int) -> bool:
             if v == n:
                 return True
             for c in range(min(used + 1, k)):
-                ok = True
-                for e in by_max[v]:
-                    rest = [colors[u] for u in e if u != v]
-                    if all(cu == c for cu in rest):
-                        ok = False
-                        break
-                if ok:
-                    colors[v] = c
+                cls = classes[c]
+                # c is free for v unless v completes an edge within c's class
+                if all(m & ~cls for m in lower[v]):
+                    classes[c] = cls | 1 << v
                     if bt(v + 1, max(used, c + 1)):
                         return True
-                    colors[v] = -1
+                    classes[c] = cls
             return False
 
         return bt(0, 0)
 
-    for k in range(2, n + 1):
+    # one color suffices exactly when h has no edge; no vertices need none
+    for k in range(1, n + 1):
         if feasible(k):
             return k
     return n

@@ -403,12 +403,16 @@ class TestOddFlagValues:
          "--r", BIG),
         ("construct", "cube-graph", "--r", "1000000", "--m", "1"),
         ("construct", "pi-partition", "--r", "1000000", "--m", "1"),
+        # r + 1 = 10^7 vertices and blocks x vertices: the widest the size guards admit
+        ("construct", "cube-graph", "--r", "9999999", "--m", "1"),
+        ("construct", "pi-partition", "--r", "9999999", "--m", "1"),
         ("verify", "--hypergraph", "{wide_h}", "--cover", "{wide_c}", "--partition"),
     ], ids=["list-1e9", "list-2-and-1e9", "list-401-digits", "list-and-budget-401-digits",
             "ks-order-n", "ks-order-r", "ks-order-alpha", "ks-order-r-1e17",
             "ks-chromatic-k", "ks-chromatic-r", "matching-nu-edges", "matching-r",
             "independent-matchings-k-edges", "independent-matchings-r",
-            "cube-graph-wide", "pi-partition-wide", "verify-8000-singletons"])
+            "cube-graph-wide", "pi-partition-wide", "cube-graph-widest",
+            "pi-partition-widest", "verify-8000-singletons"])
     def test_documented_exit_at_once(self, files, argv):
         start = time.perf_counter()
         proc = cli(*(a.format(**files) for a in argv), memory_mb=2048)

@@ -3,8 +3,8 @@
 The naive versions here are deliberately the dumbest possible enumerations so
 the clever ones (bit-sliced counting, bulk canonicalisation, bit-packed
 elimination, backtracking block enumeration, iterative deepening, branch and
-bound, the link bound and inertia by elimination) are never the only source
-of truth.
+bound, the link bound, inertia by elimination and coloring by color-class
+masks) are never the only source of truth.
 """
 
 import itertools
@@ -35,9 +35,11 @@ from hypercover import (
     disjointness_matrix_upto,
     enumerate_blocks,
     gf2_rank,
+    greedy_color,
     grid3_cover,
     hex_cover,
     independence_number,
+    is_proper_coloring,
     link_lower_bound,
     log_cover,
     matching_number,
@@ -180,6 +182,21 @@ def naive_chromatic(h):
             if all(len(set(coloring[v] for v in e)) >= 2 for e in h.edges):
                 return k
     return h.n
+
+
+def naive_greedy_color(h, order):
+    """Each vertex in the order takes the least color that no edge forbids; an
+    edge forbids a color when all its other vertices already have it."""
+    colors = [-1] * h.n
+    for v in order:
+        blocked = set()
+        for e in h.edges:
+            if v in e:
+                rest = {colors[u] for u in e if u != v}
+                if len(rest) == 1 and -1 not in rest:
+                    blocked |= rest
+        colors[v] = next(c for c in itertools.count() if c not in blocked)
+    return colors
 
 
 def naive_gf2_rank(matrix):
@@ -666,27 +683,56 @@ class TestSearchAgainstKeptSimpleCore:
         assert 0 < got.nodes <= expected.nodes
 
 
+def numbers_case(case, seed0: int, top: int) -> Hypergraph:
+    """An integer case draws r = 2 or 3 and r..top vertices from seed0 + case;
+    the named cases are the inputs those draws never give: no vertices, no
+    edges, and four-uniform edges (drawn from seed0 + 100 + k for "r4-k")."""
+    if case == "n0":
+        return Hypergraph(2, 0)
+    if case == "edgeless":
+        return Hypergraph(3, 5)
+    if isinstance(case, str):
+        rng = random.Random(seed0 + 100 + int(case[3:]))
+        return random_hypergraph(rng, rng.randint(6, 9), 4, 0.1)
+    rng = random.Random(seed0 + case)
+    r = rng.choice((2, 3))
+    return random_hypergraph(rng, rng.randint(r, top), r)
+
+
+NAMED_CASES = ["n0", "edgeless", "r4-0", "r4-1", "r4-2"]
+
+
 class TestNumbersAgainstSubsetEnumeration:
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", [*range(10), *NAMED_CASES])
     def test_independence(self, seed):
-        rng = random.Random(seed)
-        r = rng.choice((2, 3))
-        h = random_hypergraph(rng, rng.randint(r, 6), r)
+        h = numbers_case(seed, 0, 6)
         assert independence_number(h) == naive_independence(h)
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", [*range(10), *NAMED_CASES])
     def test_matching(self, seed):
-        rng = random.Random(50 + seed)
-        r = rng.choice((2, 3))
-        h = random_hypergraph(rng, rng.randint(r, 6), r)
+        h = numbers_case(seed, 50, 6)
         assert matching_number(h) == naive_matching(h)
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), *NAMED_CASES])
     def test_chromatic(self, seed):
-        rng = random.Random(80 + seed)
-        r = rng.choice((2, 3))
-        h = random_hypergraph(rng, rng.randint(r, 5), r)
+        h = numbers_case(seed, 80, 5)
         assert chromatic_number(h) == naive_chromatic(h)
+
+
+class TestGreedyColorAgainstTupleScan:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_colors(self, seed):
+        """100 hypergraphs per seed, r = 2..4 and n = 0..10, three shuffled
+        orders each: the same color list as the scan of every edge."""
+        rng = random.Random(900 + seed)
+        for _ in range(100):
+            r, n = rng.randint(2, 4), rng.randint(0, 10)
+            h = random_hypergraph(rng, n, r, rng.choice((0.1, 0.3, 0.6, 1.0)), nonempty=False)
+            for _ in range(3):
+                order = rng.sample(range(n), n)
+                colors = greedy_color(h, order)
+                assert colors == naive_greedy_color(h, order)
+                assert is_proper_coloring(h, colors)
 
 
 class TestRankAgainstDenseElimination:

@@ -19,7 +19,7 @@ from hypercover import (
     pinto_upper_bound,
     verify_partition,
 )
-from hypercover.cube import cube_labels
+from hypercover.cube import CUBE_EDGE_GUARD, CUBE_PART_GUARD, cube_labels
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -221,6 +221,19 @@ class TestPiPartition:
             pi_partition(4, 4)
         with pytest.raises(GuardError, match=r"4\^100000"):
             pi_partition(3, 100_000)
+
+    def test_part_guard(self):
+        # dimension 1 builds r singleton parts, in the cube's label parts and in its block
+        wide = CUBE_PART_GUARD + 1
+        with pytest.raises(GuardError, match=f"cube_graph label parts: {wide} exceeds"):
+            cube_graph(wide, 1)
+        with pytest.raises(GuardError, match=f"pi_partition parts: {wide} exceeds"):
+            pi_partition(wide, 1)
+        assert len(cube_graph(wide - 1, 1).hypergraph.edges[0]) == wide - 1
+        assert pi_partition(wide - 1, 1).blocks[0].parts[-1] == (wide - 2,)
+        # the most parts a dimension >= 2 builds within the other guards stays admitted
+        assert pinto_upper_bound(5, 3) * (5 + 1) ** 3 <= CUBE_EDGE_GUARD  # blocks x vertices
+        assert pinto_upper_bound(5, 3) * 5 == 213_215 <= CUBE_PART_GUARD
 
     def test_pinto_values(self):
         assert pinto_upper_bound(2, 3) == 13
