@@ -121,14 +121,25 @@ def inertia(matrix) -> tuple[int, int]:
     a sequence of rows, are positive and how many negative.
 
     Sylvester's law of inertia: a congruence keeps both counts, so eliminate
-    symmetrically over Fraction and count the pivots by sign. A non-zero
-    diagonal entry is a pivot as it stands. When the diagonal left is all zero
-    but a_ij is not, adding row and column j to row and column i makes
+    symmetrically and count the pivots by sign. The elimination is
+    fraction-free (Bareiss): rational entries are first scaled to integers by
+    a positive common denominator, and after each step every entry left is the
+    previous pivot times the Schur complement, so the next pivot d_k is a
+    leading minor and the true pivot is d_k / d_(k-1), positive exactly when
+    the two agree in sign. Each update divides exactly by the previous pivot;
+    a remainder would mean a broken invariant and raises. A non-zero diagonal
+    entry is a pivot as it stands. When the diagonal left is all zero but
+    a_ij is not, adding row and column j to row and column i makes
     a_ii = 2 a_ij the pivot; when everything left is zero, so is the rest of
     the spectrum.
     """
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a = [list(row) for row in matrix]
+    if not all(isinstance(x, int) for row in a for x in row):
+        a = [[Fraction(x) for x in row] for row in a]
+        scale = math.lcm(*(x.denominator for row in a for x in row))
+        a = [[int(x * scale) for x in row] for row in a]
     plus = minus = 0
+    previous = 1
     while a:
         m = len(a)
         i = next((k for k in range(m) if a[k][k]), None)
@@ -140,13 +151,23 @@ def inertia(matrix) -> tuple[int, int]:
                 row[i] += row[j]
             a[i] = [x + y for x, y in zip(a[i], a[j])]
         pivot = a[i]
-        if pivot[i] > 0:
+        p = pivot[i]
+        if (p > 0) == (previous > 0):
             plus += 1
         else:
             minus += 1
         rest = [k for k in range(m) if k != i]
-        a = [[a[k][l] - f * pivot[l] for l in rest] if (f := a[k][i] / pivot[i])
-             else [a[k][l] for l in rest] for k in rest]
+        rows = []
+        for k in rest:
+            row, f = a[k], a[k][i]
+            new = []
+            for l in rest:
+                q, rem = divmod(p * row[l] - f * pivot[l], previous)
+                if rem:
+                    raise ArithmeticError("inexact Bareiss division")
+                new.append(q)
+            rows.append(new)
+        a, previous = rows, p
     return plus, minus
 
 
@@ -301,7 +322,7 @@ def greedy_color(h: Hypergraph, order) -> list[int]:
     classes: list[int] = []  # the vertices given each color so far
     colors = [-1] * h.n
     for v in order:
-        c = next((c for c, cls in enumerate(classes) if all(m & ~cls for m in others[v])),
+        c = next((c for c, cls in enumerate(classes) if all(m & cls != m for m in others[v])),
                  len(classes))
         if c == len(classes):
             classes.append(0)

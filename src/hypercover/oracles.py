@@ -5,6 +5,9 @@ Every search either returns a proven exact value or an explicit "unknown"
 outcome carrying the proven lower bracket; a wrong number is never emitted.
 Candidate blocks are restricted to those whose implied edges lie inside the
 target hypergraph, which covers-with-foreign-coverage never satisfy anyway.
+They are listed once per hypergraph, each as its parts and an edge mask, in a
+table that every search of it (or of an equal hypergraph) reads while it is
+alive; only a witness's blocks become RPartiteBlocks.
 
 The three cover searches share one core, `_search`. Block-count searches
 start deepening at `bounds.link_lower_bound`, the eigenvalue (or GF(2) rank)
@@ -16,12 +19,12 @@ blocks first.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
+import weakref
 from dataclasses import dataclass
-from functools import reduce
-from operator import attrgetter, or_
+from functools import cached_property, reduce
+from operator import and_, itemgetter, or_
 
 from .bounds import link_lower_bound
 from .core import (
@@ -84,62 +87,155 @@ class _Deadline:
             raise _OutOfTime
 
 
-def _fits(edges, parts, v: int, i: int) -> bool:
-    """True iff every transversal of the parts other than i, plus v, is an edge
-    (vacuously while another part is empty)."""
-    others = parts[:i] + parts[i + 1:]
-    return all(tuple(sorted((*c, v))) in edges for c in itertools.product(*others))
+def _stars(h: Hypergraph) -> list[int]:
+    """For each vertex v, the mask over the indices of h.edges of the edges
+    that hold v."""
+    star = [0] * h.n
+    for i, e in enumerate(h.edges):
+        for v in e:
+            star[v] |= 1 << i
+    return star
+
+
+def _union(star: list[int], part) -> int:
+    """The edges that meet a part: the OR of its vertices' stars."""
+    return reduce(or_, map(star.__getitem__, part))
+
+
+class _BlockTable:
+    """Every block of one hypergraph whose implied edges are edges of it, in
+    the order of their parts: `parts` holds each block's parts and `masks`
+    its edges as a mask over the indices of h.edges.
+
+    A block's edges are the AND of its parts' unions of stars, since an r-edge
+    that meets r disjoint parts is one of their transversals; so the block
+    lies in h exactly when that AND has prod |P_i| bits. The table keeps the
+    stars, never h, so that h stays collectable while its table is cached.
+
+    Vertices are given out in order: each stays out, joins an open part or
+    opens the next, so parts open in order of their least vertex and every
+    block is built once. Once every part is open, a vertex joins a part only
+    if the grown block still lies in h; a failed check prunes the subtree. A
+    vertex in no edge only stays out: every vertex of a block lies in one of
+    its edges.
+    """
+
+    def __init__(self, h: Hypergraph):
+        r, n = h.r, h.n
+        star = _stars(h)
+        self.n, self.star = n, star
+        found = []
+        # (next vertex, parts opened, parts, each part's union); depth does not grow with n
+        stack = [(0, 0, ((),) * r, (0,) * r)]
+        while stack:
+            v, opened, parts, unions = stack.pop()
+            if n - v < r - opened:
+                continue
+            if v == n:
+                found.append((parts, reduce(and_, unions)))
+                continue
+            stack.append((v + 1, opened, parts, unions))
+            sv = star[v]
+            if not sv:
+                continue
+            if opened == r:
+                # the grown block has prod |P_j| edges iff v adds one with each
+                # transversal of the other parts: |edges| / |P_i| of them
+                count = reduce(and_, unions).bit_count()
+                for i, p in enumerate(parts):
+                    others = reduce(and_, unions[:i] + unions[i + 1:])
+                    if (sv & others).bit_count() * len(p) == count:
+                        stack.append((v + 1, r, parts[:i] + (p + (v,),) + parts[i + 1:],
+                                      unions[:i] + (unions[i] | sv,) + unions[i + 1:]))
+                continue
+            for i in range(opened):  # no check while a part is empty
+                stack.append((v + 1, opened, parts[:i] + (parts[i] + (v,),) + parts[i + 1:],
+                              unions[:i] + (unions[i] | sv,) + unions[i + 1:]))
+            grown = parts[:opened] + ((v,),) + parts[opened + 1:]
+            united = unions[:opened] + (sv,) + unions[opened + 1:]
+            if opened + 1 < r or reduce(and_, united).bit_count() == math.prod(map(len, grown)):
+                stack.append((v + 1, opened + 1, grown, united))
+        found.sort(key=itemgetter(0))
+        self.parts = [parts for parts, _ in found]
+        self.masks = [mask for _, mask in found]
+
+    @cached_property
+    def maximal(self) -> tuple[list, list]:
+        """The parts and masks of the locally maximal blocks: those that no
+        single vertex extends while staying inside h's edges.
+
+        A vertex w outside a block extends part i exactly when star[w] meets
+        the AND of the other parts' unions in prod_{j != i} |P_j| edges, the
+        transversals of the other parts plus w. For covers with unbounded
+        admissible multiplicity, any block may be grown to a locally maximal
+        one without hurting validity, so searching them preserves the minimum.
+        """
+        star, parts, masks = self.star, [], []
+        live = [w for w in range(self.n) if star[w]]
+        for block, mask in zip(self.parts, self.masks):
+            inside = set().union(*block)
+            outside = [star[w] for w in live if w not in inside]
+            unions = [_union(star, p) for p in block]
+            count = mask.bit_count()  # prod |P_j|, so prod_{j != i} |P_j| = count / |P_i|
+            for i, p in enumerate(block):
+                others = reduce(and_, unions[:i] + unions[i + 1:])
+                if any((s & others).bit_count() * len(p) == count for s in outside):
+                    break
+            else:
+                parts.append(block)
+                masks.append(mask)
+        return parts, masks
+
+
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # Hypergraph -> _BlockTable
+
+
+def _block_table(h: Hypergraph) -> _BlockTable:
+    """h's block table, built on first use and shared by every equal
+    hypergraph while one of them is alive (a table depends only on r, n and
+    the edges). The (r+1)^n part assignments bound the work of building it;
+    they are checked on every call, so a table built under the guard override
+    is not handed out without it."""
+    check_power_guard("enumerate_blocks assignments", 1, h.r + 1, h.n, ENUMERATION_GUARD)
+    table = _TABLES.get(h)
+    if table is None:
+        table = _TABLES[h] = _BlockTable(h)
+    return table
 
 
 def enumerate_blocks(h: Hypergraph) -> list[RPartiteBlock]:
     """All complete r-partite blocks on subsets of the vertices whose implied
     edges are edges of h, each once up to part reordering, sorted by parts.
-
-    Vertices are given out in order: each stays out, joins an open part or
-    opens the next, so parts open in order of their least vertex and every
-    block is built once. A vertex joins a part only if it fits; each
-    transversal is checked when its largest vertex joins, and a failed check
-    prunes the subtree. A vertex in no edge only stays out: every vertex of a
-    block lies in one of its edges. The (r+1)^n part assignments bound the work.
-    """
-    r, n, edges = h.r, h.n, h.edge_set
-    check_power_guard("enumerate_blocks assignments", 1, r + 1, n, ENUMERATION_GUARD)
-    in_edge = {v for e in h.edges for v in e}
-    out = []
-    stack = [(0, 0, ((),) * r)]  # (next vertex, parts opened, parts); depth does not grow with n
-    while stack:
-        v, opened, parts = stack.pop()
-        if n - v < r - opened:
-            continue
-        if v == n:
-            out.append(RPartiteBlock(parts))
-            continue
-        stack.append((v + 1, opened, parts))
-        for i in range(min(opened + 1, r) if v in in_edge else 0):
-            if _fits(edges, parts, v, i):
-                stack.append((v + 1, max(opened, i + 1),
-                              parts[:i] + (parts[i] + (v,),) + parts[i + 1:]))
-    out.sort(key=attrgetter("parts"))
-    return out
+    They are read from h's block table (`_BlockTable`)."""
+    return [RPartiteBlock(parts) for parts in _block_table(h).parts]
 
 
-def _locally_maximal(blocks, h: Hypergraph) -> list[RPartiteBlock]:
-    """The blocks of h (all their edges in h) that no single vertex can extend
-    while staying inside h's edges.
+def _candidate_masks(h: Hypergraph, candidates) -> list[int]:
+    """The edge mask of each given block. ValueError for a block whose part
+    count is not h's uniformity, one with a vertex outside 0..n-1 and one that
+    covers a non-edge of h, the least such edge named."""
+    star = _stars(h)
+    masks = []
+    for b in candidates:
+        if b.r != h.r:
+            raise ValueError(f"candidate block has {b.r} parts, not {h.r}")
+        top = max(p[-1] for p in b.parts)
+        if top >= h.n:
+            raise ValueError(f"candidate block has vertex {top}, outside 0..{h.n - 1}")
+        mask = reduce(and_, (_union(star, p) for p in b.parts))
+        if mask.bit_count() != b.edge_count():
+            least = min(e for e in b.implied_edges() if e not in h.edge_set)
+            raise ValueError(f"candidate block covers non-edge {least}")
+        masks.append(mask)
+    return masks
 
-    For covers with unbounded admissible multiplicity, any block may be grown
-    to such a block without hurting validity, so restricting the search to
-    them preserves the minimum.
-    """
-    return [b for b in blocks
-            if not any(_fits(h.edge_set, b.parts, v, i)
-                       for v in set(range(h.n)) - b.support() for i in range(b.r))]
 
-
-def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudget,
-            cost=None) -> SearchOutcome:
-    """Least total cost of a multiset of candidates giving every edge of h a
-    multiplicity in `lst`; a block costs cost(block), or 1 when cost is None.
+def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
+            budget: SearchBudget, costs: list[int] | None = None) -> SearchOutcome:
+    """Least total cost of a multiset of candidate blocks giving every edge of
+    h a multiplicity in `lst`. Candidate bi has the parts parts[bi], covers the
+    edges whose indices in h.edges are the bits of masks[bi], and costs
+    costs[bi], or 1 when costs is None.
 
     Iterative deepening on the total cost. Unit-cost searches start at
     `link_lower_bound(h, lst)`, below which no cover exists, and stop after
@@ -154,29 +250,27 @@ def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudg
     admissible, since each such edge needs one more block. Otherwise the search
     branches on the lowest such edge, trying its blocks cheapest first and,
     among equal costs, widest first (ties keep the candidates' order). Failed
-    (state, remaining cost) pairs are remembered across levels.
+    (state, remaining cost) pairs are remembered across levels. Only the
+    witness's blocks are built as RPartiteBlocks.
     """
-    index = {e: i for i, e in enumerate(h.edges)}
-    full = (1 << len(index)) - 1
-    masks, costs = [], []
-    cover_by_edge: list[list[int]] = [[] for _ in index]
-    for bi, b in enumerate(candidates):
-        mask = 0
-        for e in b.implied_edges():
-            if e not in index:
-                raise ValueError(f"candidate block covers non-edge {e}")
-            mask |= 1 << index[e]
-            cover_by_edge[index[e]].append(bi)
-        masks.append(mask)
-        costs.append(1 if cost is None else cost(b))
+    edges = len(h.edges)
+    full = (1 << edges) - 1
+    unit = costs is None
+    if unit:
+        costs = [1] * len(masks)
     widths = [mask.bit_count() for mask in masks]
-    for blocks in cover_by_edge:
-        blocks.sort(key=lambda bi: (costs[bi], -widths[bi]))
+    cover_by_edge: list[list[int]] = [[] for _ in range(edges)]
+    for bi in sorted(range(len(masks)), key=lambda bi: (costs[bi], -widths[bi])):
+        mask = masks[bi]
+        while mask:
+            low = mask & -mask
+            cover_by_edge[low.bit_length() - 1].append(bi)
+            mask ^= low
     cheapest, widest = min(costs, default=1), max(widths, default=0)
-    if cost is None:
+    if unit:
         top, start = budget.max_blocks, link_lower_bound(h, lst)
     else:
-        top, start = h.r * len(index), 0
+        top, start = h.r * edges, 0
     saturate = lst.allowed is None
     # no edge is covered more often than the top cost allows, so higher levels
     # admit nothing
@@ -224,7 +318,7 @@ def _search(h: Hypergraph, candidates, lst: MultiplicityList, budget: SearchBudg
         except _OutOfTime:
             return SearchOutcome("unknown", t, nodes=deadline.calls)
         if found:
-            witness = Cover(h.r, tuple(candidates[bi] for bi in chosen))
+            witness = Cover(h.r, tuple(RPartiteBlock(parts[bi]) for bi in chosen))
             return SearchOutcome("exact", t, t, witness, deadline.calls)
     return SearchOutcome("unknown", max(start, top + 1), nodes=deadline.calls)
 
@@ -238,16 +332,18 @@ def min_cover_size(
     """Smallest number of blocks giving every edge a multiplicity in `lst`.
 
     Iterative deepening on the block count; blocks may repeat (a multiset
-    cover). With the unbounded list the search runs over locally maximal
-    blocks only, which preserves the minimum.
+    cover). Without `candidates` the search runs over h's block table, and
+    with the unbounded list over its locally maximal blocks only, which
+    preserves the minimum.
     """
     budget = budget or SearchBudget()
-    if candidates is None:
-        candidates = enumerate_blocks(h)
-        if lst.allowed is None:
-            candidates = _locally_maximal(candidates, h)
-    check_guard("min_cover_size candidates", len(candidates), CANDIDATE_GUARD)
-    return _search(h, candidates, lst, budget)
+    if candidates is None:  # the enumeration guard keeps a table within CANDIDATE_GUARD
+        table = _block_table(h)
+        parts, masks = table.maximal if lst.allowed is None else (table.parts, table.masks)
+    else:
+        check_guard("min_cover_size candidates", len(candidates), CANDIDATE_GUARD)
+        parts, masks = [b.parts for b in candidates], _candidate_masks(h, candidates)
+    return _search(h, parts, masks, lst, budget)
 
 
 def min_partition_size(h: Hypergraph, budget: SearchBudget | None = None) -> SearchOutcome:
@@ -261,8 +357,10 @@ def min_sum_of_orders(h: Hypergraph, budget: SearchBudget | None = None) -> Sear
     An "unknown" outcome carries the first total order not yet ruled out.
     """
     check_guard("min_sum_of_orders vertices", h.n, 5)
-    return _search(h, enumerate_blocks(h), MultiplicityList.any_positive(),
-                   budget or SearchBudget(), cost=RPartiteBlock.order)
+    table = _block_table(h)
+    return _search(h, table.parts, table.masks, MultiplicityList.any_positive(),
+                   budget or SearchBudget(),
+                   costs=[sum(map(len, parts)) for parts in table.parts])
 
 
 def _lower_masks(h: Hypergraph) -> list[list[int]]:

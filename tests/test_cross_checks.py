@@ -2,8 +2,8 @@
 
 The naive versions here are deliberately the dumbest possible enumerations so
 the clever ones (bit-sliced counting, bulk canonicalisation, bit-packed
-elimination, backtracking block enumeration, iterative deepening, branch and
-bound, the link bound, inertia by elimination and coloring by color-class
+elimination, block enumeration on edge masks, iterative deepening, branch and
+bound, the link bound, fraction-free inertia and coloring by color-class
 masks) are never the only source of truth.
 """
 
@@ -39,6 +39,7 @@ from hypercover import (
     grid3_cover,
     hex_cover,
     independence_number,
+    inertia,
     is_proper_coloring,
     link_lower_bound,
     log_cover,
@@ -52,7 +53,7 @@ from hypercover import (
 )
 from hypercover.gf2 import colex_subsets
 from hypercover.grids import hex_coordinates
-from hypercover.oracles import _locally_maximal
+from hypercover.oracles import _block_table
 
 # gapped lists ({2}, {1,3}) need more than one multiplicity level in the search
 LISTS = (MultiplicityList.any_positive(), MultiplicityList.up_to(2), MultiplicityList.of(2),
@@ -135,6 +136,58 @@ def naive_inertia(matrix):
 
     return (sign_changes(coeffs),
             sign_changes([c if (n - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]))
+
+
+def fraction_inertia(matrix):
+    """(n+, n-) by symmetric elimination over Fraction, kept simple: a
+    non-zero diagonal entry is a pivot as it stands; when the diagonal left is
+    all zero but a_ij is not, adding row and column j to row and column i
+    makes a_ii = 2 a_ij the pivot; when everything left is zero, so is the
+    rest of the spectrum. Sylvester's law of inertia counts the pivots."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    plus = minus = 0
+    while a:
+        m = len(a)
+        i = next((k for k in range(m) if a[k][k]), None)
+        if i is None:
+            i, j = next(((k, l) for k in range(m) for l in range(m) if a[k][l]), (None, None))
+            if i is None:
+                break
+            for row in a:
+                row[i] += row[j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+        pivot = a[i]
+        if pivot[i] > 0:
+            plus += 1
+        else:
+            minus += 1
+        rest = [k for k in range(m) if k != i]
+        a = [[a[k][l] - f * pivot[l] for l in rest] if (f := a[k][i] / pivot[i])
+             else [a[k][l] for l in rest] for k in rest]
+    return plus, minus
+
+
+def naive_link_lower_bound(h, lst):
+    """The link bound from its definition: for each (r-2)-set S, the link's
+    0/1 adjacency matrix over its vertices in increasing order, with
+    fraction_inertia for one-value lists and naive_gf2_rank for odd lists."""
+    allowed = lst.allowed
+    if allowed is None or (len(allowed) > 1 and not all(k % 2 for k in allowed)):
+        return 0
+    best = 0
+    for s in itertools.combinations(range(h.n), h.r - 2):
+        pairs = [tuple(v for v in e if v not in s) for e in h.edges if set(s) <= set(e)]
+        vertices = sorted({v for pair in pairs for v in pair})
+        if not vertices:
+            continue
+        rows = [[int((min(u, v), max(u, v)) in pairs) for v in vertices] for u in vertices]
+        if len(allowed) == 1:
+            best = max(best, *fraction_inertia(rows))
+        else:
+            m = GF2Matrix(len(rows), len(rows),
+                          tuple(sum(bit << j for j, bit in enumerate(row)) for row in rows))
+            best = max(best, -(-naive_gf2_rank(m) // 2))
+    return best
 
 
 def naive_min_order(h, candidates):
@@ -573,13 +626,21 @@ def enumeration_corpus():
 
 class TestBlocksAgainstAssignments:
     """The backtracking enumerator lists the same blocks, in the same order,
-    as filtering every part assignment."""
+    as filtering every part assignment; the table's edge masks are the
+    blocks' implied edges, and its locally maximal blocks are those no vertex
+    extends."""
 
     @pytest.mark.parametrize("h", enumeration_corpus(), ids=lambda h: f"r{h.r}n{h.n}e{len(h.edges)}")
     def test_same_list(self, h):
         blocks = enumerate_blocks(h)
         assert blocks == naive_enumerate_blocks(h)
-        assert _locally_maximal(blocks, h) == naive_locally_maximal(blocks, h)
+        table = _block_table(h)
+        index = {e: i for i, e in enumerate(h.edges)}
+        assert table.masks == [sum(1 << index[e] for e in b.implied_edges()) for b in blocks]
+        parts, masks = table.maximal
+        maximal = naive_locally_maximal(blocks, h)
+        assert parts == [b.parts for b in maximal]
+        assert masks == [table.masks[blocks.index(b)] for b in maximal]
 
 
 class TestSearchAgainstMultisetEnumeration:
@@ -645,8 +706,9 @@ class TestSearchAgainstMultisetEnumeration:
 
 def search_candidates(h, lst):
     """The candidates min_cover_size searches when it lists them itself."""
-    blocks = enumerate_blocks(h)
-    return _locally_maximal(blocks, h) if lst.allowed is None else blocks
+    if lst.allowed is None:
+        return [RPartiteBlock(parts) for parts in _block_table(h).maximal[0]]
+    return enumerate_blocks(h)
 
 
 class TestSearchAgainstKeptSimpleCore:
@@ -733,6 +795,37 @@ class TestGreedyColorAgainstTupleScan:
                 colors = greedy_color(h, order)
                 assert colors == naive_greedy_color(h, order)
                 assert is_proper_coloring(h, colors)
+
+
+def symmetric_integer_matrix(rng):
+    """A symmetric integer matrix up to 9 x 9: entries in -3..3, or 0/1 with a
+    zero diagonal (an adjacency matrix), or with its diagonal zeroed."""
+    n = rng.randint(0, 9)
+    kind = rng.choice(("small", "adjacency", "zero-diagonal"))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = rng.randint(0, 1) if kind == "adjacency" else rng.randint(-3, 3)
+            rows[i][j] = rows[j][i] = 0 if i == j and kind != "small" else x
+    return rows
+
+
+class TestInertiaAgainstFractionElimination:
+    """Fraction-free elimination against the same elimination over Fraction."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_matrices(self, seed):
+        rng = random.Random(1300 + seed)
+        for _ in range(500):
+            matrix = symmetric_integer_matrix(rng)
+            assert inertia(matrix) == fraction_inertia(matrix)
+
+    @pytest.mark.parametrize("r,n", [(2, n) for n in range(4, 8)] + [(3, n) for n in range(4, 8)])
+    def test_link_bound_of_complete_hypergraphs(self, r, n):
+        h = complete_hypergraph(n, r)
+        for lst in (MultiplicityList.of(1), MultiplicityList.of(2), MultiplicityList.of(1, 3),
+                    MultiplicityList.up_to(2)):
+            assert link_lower_bound(h, lst) == naive_link_lower_bound(h, lst)
 
 
 class TestRankAgainstDenseElimination:

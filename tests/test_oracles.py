@@ -1,5 +1,6 @@
 """Exact brute-force oracles: candidate enumeration and minimum searches."""
 
+import gc
 import inspect
 import random
 import sys
@@ -79,6 +80,52 @@ class TestEnumerateBlocks:
         finally:
             sys.setrecursionlimit(limit)
         assert [b.parts for b in blocks] == [tuple((v,) for v in range(150))]
+
+
+class TestBlockTable:
+    """One block table per hypergraph, shared by equal hypergraphs while one
+    is alive, dropped with the last of them, and never a way round the
+    enumeration guard."""
+
+    @pytest.mark.parametrize("lst", [ANY, MultiplicityList.up_to(2), MultiplicityList.of(2),
+                                     MultiplicityList.of(1, 3), MultiplicityList.of(1)],
+                             ids=MultiplicityList.describe)
+    def test_repeated_searches_agree(self, lst):
+        edges = random_hypergraph(random.Random(5), 6, 3).edges
+        h = Hypergraph(3, 6, edges)
+        first = min_cover_size(h, lst)
+        assert min_cover_size(h, lst) == first
+        equal = Hypergraph(3, 6, edges)
+        assert oracles._block_table(equal) is oracles._block_table(h)
+        assert min_cover_size(equal, lst) == first
+        assert first.is_exact and first.nodes > 0 and verify_cover(h, first.witness, lst).ok
+
+    def test_repeated_orders_and_partitions_agree(self):
+        h = complete_hypergraph(4)
+        orders, partition = min_sum_of_orders(h), min_partition_size(h)
+        fresh = complete_hypergraph(4)
+        assert (min_sum_of_orders(fresh), min_partition_size(fresh)) == (orders, partition)
+        assert (min_sum_of_orders(h), min_partition_size(h)) == (orders, partition)
+
+    def test_entry_dropped_with_the_hypergraph(self):
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+        h = Hypergraph(2, 5, edges)
+        min_partition_size(h)
+        assert Hypergraph(2, 5, edges) in oracles._TABLES
+        del h
+        gc.collect()
+        assert Hypergraph(2, 5, edges) not in oracles._TABLES
+
+    def test_guard_checked_on_every_lookup(self, monkeypatch):
+        h = Hypergraph(2, 9, [(v, v + 1) for v in range(8)])  # 3^9 assignments
+        monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
+        assert min_partition_size(h).value == 4
+        assert h in oracles._TABLES
+        monkeypatch.delenv("HYPERCOVER_GUARD_OVERRIDE")
+        for search in (min_partition_size, enumerate_blocks,
+                       lambda h: min_cover_size(h, ANY)):
+            with pytest.raises(GuardError):
+                search(h)
 
 
 class TestMinPartition:
@@ -194,6 +241,24 @@ class TestMinCover:
                                  candidates=[RPartiteBlock(((0,), (1,)))])
         assert time.perf_counter() - start < 1.0
         assert outcome.status == "unknown" and outcome.lower == SearchBudget().max_blocks + 1
+
+    def test_given_block_covering_a_non_edge(self):
+        # the block's edges, by part, give (3, 6) before (1, 5); the least is named
+        h = Hypergraph(2, 7, [e for e in complete_hypergraph(7).edges
+                              if e not in ((1, 5), (3, 6))])
+        with pytest.raises(ValueError, match=r"non-edge \(1, 5\)"):
+            min_cover_size(h, ANY, candidates=[RPartiteBlock(((0, 3, 5), (1, 4, 6)))])
+
+    def test_given_block_with_a_vertex_outside(self):
+        h = complete_hypergraph(3)
+        with pytest.raises(ValueError, match="vertex 3"):
+            min_cover_size(h, ANY, candidates=[RPartiteBlock(((0,), (3,)))])
+
+    def test_given_block_of_another_uniformity(self):
+        # the one edge holding 0 and 1 would pass a count of the edges meeting both parts
+        h = Hypergraph(3, 3, [(0, 1, 2)])
+        with pytest.raises(ValueError, match="2 parts, not 3"):
+            min_cover_size(h, ANY, candidates=[RPartiteBlock(((0,), (1,)))])
 
     @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 0.0, -1.0])
     def test_budget_rejects_non_finite_or_non_positive_seconds(self, seconds):
