@@ -10,6 +10,7 @@ HYPERCOVER_GUARD_OVERRIDE environment variable to 1 lifts size guards
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -239,9 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GuardError, ValueError, OSError) as exc:

@@ -131,6 +131,13 @@ def _is_canonical(edges, r: int, n: int) -> bool:
     return max(previous) < n
 
 
+def _check_sizes(r: int, n: int) -> None:
+    if r < 2:
+        raise ValueError("uniformity r must be at least 2")
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """An r-uniform hypergraph on vertices 0..n-1.
@@ -145,10 +152,7 @@ class Hypergraph:
 
     def __post_init__(self):
         r, n, edges = self.r, self.n, self.edges
-        if r < 2:
-            raise ValueError("uniformity r must be at least 2")
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        _check_sizes(r, n)
         if isinstance(edges, Iterator):  # read once, maybe checked twice
             edges = tuple(edges)
         # checked before deduplication, which would let (0, True) hide behind (0, 1)
@@ -168,23 +172,42 @@ class Hypergraph:
         return frozenset(self.edges)
 
 
+def _canonical_hypergraph(r: int, n: int, edges: tuple) -> Hypergraph:
+    """Hypergraph(r, n, edges) without the per-edge check, for builders whose
+    edges are canonical by construction.
+
+    The caller guarantees that `edges` is a tuple of strictly increasing
+    r-tuples of ints in 0..n-1, in strictly increasing order. The result then
+    compares and hashes equal to Hypergraph(r, n, edges). r and n are still
+    checked.
+    """
+    _check_sizes(r, n)
+    h = object.__new__(Hypergraph)
+    h.__dict__.update(r=r, n=n, edges=edges)  # the fields, as frozen __init__ sets them
+    return h
+
+
 def complete_hypergraph(n: int, r: int = 2) -> Hypergraph:
     """K_n^r: all r-subsets of 0..n-1."""
     check_comb_guard("complete_hypergraph edges", n, r, COMPLETE_EDGE_GUARD)
     with _collector_paused():
-        return Hypergraph(r, n, tuple(itertools.combinations(range(n), r)))
+        # combinations of range(n) are increasing tuples in increasing order
+        return _canonical_hypergraph(r, n, tuple(itertools.combinations(range(n), r)))
 
 
 def induced_subhypergraph(h: Hypergraph, vertices) -> tuple[Hypergraph, list[int]]:
     """Subhypergraph induced by `vertices`, relabeled to 0..len-1.
 
     Returns (subhypergraph, old_ids) where old_ids[new] = original vertex.
-    The relabelling keeps the order of vertices, so the edges stay sorted.
+    The relabelling keeps the order of vertices, so h's canonical edges stay
+    canonical and are not checked again; only vertices that sort into no strict
+    order (a NaN among them) send the edges through the check.
     """
     old = sorted(set(vertices))
     pos = {v: i for i, v in enumerate(old)}
     edges = tuple(tuple(pos[v] for v in e) for e in h.edges if all(v in pos for v in e))
-    return Hypergraph(h.r, len(old), edges), old
+    build = _canonical_hypergraph if all(map(lt, old, old[1:])) else Hypergraph
+    return build(h.r, len(old), edges), old
 
 
 @dataclass(frozen=True)
@@ -562,12 +585,14 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 #
 # Canonical form sorts vertices inside edges/parts and sorts the edge list and
 # the parts of each block; block order is preserved. Dumps of canonical
-# objects round-trip byte-identically.
+# objects round-trip byte-identically. The dumps hold only dicts, tuples and
+# ints built in place, which form no cycle, so json's circular-reference check
+# (an id-dict insert and delete per edge) is off.
 
 
 def hypergraph_to_json(h: Hypergraph) -> str:
     doc = {"r": h.r, "n": h.n, "edges": h.edges}  # tuples dump as arrays, already sorted
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _json_int(doc, key: str) -> int:
@@ -597,7 +622,7 @@ def hypergraph_from_json(text: str) -> Hypergraph:
 def cover_to_json(c: Cover) -> str:
     blocks = [{"parts": b.parts} for b in c.blocks]  # tuples dump as arrays, already sorted
     return json.dumps({"r": c.r, "blocks": blocks}, sort_keys=True,
-                      separators=(",", ":"))
+                      separators=(",", ":"), check_circular=False)
 
 
 def cover_from_json(text: str) -> Cover:

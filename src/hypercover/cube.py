@@ -18,9 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
-from .core import Cover, Hypergraph, RPartiteBlock, check_guard, check_power_guard
+from .core import (Cover, Hypergraph, RPartiteBlock, _canonical_hypergraph, _collector_paused,
+                   check_guard, check_power_guard)
 
 CUBE_EDGE_GUARD = 10**7
 # parts built: of the dimensions m >= 2 the other guards admit, pi_partition(5, 3)
@@ -177,14 +178,19 @@ def cube_graph(r: int, m: int) -> CubeGraph:
     check_guard("cube_graph label parts", m * r, CUBE_PART_GUARD)
     base = r + 1
     n = base**m
-    edges = []  # an edge with several such coordinates repeats; Hypergraph drops repeats
-    for j in range(m):
-        # the vertices showing label 0 at j; label x adds x * weight to each
-        weight = base ** (m - 1 - j)
-        zero = [hi + lo for hi in range(0, n, base * weight) for lo in range(weight)]
-        with_label = zip(*(range(v, v + r * weight, weight) for v in zero))
-        edges.extend(tuple(sorted(e)) for e in itertools.product(*with_label))
-    return CubeGraph(r, m, Hypergraph(r, n, edges))
+    with _collector_paused():  # tuples of ints only
+        edges = []  # an edge with several such coordinates repeats
+        for j in range(m):
+            # the vertices showing label 0 at j; label x adds x * weight to each
+            weight = base ** (m - 1 - j)
+            zero = [hi + lo for hi in range(0, n, base * weight) for lo in range(weight)]
+            with_label = zip(*(range(v, v + r * weight, weight) for v in zero))
+            edges.extend(tuple(sorted(e)) for e in itertools.product(*with_label))
+        # each edge is r distinct vertices of 0..n-1, sorted; sorting the list puts
+        # repeats side by side, so dropping them leaves the canonical order
+        edges.sort()
+        edges = tuple(map(itemgetter(0), itertools.groupby(edges)))
+        return CubeGraph(r, m, _canonical_hypergraph(r, n, edges))
 
 
 def pinto_upper_bound(r: int, m: int) -> int:

@@ -11,6 +11,7 @@ import time
 import pytest
 
 import hypercover
+from hypercover import cli as cli_module
 from hypercover.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, build_parser, main
 from hypercover import (SearchBudget, complete_hypergraph, cover_to_json, hypergraph_to_json,
                         log_cover)
@@ -643,3 +644,37 @@ class TestStdoutPins:
         captured = capsys.readouterr()
         assert captured.out.replace(pin_dir, "{tmp}") == stdout
         assert captured.err == ""
+
+
+class TestParserKept:
+    """main builds its parser once per process, and later calls print what a
+    fresh parser would."""
+
+    def test_calls_match_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        h, c, k4 = (str(tmp_path / name) for name in ("h.json", "c.json", "k4.json"))
+        (tmp_path / "k4.json").write_text(hypergraph_to_json(complete_hypergraph(4)))
+        calls = [["construct", "hex-cover", "--m", "3", "--hypergraph-out", h, "--cover-out", c],
+                 ["construct", "no-such-kind"],  # a usage error, exit 2
+                 ["verify", "--hypergraph", h, "--cover", c, "--list", "2,3"],
+                 ["search", "min-partition", "--file", k4]]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        builds = []
+        monkeypatch.setattr(cli_module, "build_parser", lambda: builds.append(1) or build_parser())
+        cli_module._parser.cache_clear()
+        kept = [outcome(argv) for argv in calls]
+        assert len(builds) == 1
+        fresh = []
+        for argv in calls:
+            cli_module._parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert len(builds) == 1 + len(calls)
+        assert [code for code, _, _ in kept] == [EXIT_OK, 2, EXIT_OK, EXIT_OK]
+        assert kept == fresh

@@ -28,7 +28,7 @@ from hypercover import (
     verify_cover,
     verify_partition,
 )
-from hypercover import core
+from hypercover import core, cube
 
 
 def k4_star_blocks():
@@ -386,8 +386,10 @@ class TestCollectorPause:
         (lambda: complete_hypergraph(6, 3), None),
         (lambda: complete_hypergraph(10**6, 2), GuardError),
         (lambda: complete_hypergraph(3, 1), ValueError),  # refused inside the pause
+        (lambda: cube_graph(3, 3), None),
+        (lambda: cube_graph(4, 4), GuardError),
     ], ids=["valid", "malformed", "bool-vertex", "complete", "complete-guarded",
-            "complete-r1"])
+            "complete-r1", "cube", "cube-guarded"])
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
     def test_state_restored(self, collector_state, call, raises, enabled):
         (gc.enable if enabled else gc.disable)()
@@ -397,6 +399,15 @@ class TestCollectorPause:
             with pytest.raises(raises):
                 call()
         assert gc.isenabled() is enabled
+
+    def test_paused_while_building_cube_edges(self, collector_state, monkeypatch):
+        seen = []
+        build = cube._canonical_hypergraph
+        monkeypatch.setattr(cube, "_canonical_hypergraph",
+                            lambda *args: seen.append(gc.isenabled()) or build(*args))
+        gc.enable()
+        cube_graph(2, 3)
+        assert seen == [False] and gc.isenabled()
 
     def test_paused_while_parsing(self, collector_state, monkeypatch):
         seen = []

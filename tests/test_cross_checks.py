@@ -9,6 +9,7 @@ masks) are never the only source of truth.
 
 import itertools
 import math
+import operator
 import random
 import re
 from collections import Counter, namedtuple
@@ -39,6 +40,7 @@ from hypercover import (
     grid3_cover,
     hex_cover,
     independence_number,
+    induced_subhypergraph,
     inertia,
     is_proper_coloring,
     link_lower_bound,
@@ -51,6 +53,7 @@ from hypercover import (
     pi_partition,
     verify_cover,
 )
+from hypercover.core import _is_canonical
 from hypercover.gf2 import colex_subsets
 from hypercover.grids import hex_coordinates
 from hypercover.oracles import _block_table
@@ -608,6 +611,80 @@ class TestCanonicalAgainstPerEdge:
     def test_non_integer_hidden_behind_a_duplicate(self, edges):
         with pytest.raises(ValueError, match="not an integer"):
             Hypergraph(2, 3, edges)
+
+
+def assert_same_as_checked(built, r, n, edges):
+    """`built` came through the unchecked constructor: it must equal, hash
+    like and store the edges of Hypergraph(r, n, edges), and be canonical."""
+    checked = Hypergraph(r, n, edges)
+    assert (built.r, built.n, built.edges) == (checked.r, checked.n, checked.edges)
+    assert built == checked and hash(built) == hash(checked)
+    assert type(built.edges) is tuple and built.edge_set == checked.edge_set
+    assert _is_canonical(built.edges, r, n)
+    assert all(map(operator.lt, built.edges, built.edges[1:]))
+
+
+def generated_cube_edges(r, m, rng):
+    """Per coordinate, every choice of one vertex per fixed label there, in
+    shuffled order: an edge with several such coordinates repeats."""
+    n = (r + 1) ** m
+    edges = []
+    for j in range(m):
+        by_label = [[v for v in range(n) if v // (r + 1) ** (m - 1 - j) % (r + 1) == x]
+                    for x in range(r)]
+        edges.extend(itertools.product(*by_label))
+    rng.shuffle(edges)
+    return edges
+
+
+class TestCanonicalBuildersAgainstChecked:
+    """complete_hypergraph, cube_graph and induced_subhypergraph skip the
+    per-edge check; the checked constructor is the reference."""
+
+    @pytest.mark.parametrize("r", range(2, 6))
+    def test_complete(self, r):
+        for n in range(10):
+            assert_same_as_checked(complete_hypergraph(n, r), r, n,
+                                   list(itertools.combinations(range(n), r)))
+
+    @pytest.mark.parametrize("r,m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2),
+                                     (3, 3), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1)])
+    def test_cube_graph(self, r, m):
+        rng = random.Random(r * 10 + m)
+        assert_same_as_checked(cube_graph(r, m).hypergraph, r, (r + 1) ** m,
+                               generated_cube_edges(r, m, rng))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_induced(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            r = rng.randint(2, 4)
+            h = random_hypergraph(rng, rng.randint(r, 9), r, rng.choice((0.2, 0.5, 0.9)))
+            vertices = rng.sample(range(h.n + 2), rng.randint(0, h.n + 2))  # some not in h
+            sub, old = induced_subhypergraph(h, vertices)
+            assert old == sorted(set(vertices))
+            relabelled = [tuple(old.index(v) for v in e) for e in h.edges if set(e) <= set(old)]
+            rng.shuffle(relabelled)
+            assert_same_as_checked(sub, r, len(old), relabelled)
+
+    def test_induced_on_unordered_vertices(self):
+        # with a NaN among the vertices, sorted() may leave the ints out of
+        # order (in about one draw in twenty), and the relabelled edges with them
+        rng = random.Random(5)
+        h = complete_hypergraph(20)
+        for _ in range(300):
+            vertices = rng.sample(range(20), rng.randint(2, 6))
+            vertices.insert(rng.randrange(len(vertices) + 1), math.nan)
+            sub, old = induced_subhypergraph(h, vertices)
+            pos = {v: i for i, v in enumerate(old)}
+            relabelled = [tuple(pos[v] for v in e) for e in h.edges if all(v in pos for v in e)]
+            assert sub == Hypergraph(2, len(old), relabelled)
+
+    @pytest.mark.parametrize("n,r,message", [(3, 1, "uniformity r must be at least 2"),
+                                             (-1, 2, "vertex count must be non-negative")])
+    def test_complete_sizes_refused(self, n, r, message):
+        with pytest.raises(ValueError, match=message):
+            complete_hypergraph(n, r)
 
 
 def enumeration_corpus():
