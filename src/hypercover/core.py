@@ -131,6 +131,11 @@ def _is_canonical(edges, r: int, n: int) -> bool:
     return max(previous) < n
 
 
+def _drop_repeats(edges) -> tuple:
+    """The sorted `edges` as a tuple, each once; sorting made repeats adjacent."""
+    return tuple(map(itemgetter(0), itertools.groupby(edges)))
+
+
 def _check_sizes(r: int, n: int) -> None:
     if r < 2:
         raise ValueError("uniformity r must be at least 2")
@@ -163,8 +168,7 @@ class Hypergraph:
         else:
             object.__setattr__(self, "edges", tuple(edges))
             return
-        # sorted, so equal edges are adjacent
-        object.__setattr__(self, "edges", tuple(map(itemgetter(0), itertools.groupby(edges))))
+        object.__setattr__(self, "edges", _drop_repeats(edges))
 
     @cached_property
     def edge_set(self) -> frozenset:
@@ -172,16 +176,21 @@ class Hypergraph:
         return frozenset(self.edges)
 
 
-def _canonical_hypergraph(r: int, n: int, edges: tuple) -> Hypergraph:
+def _canonical_hypergraph(r: int, n: int, edges, sort: bool = False) -> Hypergraph:
     """Hypergraph(r, n, edges) without the per-edge check, for builders whose
     edges are canonical by construction.
 
-    The caller guarantees that `edges` is a tuple of strictly increasing
-    r-tuples of ints in 0..n-1, in strictly increasing order. The result then
-    compares and hashes equal to Hypergraph(r, n, edges). r and n are still
-    checked.
+    The caller guarantees that every edge is a strictly increasing r-tuple of
+    ints in 0..n-1. Without `sort`, `edges` is a tuple of them in strictly
+    increasing order. With `sort`, it is a list in any order, repeats allowed,
+    which is sorted in place and freed of its repeats (a set would hold a second
+    table of all the edges). The result compares and hashes equal to
+    Hypergraph(r, n, edges). r and n are still checked.
     """
     _check_sizes(r, n)
+    if sort:
+        edges.sort()
+        edges = _drop_repeats(edges)
     h = object.__new__(Hypergraph)
     h.__dict__.update(r=r, n=n, edges=edges)  # the fields, as frozen __init__ sets them
     return h
@@ -199,15 +208,12 @@ def induced_subhypergraph(h: Hypergraph, vertices) -> tuple[Hypergraph, list[int
     """Subhypergraph induced by `vertices`, relabeled to 0..len-1.
 
     Returns (subhypergraph, old_ids) where old_ids[new] = original vertex.
-    The relabelling keeps the order of vertices, so h's canonical edges stay
-    canonical and are not checked again; only vertices that sort into no strict
-    order (a NaN among them) send the edges through the check.
+    The relabelling keeps the order of vertices, so the edges stay sorted.
     """
     old = sorted(set(vertices))
     pos = {v: i for i, v in enumerate(old)}
     edges = tuple(tuple(pos[v] for v in e) for e in h.edges if all(v in pos for v in e))
-    build = _canonical_hypergraph if all(map(lt, old, old[1:])) else Hypergraph
-    return build(h.r, len(old), edges), old
+    return Hypergraph(h.r, len(old), edges), old
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .core import (Cover, Hypergraph, RPartiteBlock, _canonical_hypergraph, _collector_paused,
                    check_guard, check_power_guard)
@@ -179,18 +179,15 @@ def cube_graph(r: int, m: int) -> CubeGraph:
     base = r + 1
     n = base**m
     with _collector_paused():  # tuples of ints only
-        edges = []  # an edge with several such coordinates repeats
+        edges = []  # an edge with several such coordinates repeats; the sort drops repeats
         for j in range(m):
             # the vertices showing label 0 at j; label x adds x * weight to each
             weight = base ** (m - 1 - j)
             zero = [hi + lo for hi in range(0, n, base * weight) for lo in range(weight)]
             with_label = zip(*(range(v, v + r * weight, weight) for v in zero))
             edges.extend(tuple(sorted(e)) for e in itertools.product(*with_label))
-        # each edge is r distinct vertices of 0..n-1, sorted; sorting the list puts
-        # repeats side by side, so dropping them leaves the canonical order
-        edges.sort()
-        edges = tuple(map(itemgetter(0), itertools.groupby(edges)))
-        return CubeGraph(r, m, _canonical_hypergraph(r, n, edges))
+        # each edge is r distinct vertices of 0..n-1, sorted
+        return CubeGraph(r, m, _canonical_hypergraph(r, n, edges, sort=True))
 
 
 def pinto_upper_bound(r: int, m: int) -> int:

@@ -404,7 +404,8 @@ class TestCollectorPause:
         seen = []
         build = cube._canonical_hypergraph
         monkeypatch.setattr(cube, "_canonical_hypergraph",
-                            lambda *args: seen.append(gc.isenabled()) or build(*args))
+                            lambda *args, **kwargs: seen.append(gc.isenabled())
+                            or build(*args, **kwargs))
         gc.enable()
         cube_graph(2, 3)
         assert seen == [False] and gc.isenabled()

@@ -40,7 +40,6 @@ from hypercover import (
     grid3_cover,
     hex_cover,
     independence_number,
-    induced_subhypergraph,
     inertia,
     is_proper_coloring,
     link_lower_bound,
@@ -638,8 +637,8 @@ def generated_cube_edges(r, m, rng):
 
 
 class TestCanonicalBuildersAgainstChecked:
-    """complete_hypergraph, cube_graph and induced_subhypergraph skip the
-    per-edge check; the checked constructor is the reference."""
+    """complete_hypergraph and cube_graph skip the per-edge check; the checked
+    constructor is the reference."""
 
     @pytest.mark.parametrize("r", range(2, 6))
     def test_complete(self, r):
@@ -653,32 +652,6 @@ class TestCanonicalBuildersAgainstChecked:
         rng = random.Random(r * 10 + m)
         assert_same_as_checked(cube_graph(r, m).hypergraph, r, (r + 1) ** m,
                                generated_cube_edges(r, m, rng))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_induced(self, seed):
-        rng = random.Random(seed)
-        for _ in range(50):
-            r = rng.randint(2, 4)
-            h = random_hypergraph(rng, rng.randint(r, 9), r, rng.choice((0.2, 0.5, 0.9)))
-            vertices = rng.sample(range(h.n + 2), rng.randint(0, h.n + 2))  # some not in h
-            sub, old = induced_subhypergraph(h, vertices)
-            assert old == sorted(set(vertices))
-            relabelled = [tuple(old.index(v) for v in e) for e in h.edges if set(e) <= set(old)]
-            rng.shuffle(relabelled)
-            assert_same_as_checked(sub, r, len(old), relabelled)
-
-    def test_induced_on_unordered_vertices(self):
-        # with a NaN among the vertices, sorted() may leave the ints out of
-        # order (in about one draw in twenty), and the relabelled edges with them
-        rng = random.Random(5)
-        h = complete_hypergraph(20)
-        for _ in range(300):
-            vertices = rng.sample(range(20), rng.randint(2, 6))
-            vertices.insert(rng.randrange(len(vertices) + 1), math.nan)
-            sub, old = induced_subhypergraph(h, vertices)
-            pos = {v: i for i, v in enumerate(old)}
-            relabelled = [tuple(pos[v] for v in e) for e in h.edges if all(v in pos for v in e)]
-            assert sub == Hypergraph(2, len(old), relabelled)
 
     @pytest.mark.parametrize("n,r,message", [(3, 1, "uniformity r must be at least 2"),
                                              (-1, 2, "vertex count must be non-negative")])
