@@ -290,16 +290,20 @@ class MultiplicityList:
 
     def __post_init__(self):
         if self.allowed is not None:
-            allowed = frozenset(int(x) for x in self.allowed)
-            if not allowed:
+            values = tuple(self.allowed)  # checked before a set can merge 1.0 into 1
+            if not values:
                 raise ValueError("multiplicity list must be non-empty")
+            odd = [x for x in values if type(x) is not int]
+            if odd:  # bool, float and str are refused, as for vertices
+                raise ValueError(f"multiplicity {odd[0]!r} is not an integer")
+            allowed = frozenset(values)
             if any(x < 1 for x in allowed):
                 raise ValueError("multiplicities must be positive")
             object.__setattr__(self, "allowed", allowed)
 
     @classmethod
     def of(cls, *values: int) -> "MultiplicityList":
-        return cls(frozenset(values))
+        return cls(values)
 
     @classmethod
     def up_to(cls, p: int) -> "MultiplicityList":

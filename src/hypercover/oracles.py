@@ -13,8 +13,9 @@ The three cover searches share one core, `_search`. Block-count searches
 start deepening at `bounds.link_lower_bound`, the eigenvalue (or GF(2) rank)
 bound of the links, since every smaller count is proven infeasible there.
 Every search drops a state as soon as the blocks it can still afford cannot
-reach every edge that still needs one, and tries the widest of the cheapest
-blocks first.
+give its edges the multiplicity they still lack, and tries the widest of the
+cheapest blocks first. A complete hypergraph searched over its own table
+branches at the root over one block per symmetry orbit only.
 """
 
 from __future__ import annotations
@@ -53,19 +54,25 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Either an exact optimum or a proven bracket "unknown, >= lower"."""
+    """Either an exact optimum or a proven bracket "unknown, >= lower", with
+    the reason the search stopped."""
 
     status: str  # "exact" | "unknown"
     lower: int
     value: int | None = None
     witness: Cover | None = None
     nodes: int = 0  # states the search visited
+    stop: str = "exact"  # why it stopped: "exact" | "timeout" | "max_blocks"
 
     def __post_init__(self):
         if self.status not in ("exact", "unknown"):
             raise ValueError("status must be 'exact' or 'unknown'")
         if (self.status == "exact") != (self.value is not None):
             raise ValueError("exact outcomes carry a value, unknown ones do not")
+        if self.stop not in ("exact", "timeout", "max_blocks"):
+            raise ValueError("stop must be 'exact', 'timeout' or 'max_blocks'")
+        if (self.status == "exact") != (self.stop == "exact"):
+            raise ValueError("exact outcomes stop as 'exact', unknown ones do not")
 
     @property
     def is_exact(self) -> bool:
@@ -230,12 +237,30 @@ def _candidate_masks(h: Hypergraph, candidates) -> list[int]:
     return masks
 
 
+def _root_orbits(parts: list, branches: list[int]) -> list[int]:
+    """The first of `branches`, the candidates covering e0 = (0, ..., r-1) in
+    try order, of each orbit under the permutations of K_n^r that fix e0 as a
+    set. Each such block puts one vertex of e0 in each part, so these
+    permutations map one onto another exactly when their part sizes agree as
+    multisets; the size of a part is also the only thing its cost reads."""
+    seen, kept = set(), []
+    for bi in branches:
+        shape = tuple(sorted(map(len, parts[bi])))
+        if shape not in seen:
+            seen.add(shape)
+            kept.append(bi)
+    return kept
+
+
 def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
-            budget: SearchBudget, costs: list[int] | None = None) -> SearchOutcome:
+            budget: SearchBudget, costs: list[int] | None = None,
+            symmetric: bool = False) -> SearchOutcome:
     """Least total cost of a multiset of candidate blocks giving every edge of
     h a multiplicity in `lst`. Candidate bi has the parts parts[bi], covers the
     edges whose indices in h.edges are the bits of masks[bi], and costs
-    costs[bi], or 1 when costs is None.
+    costs[bi], or 1 when costs is None. `symmetric` says that every
+    permutation of the vertices maps the candidates onto themselves and keeps
+    their costs, as for h's own block table and its locally maximal blocks.
 
     Iterative deepening on the total cost. Unit-cost searches start at
     `link_lower_bound(h, lst)`, below which no cover exists, and stop after
@@ -246,12 +271,19 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
     reached, so with no such value the search ends at once); the unbounded
     list keeps a single plane that saturates. A state fails at
     once when the blocks left to it, each covering at most as many edges as
-    the widest candidate, cannot reach every edge whose multiplicity is not
-    admissible, since each such edge needs one more block. Otherwise the search
+    the widest candidate, cannot add the multiplicity its edges still lack:
+    one for each edge whose multiplicity is not admissible, and m0 - c - 1
+    more for each edge covered c < m0 = min L times. Otherwise the search
     branches on the lowest such edge, trying its blocks cheapest first and,
     among equal costs, widest first (ties keep the candidates' order). Failed
     (state, remaining cost) pairs are remembered across levels. Only the
     witness's blocks are built as RPartiteBlocks.
+
+    When h is complete and the candidates are symmetric, the root branches on
+    e0 = h.edges[0] over one block per orbit (`_root_orbits`): every cover
+    holds a block covering e0, and a permutation fixing e0 maps that block to
+    its orbit's representative and the cover to another cover of the same
+    cost. Deeper states branch on all their blocks.
     """
     edges = len(h.edges)
     full = (1 << edges) - 1
@@ -276,8 +308,14 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
     # admit nothing
     levels = (1,) if saturate else sorted(k for k in lst.allowed if k <= top)
     if full and not levels:
-        return SearchOutcome("unknown", max(start, top + 1))
+        return SearchOutcome("unknown", max(start, top + 1), stop="max_blocks")
     depth = max(levels, default=0)
+    # an edge covered c < m0 = min L times lacks m0 - c blocks: one is counted
+    # as bad, the others are its absences from planes[c], ..., planes[m0 - 2]
+    under = levels[0] - 1 if levels else 0
+    roots = cover_by_edge[0] if edges else []
+    if symmetric and edges == math.comb(h.n, h.r):
+        roots = _root_orbits(parts, roots)
     check_guard("search multiplicity planes", depth, LIST_RANGE_GUARD)
     deadline = _Deadline(budget.max_seconds)
     failed: set = set()
@@ -291,12 +329,16 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
         bad = full & ~ok
         if not bad:
             return True
-        if left // cheapest * widest < bad.bit_count():
+        need = bad.bit_count()
+        if under:  # planes are subsets of full
+            need += sum((full ^ plane).bit_count() for plane in planes[:under])
+        if left // cheapest * widest < need:
             return False
         key = (planes, left)
         if key in failed:
             return False
-        for bi in cover_by_edge[(bad & -bad).bit_length() - 1]:
+        # only the root has no covered edge
+        for bi in cover_by_edge[(bad & -bad).bit_length() - 1] if planes[0] else roots:
             if costs[bi] > left:
                 break
             b = masks[bi]
@@ -316,11 +358,12 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
         try:
             found = dfs((0,) * depth, t)
         except _OutOfTime:
-            return SearchOutcome("unknown", t, nodes=deadline.calls)
+            return SearchOutcome("unknown", t, nodes=deadline.calls, stop="timeout")
         if found:
             witness = Cover(h.r, tuple(RPartiteBlock(parts[bi]) for bi in chosen))
             return SearchOutcome("exact", t, t, witness, deadline.calls)
-    return SearchOutcome("unknown", max(start, top + 1), nodes=deadline.calls)
+    return SearchOutcome("unknown", max(start, top + 1), nodes=deadline.calls,
+                         stop="max_blocks")
 
 
 def min_cover_size(
@@ -343,7 +386,7 @@ def min_cover_size(
     else:
         check_guard("min_cover_size candidates", len(candidates), CANDIDATE_GUARD)
         parts, masks = [b.parts for b in candidates], _candidate_masks(h, candidates)
-    return _search(h, parts, masks, lst, budget)
+    return _search(h, parts, masks, lst, budget, symmetric=candidates is None)
 
 
 def min_partition_size(h: Hypergraph, budget: SearchBudget | None = None) -> SearchOutcome:
@@ -360,7 +403,7 @@ def min_sum_of_orders(h: Hypergraph, budget: SearchBudget | None = None) -> Sear
     table = _block_table(h)
     return _search(h, table.parts, table.masks, MultiplicityList.any_positive(),
                    budget or SearchBudget(),
-                   costs=[sum(map(len, parts)) for parts in table.parts])
+                   costs=[sum(map(len, parts)) for parts in table.parts], symmetric=True)
 
 
 def _lower_masks(h: Hypergraph) -> list[list[int]]:

@@ -270,6 +270,15 @@ class TestMultiplicityList:
             MultiplicityList.of(0)
         with pytest.raises(ValueError):
             MultiplicityList(frozenset())
+        with pytest.raises(ValueError, match="not an integer"):
+            MultiplicityList(frozenset({"3"}))
+
+    # int() converts 2.5, True, "3" and 2.0, and a set merges 1.0 into 1
+    @pytest.mark.parametrize("values", [(2.5,), (True,), ("3",), (2.0,), (1, 1.0), (2, None)],
+                             ids=repr)
+    def test_rejects_values_not_of_type_int(self, values):
+        with pytest.raises(ValueError, match="not an integer"):
+            MultiplicityList.of(*values)
 
 
 class TestBoundReport:

@@ -55,7 +55,7 @@ from hypercover import (
 from hypercover.core import _is_canonical
 from hypercover.gf2 import colex_subsets
 from hypercover.grids import hex_coordinates
-from hypercover.oracles import _block_table
+from hypercover.oracles import _block_table, _search
 
 # gapped lists ({2}, {1,3}) need more than one multiplicity level in the search
 LISTS = (MultiplicityList.any_positive(), MultiplicityList.up_to(2), MultiplicityList.of(2),
@@ -116,7 +116,7 @@ def naive_search(h, candidates, lst, max_blocks=SearchBudget().max_blocks):
         if dfs((0,) * depth, t):
             witness = Cover(h.r, tuple(candidates[bi] for bi in chosen))
             return SearchOutcome("exact", t, t, witness, nodes[0])
-    return SearchOutcome("unknown", max_blocks + 1, nodes=nodes[0])
+    return SearchOutcome("unknown", max_blocks + 1, nodes=nodes[0], stop="max_blocks")
 
 
 def naive_inertia(matrix):
@@ -793,6 +793,90 @@ class TestSearchAgainstKeptSimpleCore:
         assert got.is_exact and got.value == expected.value
         assert verify_cover(h, got.witness, lst).ok
         assert 0 < got.nodes <= expected.nodes
+
+
+class TestDeficitCutAgainstKeptSimpleCore:
+    """Lists whose least value m0 is 2 or more cut a state by the blocks its
+    edges still lack, m0 - c for an edge covered c < m0 times; naive_search
+    has no cut."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_corpus(self, seed):
+        rng = random.Random(1500 + seed)
+        r = (2, 3)[seed % 2]
+        h = random_hypergraph(rng, rng.randint(r, 6), r)
+        for lst in (MultiplicityList.of(2), MultiplicityList.of(2, 3), MultiplicityList.of(3)):
+            expected = naive_search(h, enumerate_blocks(h), lst)
+            got = min_cover_size(h, lst)
+            assert (got.status, got.value) == (expected.status, expected.value)
+            if got.is_exact:
+                assert verify_cover(h, got.witness, lst).ok
+
+
+def with_isolated_vertex(h: Hypergraph) -> Hypergraph:
+    """h with one more vertex in no edge: the same edges in the same order, so
+    the same search over given candidates, but never complete."""
+    return Hypergraph(h.r, h.n + 1, h.edges)
+
+
+class TestRootOrbitsAgainstUnreduced:
+    """A complete hypergraph searched over its own table branches at the root
+    over one block per orbit of the permutations fixing e0; the same table
+    passed as candidates is searched in full."""
+
+    @pytest.mark.parametrize("n", (4, 5, 6))
+    @pytest.mark.parametrize("r", (2, 3))
+    @pytest.mark.parametrize("lst", LISTS + (MultiplicityList.of(2, 3),),
+                             ids=MultiplicityList.describe)
+    def test_complete(self, n, r, lst):
+        h = complete_hypergraph(n, r)
+        candidates = search_candidates(h, lst)
+        got = min_cover_size(h, lst)
+        unreduced = min_cover_size(h, lst, candidates=candidates)
+        assert got.is_exact and got.value == unreduced.value
+        assert verify_cover(h, got.witness, lst).ok
+        assert 0 < got.nodes <= unreduced.nodes
+        # at n = 6, test_complete_visits_no_more_states and the pins in
+        # test_oracles check the unreduced values; naive_search takes up to 15 s
+        if n < 6:
+            assert naive_search(h, candidates, lst).value == got.value
+
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_min_sum_of_orders(self, n):
+        h = complete_hypergraph(n)
+        table = _block_table(h)
+        got = min_sum_of_orders(h)
+        unreduced = _search(h, table.parts, table.masks, MultiplicityList.any_positive(),
+                            SearchBudget(), costs=[sum(map(len, p)) for p in table.parts])
+        assert got.is_exact and got.value == unreduced.value == naive_min_order(
+            h, enumerate_blocks(h))
+        assert sum(b.order() for b in got.witness.blocks) == got.value
+        assert 0 < got.nodes <= unreduced.nodes
+
+    def test_given_candidates_are_not_reduced(self):
+        # both bicliques cover e0 = (0, 1) with parts of sizes (2, 2), one orbit;
+        # only the second extends to a partition, so a reduced root finds none
+        first, second = RPartiteBlock(((0, 2), (1, 3))), RPartiteBlock(((0, 3), (1, 2)))
+        candidates = [first, second, RPartiteBlock(((0,), (3,))), RPartiteBlock(((1,), (2,)))]
+        h, lst = complete_hypergraph(4), MultiplicityList.of(1)
+        got = min_cover_size(h, lst, candidates=candidates)
+        assert got.is_exact and got.value == naive_search(h, candidates, lst).value == 3
+        assert second in got.witness.blocks
+        assert got.nodes == min_cover_size(with_isolated_vertex(h), lst,
+                                           candidates=candidates).nodes
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_given_random_subsets(self, seed):
+        rng = random.Random(1600 + seed)
+        h = complete_hypergraph(5, (2, 3)[seed % 2])
+        blocks = enumerate_blocks(h)
+        candidates = [b for b in blocks if b.edge_count() == 1 or rng.random() < 0.5]
+        for lst in (MultiplicityList.of(1), MultiplicityList.up_to(2), MultiplicityList.of(2)):
+            got = min_cover_size(h, lst, candidates=candidates)
+            expected = naive_search(h, candidates, lst)
+            assert (got.status, got.value) == (expected.status, expected.value)
+            assert got.nodes == min_cover_size(with_isolated_vertex(h), lst,
+                                               candidates=candidates).nodes
 
 
 def numbers_case(case, seed0: int, top: int) -> Hypergraph:

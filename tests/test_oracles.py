@@ -265,6 +265,60 @@ class TestMinCover:
         with pytest.raises(ValueError):
             SearchBudget(max_seconds=seconds)
 
+    # lists with m0 = min L >= 2 cut states by each edge's whole deficit; a cut
+    # counting planes[k] in place of planes[k - 1] gave K_5 {2,3} = 5 and K_6 {2} = 6
+    @pytest.mark.parametrize("n,r,spec,expected", [
+        (5, 2, "2,3", 4), (6, 2, "2", 5), (6, 2, "2,3", 5),
+        (5, 3, "2,3", 5), (6, 3, "2", 5), (6, 3, "2,3", 5),
+    ])
+    def test_lists_above_one(self, n, r, spec, expected):
+        h, lst = complete_hypergraph(n, r), MultiplicityList.parse(spec)
+        outcome = min_cover_size(h, lst)
+        assert outcome.is_exact and outcome.value == expected
+        assert verify_cover(h, outcome.witness, lst).ok
+
+
+class TestSearchStop:
+    def test_exact(self):
+        outcome = min_partition_size(complete_hypergraph(4))
+        assert outcome.status == "exact" and outcome.stop == "exact"
+
+    def test_link_bound_above_max_blocks(self):
+        outcome = min_partition_size(complete_hypergraph(4), SearchBudget(max_blocks=1))
+        assert outcome.status == "unknown" and outcome.lower == 3
+        assert outcome.stop == "max_blocks"
+
+    def test_levels_run_out(self):
+        # K_4 needs 3 blocks for {1,3}; levels 0..2 are searched and fail
+        outcome = min_cover_size(complete_hypergraph(4), MultiplicityList.of(1, 3),
+                                 SearchBudget(max_blocks=2))
+        assert outcome.status == "unknown" and outcome.lower == 3 and outcome.nodes > 0
+        assert outcome.stop == "max_blocks"
+
+    def test_no_list_value_within_max_blocks(self):
+        outcome = min_cover_size(complete_hypergraph(4), MultiplicityList.of(5),
+                                 SearchBudget(max_blocks=2))
+        assert outcome.status == "unknown" and outcome.lower == 3 and outcome.nodes == 0
+        assert outcome.stop == "max_blocks"
+
+    def test_timeout(self):
+        outcome = min_cover_size(complete_hypergraph(7), MultiplicityList.of(1, 3),
+                                 SearchBudget(max_seconds=1e-6))
+        assert outcome.status == "unknown" and outcome.stop == "timeout"
+        assert 0 < outcome.lower <= 4  # K_7 {1,3} is 4
+
+    def test_timeout_of_a_cost_search(self):
+        outcome = min_sum_of_orders(complete_hypergraph(5), SearchBudget(max_seconds=1e-9))
+        assert outcome.stop == "timeout"
+
+    @pytest.mark.parametrize("status,value,stop", [
+        ("exact", 3, "timeout"), ("exact", 3, "max_blocks"),
+        ("unknown", None, "exact"), ("unknown", None, "budget"),
+    ])
+    def test_stop_agrees_with_status(self, status, value, stop):
+        with pytest.raises(ValueError):
+            oracles.SearchOutcome(status, 3, value, stop=stop)
+
 
 class TestMinSumOfOrders:
     def test_k2(self):
