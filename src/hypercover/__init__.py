@@ -49,7 +49,6 @@ from .bounds import (
     PeelResult,
     cover_incidence,
     derandomized_extraction,
-    greedy_color,
     independent_matchings_lower_bound,
     inertia,
     is_proper_coloring,

@@ -308,29 +308,6 @@ def peel_coloring(h: Hypergraph, cover_provider) -> PeelResult:
     return PeelResult(tuple(colors), tuple(sizes))
 
 
-def greedy_color(h: Hypergraph, order) -> list[int]:
-    """Color vertices in the given order with the smallest color that does not
-    complete a monochromatic edge among already-colored vertices."""
-    order = list(order)
-    if sorted(order) != list(range(h.n)):
-        raise ValueError("order must be a permutation of 0..n-1")
-    others: list[list[int]] = [[] for _ in range(h.n)]  # per edge of v, its other vertices
-    for e in h.edges:
-        mask = sum(1 << v for v in e)
-        for v in e:
-            others[v].append(mask ^ 1 << v)
-    classes: list[int] = []  # the vertices given each color so far
-    colors = [-1] * h.n
-    for v in order:
-        c = next((c for c, cls in enumerate(classes) if all(m & cls != m for m in others[v])),
-                 len(classes))
-        if c == len(classes):
-            classes.append(0)
-        classes[c] |= 1 << v
-        colors[v] = c
-    return colors
-
-
 def is_proper_coloring(h: Hypergraph, colors) -> bool:
     """No edge monochromatic: every edge sees at least two colors."""
     return all(len(set(colors[v] for v in e)) >= 2 for e in h.edges)

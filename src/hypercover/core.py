@@ -359,9 +359,6 @@ class BoundReport:
             "direction": self.direction,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def packed_bits(positions, width: int) -> int:
     """The int with bit j set for each j in `positions` (all below width),

@@ -121,27 +121,38 @@ class _BlockTable:
 
     Vertices are given out in order: each stays out, joins an open part or
     opens the next, so parts open in order of their least vertex and every
-    block is built once. Once every part is open, a vertex joins a part only
-    if the grown block still lies in h; a failed check prunes the subtree. A
-    vertex in no edge only stays out: every vertex of a block lies in one of
-    its edges.
+    block is built once. Any two vertices of a block in different parts share
+    one of its edges, so while a part is still to open, each state carries
+    `common`, the vertices that share an edge of h with every vertex placed
+    so far: a part opens only with a vertex of `common`, and a state is
+    dropped once fewer vertices of `common` are left from v on than parts are
+    still to open (each takes its least vertex from there). Once every part is
+    open, a vertex joins a part only if the grown block still lies in h; a
+    failed check prunes the subtree. A vertex in no edge only stays out:
+    every vertex of a block lies in one of its edges.
     """
 
     def __init__(self, h: Hypergraph):
         r, n = h.r, h.n
         star = _stars(h)
-        self.n, self.star = n, star
+        adj = [0] * n  # for each vertex, the others that share an edge with it
+        for e in h.edges:
+            held = sum(1 << v for v in e)
+            for v in e:
+                adj[v] |= held ^ 1 << v
+        self.star = star
         found = []
-        # (next vertex, parts opened, parts, each part's union); depth does not grow with n
-        stack = [(0, 0, ((),) * r, (0,) * r)]
+        # (next vertex, parts opened, parts, each part's union, common);
+        # depth does not grow with n
+        stack = [(0, 0, ((),) * r, (0,) * r, (1 << n) - 1)]
         while stack:
-            v, opened, parts, unions = stack.pop()
-            if n - v < r - opened:
+            v, opened, parts, unions, common = stack.pop()
+            if opened < r and (common >> v).bit_count() < r - opened:
                 continue
             if v == n:
                 found.append((parts, reduce(and_, unions)))
                 continue
-            stack.append((v + 1, opened, parts, unions))
+            stack.append((v + 1, opened, parts, unions, common))
             sv = star[v]
             if not sv:
                 continue
@@ -153,15 +164,18 @@ class _BlockTable:
                     others = reduce(and_, unions[:i] + unions[i + 1:])
                     if (sv & others).bit_count() * len(p) == count:
                         stack.append((v + 1, r, parts[:i] + (p + (v,),) + parts[i + 1:],
-                                      unions[:i] + (unions[i] | sv,) + unions[i + 1:]))
+                                      unions[:i] + (unions[i] | sv,) + unions[i + 1:], common))
                 continue
-            for i in range(opened):  # no check while a part is empty
+            near = common & adj[v]
+            for i in range(opened):
                 stack.append((v + 1, opened, parts[:i] + (parts[i] + (v,),) + parts[i + 1:],
-                              unions[:i] + (unions[i] | sv,) + unions[i + 1:]))
+                              unions[:i] + (unions[i] | sv,) + unions[i + 1:], near))
+            if not common >> v & 1:
+                continue
             grown = parts[:opened] + ((v,),) + parts[opened + 1:]
             united = unions[:opened] + (sv,) + unions[opened + 1:]
             if opened + 1 < r or reduce(and_, united).bit_count() == math.prod(map(len, grown)):
-                stack.append((v + 1, opened + 1, grown, united))
+                stack.append((v + 1, opened + 1, grown, united, near))
         found.sort(key=itemgetter(0))
         self.parts = [parts for parts, _ in found]
         self.masks = [mask for _, mask in found]
@@ -171,27 +185,23 @@ class _BlockTable:
         """The parts and masks of the locally maximal blocks: those that no
         single vertex extends while staying inside h's edges.
 
-        A vertex w outside a block extends part i exactly when star[w] meets
-        the AND of the other parts' unions in prod_{j != i} |P_j| edges, the
-        transversals of the other parts plus w. For covers with unbounded
-        admissible multiplicity, any block may be grown to a locally maximal
-        one without hurting validity, so searching them preserves the minimum.
+        For r >= 2 a block's edge mask determines it: two of its vertices lie
+        in one part exactly when no edge of it holds both. So if w extends a
+        block B to B', which the table holds since it holds every block of h,
+        then B's mask is the mask of B' without star[w], and w lies in a part
+        of B' with at least two vertices; conversely, dropping such a w from a
+        table block leaves a block, whose mask names it. B is therefore locally
+        maximal exactly when no table block B' and vertex w of a part of B'
+        with two or more vertices give mask(B') & ~star[w] = mask(B). For
+        covers with unbounded admissible multiplicity, any block may be grown
+        to a locally maximal one without hurting validity, so searching them
+        preserves the minimum.
         """
-        star, parts, masks = self.star, [], []
-        live = [w for w in range(self.n) if star[w]]
-        for block, mask in zip(self.parts, self.masks):
-            inside = set().union(*block)
-            outside = [star[w] for w in live if w not in inside]
-            unions = [_union(star, p) for p in block]
-            count = mask.bit_count()  # prod |P_j|, so prod_{j != i} |P_j| = count / |P_i|
-            for i, p in enumerate(block):
-                others = reduce(and_, unions[:i] + unions[i + 1:])
-                if any((s & others).bit_count() * len(p) == count for s in outside):
-                    break
-            else:
-                parts.append(block)
-                masks.append(mask)
-        return parts, masks
+        star = self.star
+        shrunk = {mask & ~star[w] for block, mask in zip(self.parts, self.masks)
+                  for p in block if len(p) > 1 for w in p}
+        kept = [i for i, mask in enumerate(self.masks) if mask not in shrunk]
+        return [self.parts[i] for i in kept], [self.masks[i] for i in kept]
 
 
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # Hypergraph -> _BlockTable

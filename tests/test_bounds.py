@@ -1,4 +1,4 @@
-"""Closed-form bounds, the derandomized extractor, peeling, and greedy coloring."""
+"""Closed-form bounds, the derandomized extractor, and peeling."""
 
 import itertools
 import math
@@ -19,7 +19,6 @@ from hypercover import (
     cover_incidence,
     derandomized_extraction,
     gf2_rank,
-    greedy_color,
     independent_matchings_lower_bound,
     inertia,
     is_proper_coloring,
@@ -222,33 +221,6 @@ class TestPeel:
             )
             res = peel_coloring(h, provider)
             assert is_proper_coloring(h, res.colors)
-
-
-class TestGreedyColor:
-    def test_complete_graph_needs_all_colors(self):
-        h = complete_hypergraph(4)
-        for order in itertools.permutations(range(4)):
-            assert sorted(greedy_color(h, order)) == [0, 1, 2, 3]
-
-    def test_edgeless_single_color(self):
-        assert set(greedy_color(Hypergraph(2, 5), range(5))) == {0}
-
-    def test_k5_3_class_sizes(self):
-        colors = greedy_color(complete_hypergraph(5, 3), range(5))
-        sizes = sorted(colors.count(c) for c in set(colors))
-        assert sizes == [1, 2, 2]
-
-    def test_complete_r_uniform_small_class_property(self):
-        # greedily colored complete instances leave at most one class below r-1
-        for n, r in ((5, 3), (7, 3), (6, 2), (9, 4)):
-            colors = greedy_color(complete_hypergraph(n, r), range(n))
-            small = [c for c in set(colors) if colors.count(c) < r - 1]
-            assert len(small) <= 1
-            assert is_proper_coloring(complete_hypergraph(n, r), colors)
-
-    def test_requires_permutation(self):
-        with pytest.raises(ValueError):
-            greedy_color(complete_hypergraph(3), [0, 1, 1])
 
 
 class TestBoundDominance:

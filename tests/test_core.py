@@ -286,7 +286,7 @@ class TestBoundReport:
         from hypercover import BoundReport
 
         report = BoundReport("ks-order", {"n": 8, "alpha": 1, "r": 2}, 24.0, "lower")
-        doc = json.loads(report.to_json())
+        doc = report.to_dict()
         assert doc == {
             "name": "ks-order",
             "inputs": {"n": 8, "alpha": 1, "r": 2},

@@ -36,12 +36,10 @@ from hypercover import (
     disjointness_matrix_upto,
     enumerate_blocks,
     gf2_rank,
-    greedy_color,
     grid3_cover,
     hex_cover,
     independence_number,
     inertia,
-    is_proper_coloring,
     link_lower_bound,
     log_cover,
     matching_number,
@@ -237,21 +235,6 @@ def naive_chromatic(h):
             if all(len(set(coloring[v] for v in e)) >= 2 for e in h.edges):
                 return k
     return h.n
-
-
-def naive_greedy_color(h, order):
-    """Each vertex in the order takes the least color that no edge forbids; an
-    edge forbids a color when all its other vertices already have it."""
-    colors = [-1] * h.n
-    for v in order:
-        blocked = set()
-        for e in h.edges:
-            if v in e:
-                rest = {colors[u] for u in e if u != v}
-                if len(rest) == 1 and -1 not in rest:
-                    blocked |= rest
-        colors[v] = next(c for c in itertools.count() if c not in blocked)
-    return colors
 
 
 def naive_gf2_rank(matrix):
@@ -913,22 +896,6 @@ class TestNumbersAgainstSubsetEnumeration:
     def test_chromatic(self, seed):
         h = numbers_case(seed, 80, 5)
         assert chromatic_number(h) == naive_chromatic(h)
-
-
-class TestGreedyColorAgainstTupleScan:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_same_colors(self, seed):
-        """100 hypergraphs per seed, r = 2..4 and n = 0..10, three shuffled
-        orders each: the same color list as the scan of every edge."""
-        rng = random.Random(900 + seed)
-        for _ in range(100):
-            r, n = rng.randint(2, 4), rng.randint(0, 10)
-            h = random_hypergraph(rng, n, r, rng.choice((0.1, 0.3, 0.6, 1.0)), nonempty=False)
-            for _ in range(3):
-                order = rng.sample(range(n), n)
-                colors = greedy_color(h, order)
-                assert colors == naive_greedy_color(h, order)
-                assert is_proper_coloring(h, colors)
 
 
 def symmetric_integer_matrix(rng):

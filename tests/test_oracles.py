@@ -127,6 +127,17 @@ class TestBlockTable:
             with pytest.raises(GuardError):
                 search(h)
 
+    def test_sparse_matching_opens_parts_only_among_neighbours(self, monkeypatch):
+        # 3^24 part assignments, but a part opens only with a vertex that
+        # shares an edge with every vertex placed so far: 12 blocks, the edges
+        monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
+        h = Hypergraph(2, 24, [(2 * i, 2 * i + 1) for i in range(12)])
+        t0 = time.perf_counter()
+        outcome = min_partition_size(h)
+        assert time.perf_counter() - t0 < 5
+        assert oracles._block_table(h).parts == [((2 * i,), (2 * i + 1,)) for i in range(12)]
+        assert outcome.is_exact and outcome.value == 12
+
 
 class TestMinPartition:
     @pytest.mark.parametrize("n", range(2, 6))

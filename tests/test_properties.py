@@ -1,7 +1,8 @@
 """Property tests: the JSON loaders on arbitrary field values, edge, block and
 label class storage, the JSON round trips, the multiplicity profiler against
 listing every block edge, the block enumerator against filtering every
-part assignment, and the inertia by elimination against the characteristic
+part assignment, its locally maximal blocks against trying every vertex in
+every part, and the inertia by elimination against the characteristic
 polynomial.
 
 Examples are drawn deterministically (derandomize) and no example database
@@ -24,6 +25,7 @@ from test_cross_checks import (  # noqa: E402
     naive_enumerate_blocks,
     naive_inertia,
     naive_label_classes,
+    naive_locally_maximal,
     naive_profile,
 )
 
@@ -40,6 +42,7 @@ from hypercover import (  # noqa: E402
     inertia,
     multiplicity_profile,
 )
+from hypercover.oracles import _block_table  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -99,6 +102,15 @@ def hypergraphs(draw):
 @given(h=hypergraphs())
 def test_enumerator_matches_assignments(h):
     assert enumerate_blocks(h) == naive_enumerate_blocks(h)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(h=hypergraphs())
+def test_maximal_blocks_match_reference(h):
+    table = _block_table(h)
+    expected = naive_locally_maximal(enumerate_blocks(h), h)
+    assert table.maximal == ([b.parts for b in expected],
+                             [table.masks[table.parts.index(b.parts)] for b in expected])
 
 
 @st.composite
