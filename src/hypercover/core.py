@@ -23,7 +23,6 @@ import json
 import math
 import os
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -404,9 +403,14 @@ class MultiplicityProfile:
     prefix p stands for the last vertex p[-1] + 1 + i, so a mask is as wide as
     the span it covers above p, whatever n is. planes[p][k] has bit i set when
     bit k of the number of blocks containing that r-set is 1; prefixes of no
-    block edge have no planes. links[p] holds the edges of h within the width
-    of planes[p]; the other edges of h, which no block contains, are bare,
-    in increasing order. A covered r-set that is not an edge of h is foreign.
+    block edge have no planes. links[p] is the link mask of p in h, clipped to
+    the width of planes[p]; the other edges of h, which no block contains, are
+    bare, in increasing order. A covered r-set that is not an edge of h is
+    foreign.
+
+    The queries read one pass over the counted prefixes, made on first use,
+    which splits each link by its counters, keeps each non-empty foreign mask
+    and counts the edges of the links per multiplicity.
     """
 
     links: dict
@@ -414,27 +418,42 @@ class MultiplicityProfile:
     bare: tuple
 
     @cached_property
+    def _tally(self) -> tuple:
+        """(prefix -> its link mask split into (submask, count) by the counters,
+        prefix -> the non-empty mask of its foreign r-sets,
+        count -> number of edges of the links covered that often)."""
+        links = self.links
+        groups, foreign, counts = {}, {}, {}
+        for p, planes in self.planes.items():
+            link = links.get(p, 0)
+            mask = (planes[0] if len(planes) == 1 else reduce(or_, planes)) & ~link
+            if mask:
+                foreign[p] = mask
+            if link:
+                groups[p] = split = _split(link, planes)
+                for m, count in split:
+                    counts[count] = counts.get(count, 0) + m.bit_count()
+        return groups, foreign, counts
+
+    @cached_property
     def multiplicity(self) -> dict:
         """Edge of h -> number of blocks containing it; built on first use."""
         counts = dict.fromkeys(self.bare, 0)
-        counts.update((p + (v,), count) for p, groups in self._link_groups.items()
+        counts.update((p + (v,), count) for p, groups in self._tally[0].items()
                       for m, count in groups for v in _vertices(p, m))
         return counts
 
     @cached_property
     def foreign(self) -> dict:
         """Foreign r-set -> number of blocks containing it; built on first use."""
-        return {p + (v,): count for p, mask in self._foreign_masks.items()
+        return {p + (v,): count for p, mask in self._tally[1].items()
                 for m, count in _split(mask, self.planes[p]) for v in _vertices(p, m)}
 
     def histogram(self) -> dict:
         """Multiplicity -> number of edges of h covered that often, ascending."""
-        hist: Counter = Counter()
+        hist = dict(self._tally[2])
         if self.bare:
-            hist[0] = len(self.bare)
-        for groups in self._link_groups.values():
-            for m, count in groups:
-                hist[count] += m.bit_count()
+            hist[0] = hist.get(0, 0) + len(self.bare)
         return dict(sorted(hist.items()))
 
     def count(self, edge: Edge) -> int:
@@ -444,32 +463,23 @@ class MultiplicityProfile:
                    if plane >> i & 1)
 
     def foreign_count(self) -> int:
-        return sum(mask.bit_count() for mask in self._foreign_masks.values())
+        return sum(mask.bit_count() for mask in self._tally[1].values())
 
     def least_foreign(self) -> Edge | None:
-        return _least(self._foreign_masks.items())
+        return _least(self._tally[1].items())
 
     def least_outside(self, lst: "MultiplicityList") -> Edge | None:
         """The least edge of h whose multiplicity is not in `lst`; the bare edges
-        all are, since no list admits 0."""
-        least = _least((p, sum(m for m, count in groups if count not in lst))
-                       for p, groups in self._link_groups.items())
+        all are, since no list admits 0. Only the links of the counts that occur
+        outside `lst`, if any, are scanned."""
+        groups, _, counts = self._tally
+        outside = {count for count in counts if count not in lst}
+        least = _least((p, sum(m for m, count in split if count in outside))
+                       for p, split in groups.items()) if outside else None
         if not self.bare:
             return least
         first_bare = self.bare[0]
         return first_bare if least is None else min(least, first_bare)
-
-    @cached_property
-    def _link_groups(self) -> dict:
-        """Prefix -> its link mask split into (submask, count) by the counters."""
-        return {p: _split(link, self.planes[p]) for p, link in self.links.items()}
-
-    @cached_property
-    def _foreign_masks(self) -> dict:
-        """Prefix -> the non-empty mask of its foreign r-sets."""
-        masks = ((p, reduce(or_, planes) & ~self.links.get(p, 0))
-                 for p, planes in self.planes.items())
-        return {p: mask for p, mask in masks if mask}
 
 
 def _cuts(b: RPartiteBlock) -> list:
@@ -511,6 +521,12 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
     its cut parts give, one mask of the vertices of P above the prefix is
     added to the counters of that prefix. Masks start just above their
     prefix, so the work is the span the blocks cover, not the vertex count.
+
+    h is then read in one sweep over its runs, the edges of one prefix each,
+    found by one bisect bounded by the run's greatest length. The run of a
+    prefix without counters is bare. A counted run becomes the link mask of
+    its prefix, clipped at the last vertex the counters reach; the edges past
+    that top are bare.
     """
     if c.r != h.r:
         raise ValueError(f"cover uniformity {c.r} != hypergraph uniformity {h.r}")
@@ -531,28 +547,35 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
             p = tuple(sorted(combo))
             shift = p[-1] + 1 - low
             _add(planes.setdefault(p, []), whole >> shift if shift >= 0 else whole << -shift)
-    # h's edges are sorted, so those of a prefix p form one run, which starts
-    # at p itself and ends before p + (n,); the runs of prefixes no block
-    # counts lie between those of the counted ones and are bare
-    edges = h.edges
+    # h's edges are sorted, so those of a prefix p form one run, at most
+    # n - 1 - p[-1] long, that ends before p + (n,)
+    edges, n = h.edges, h.n
+    total = len(edges)
     links: dict = {}
     bare: list = []
-    done = 0
-    for p in sorted(planes):
-        start = bisect_left(edges, p, done)
-        bare += edges[done:start]
-        top = p[-1] + max(map(int.bit_length, planes[p]))  # the last vertex counted
-        stop = bisect_left(edges, p + (top + 1,), start)
-        done = bisect_left(edges, p + (h.n,), stop)
-        bare += edges[stop:done]
-        if stop > start:
-            first, last = edges[start][-1], edges[stop - 1][-1]
-            if last - first == stop - 1 - start:  # consecutive last vertices
-                links[p] = ((1 << (stop - start)) - 1) << (first - p[-1] - 1)
-            else:
-                links[p] = packed_bits(map(sub, map(itemgetter(-1), edges[start:stop]),
-                                           itertools.repeat(p[-1] + 1)), last - p[-1])
-    bare += edges[done:]
+    start = 0
+    while start < total:
+        p = edges[start][:-1]
+        pmax = p[-1]
+        end = bisect_left(edges, p + (n,), start, min(total, start + n - 1 - pmax))
+        counters = planes.get(p)
+        if counters is None:
+            bare += edges[start:end]
+        else:
+            # the link stops at the last vertex the counters reach; the rest is bare
+            top = pmax + max(map(int.bit_length, counters))
+            stop = end
+            if edges[end - 1][-1] > top:
+                stop = bisect_left(edges, p + (top + 1,), start, end)
+                bare += edges[stop:end]
+            if stop > start:
+                first, last = edges[start][-1], edges[stop - 1][-1]
+                if last - first == stop - 1 - start:  # consecutive last vertices
+                    links[p] = ((1 << (stop - start)) - 1) << (first - pmax - 1)
+                else:
+                    links[p] = packed_bits(map(sub, map(itemgetter(-1), edges[start:stop]),
+                                               itertools.repeat(pmax + 1)), last - pmax)
+        start = end
     return MultiplicityProfile(links, planes, tuple(bare))
 
 

@@ -192,6 +192,23 @@ class TestMultiplicityProfile:
         assert profile.multiplicity == {(n - 5, n - 4): 1, (n - 5, n - 1): 0, (n - 3, n - 2): 0}
         assert profile.foreign == {(n - 5, n - 3): 1}
 
+    def test_run_far_past_its_top_stays_narrow(self):
+        # a counted prefix halfway up a million vertices whose run ends at the
+        # last vertex: its link stops at the counters' top, two bits above the
+        # prefix, and the edges past it are bare
+        n = 1_000_000
+        p = n // 2
+        edges = frozenset({(p, p + 1), (p, p + 2), (p, p + 3), (p, n - 1), (p + 1, p + 3)})
+        c = Cover(2, (RPartiteBlock(({p}, {p + 1, p + 2})),))
+        profile = multiplicity_profile(Hypergraph(2, n, edges), c)
+        masks = [*profile.links.values(), *itertools.chain(*profile.planes.values())]
+        assert max(m.bit_length() for m in masks) <= 2
+        assert profile.bare == ((p, p + 3), (p, n - 1), (p + 1, p + 3))
+        assert profile.multiplicity == {(p, p + 1): 1, (p, p + 2): 1, (p, p + 3): 0,
+                                        (p, n - 1): 0, (p + 1, p + 3): 0}
+        assert profile.count((p, n - 1)) == 0
+        assert profile.foreign == {}
+
     def test_uniformity_mismatch(self):
         with pytest.raises(ValueError):
             multiplicity_profile(complete_hypergraph(4, 3), Cover(2, k4_bit_blocks()))

@@ -510,6 +510,53 @@ class TestProfileAgainstEnumeration:
         assert_profile_matches(h, Cover(c.r, c.blocks + c.blocks[:1]))
 
 
+class TestProfileRuns:
+    """Fixed cases for the ends of a prefix's run of edges in h."""
+
+    @pytest.mark.parametrize("h, c, witness", [
+        # the counters of prefix (1,) reach vertex 3; (1, 6) and (1, 7) lie past it
+        (Hypergraph(2, 8, [(1, 2), (1, 3), (1, 6), (1, 7), (2, 3)]),
+         Cover(2, (RPartiteBlock(((1,), (2, 3))), RPartiteBlock(((2,), (3,))))), (1, 6)),
+        # the same above prefix (0, 2) of a 3-graph, with a bare run after it
+        (Hypergraph(3, 9, [(0, 2, 3), (0, 2, 4), (0, 2, 8), (1, 2, 3), (2, 3, 4)]),
+         Cover(3, (RPartiteBlock(((0,), (2,), (3, 4))), RPartiteBlock(((1,), (2,), (3,))))),
+         (0, 2, 8)),
+    ])
+    def test_run_past_the_counters_top_is_bare(self, h, c, witness):
+        assert_profile_matches(h, c)
+        res = verify_cover(h, c, MultiplicityList.of(1))
+        assert (res.reason, res.witness_edge, res.witness_multiplicity) == \
+            ("multiplicity", witness, 0)
+
+    def test_counted_prefix_without_edges_is_all_foreign(self):
+        h = Hypergraph(2, 6, [(0, 1), (2, 3)])
+        c = Cover(2, (RPartiteBlock(((0,), (1,))), RPartiteBlock(((2,), (3,))),
+                      RPartiteBlock(((1,), (4, 5)))))
+        assert_profile_matches(h, c)
+        profile = multiplicity_profile(h, c)
+        assert (1,) not in profile.links
+        assert profile.foreign == {(1, 4): 1, (1, 5): 1}
+        res = verify_cover(h, c, MultiplicityList.of(1))
+        assert (res.reason, res.witness_edge, res.witness_multiplicity) == ("foreign", (1, 4), 1)
+
+    @pytest.mark.parametrize("extra, lst", [(0, MultiplicityList.of(1)),
+                                            (1, MultiplicityList.of(1, 2)),
+                                            (1, MultiplicityList.any_positive())])
+    def test_uncounted_edge_inside_a_link_fails(self, extra, lst):
+        # (0, 2) lies between (0, 1) and (0, 3), inside the link of prefix (0,),
+        # and no block contains it; every other count (2 on (0, 1) with the
+        # extra block) is admitted by lst
+        h = complete_hypergraph(4)
+        blocks = [((0,), (1, 3)), ((1, 2), (3,)), ((1,), (2,))] + [((0,), (1,))] * extra
+        c = Cover(2, tuple(map(RPartiteBlock, blocks)))
+        assert_profile_matches(h, c)
+        profile = multiplicity_profile(h, c)
+        assert profile.bare == ()
+        res = verify_cover(h, c, lst)
+        assert (res.ok, res.reason, res.witness_edge, res.witness_multiplicity) == \
+            (False, "multiplicity", (0, 2), 0)
+
+
 class TestHexCoverAgainstLineScan:
     @pytest.mark.parametrize("m", range(1, 11))
     def test_same_blocks_in_order(self, m):

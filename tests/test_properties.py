@@ -2,15 +2,19 @@
 label class storage, the JSON round trips, the multiplicity profiler against
 listing every block edge, the block enumerator against filtering every
 part assignment, its locally maximal blocks against trying every vertex in
-every part, and the inertia by elimination against the characteristic
-polynomial.
+every part, the inertia by elimination against the characteristic
+polynomial, and the `verify` command on small documents, valid or spoilt.
 
 Examples are drawn deterministically (derandomize) and no example database
 is kept, so the suite gives the same verdict every time.
 """
 
+import contextlib
+import io
 import itertools
 import json
+import os
+import tempfile
 from collections import Counter
 
 import pytest
@@ -27,12 +31,14 @@ from test_cross_checks import (  # noqa: E402
     naive_label_classes,
     naive_locally_maximal,
     naive_profile,
+    naive_verify,
 )
 
 from hypercover import (  # noqa: E402
     Cover,
     Hypergraph,
     LabelBlock,
+    MultiplicityList,
     RPartiteBlock,
     cover_from_json,
     cover_to_json,
@@ -42,6 +48,7 @@ from hypercover import (  # noqa: E402
     inertia,
     multiplicity_profile,
 )
+from hypercover import cli  # noqa: E402
 from hypercover.oracles import _block_table  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -290,3 +297,76 @@ def symmetric_matrices(draw):
 @given(matrix=symmetric_matrices())
 def test_inertia_matches_characteristic_polynomial(matrix):
     assert inertia(matrix) == naive_inertia(matrix)
+
+
+FAULTS = (None, None, "vertex-past-n", "true", "2.0", "wrong-r", "missing-key", "truncated")
+
+
+@st.composite
+def verify_documents(draw):
+    """(hypergraph text, cover text, fault): a small r-graph and up to four
+    blocks on its vertices as JSON documents, spoilt by `fault` unless None."""
+    r = draw(st.integers(2, 3))
+    n = draw(st.integers(r, 7))
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), r))),
+                          max_size=12, unique=True))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        vertices = draw(st.permutations(range(n)))[:draw(st.integers(r, n))]
+        blocks.append({"parts": [vertices[i::r] for i in range(r)]})
+    h_doc = {"r": r, "n": n, "edges": [list(e) for e in edges]}
+    c_doc = {"r": r, "blocks": blocks}
+    fault = draw(st.sampled_from(FAULTS))
+    if fault in ("vertex-past-n", "true", "2.0"):
+        bad = {"vertex-past-n": n + draw(st.integers(0, 3)), "true": True, "2.0": 2.0}[fault]
+        if fault != "vertex-past-n" and edges and draw(st.booleans()):
+            h_doc["edges"][0][-1] = bad
+        elif blocks:
+            blocks[0]["parts"][-1][-1] = bad
+        else:
+            blocks.append({"parts": [[v] for v in range(r - 1)] + [[bad]]})
+    elif fault == "wrong-r":
+        c_doc["r"] = draw(st.sampled_from([r - 1, r + 1]))
+    elif fault == "missing-key":
+        doc = draw(st.sampled_from([h_doc, c_doc] + blocks))
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    h_text, c_text = json.dumps(h_doc), json.dumps(c_doc)
+    if fault == "truncated":
+        if draw(st.booleans()):
+            h_text = h_text[:draw(st.integers(0, len(h_text) - 1))]
+        else:
+            c_text = c_text[:draw(st.integers(0, len(c_text) - 1))]
+    return h_text, c_text, fault
+
+
+@settings(SETTINGS, max_examples=80)
+@given(case=verify_documents(), spec=st.sampled_from(["--partition", "1", "2,3", "1..4", "any"]))
+def test_verify_command_on_documents(case, spec):
+    h_text, c_text, fault = case
+    flags = ["--partition"] if spec == "--partition" else ["--list", spec]
+    with tempfile.TemporaryDirectory() as tmp:
+        h_path, c_path = os.path.join(tmp, "h.json"), os.path.join(tmp, "c.json")
+        for path, text in ((h_path, h_text), (c_path, c_text)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--hypergraph", h_path, "--cover", c_path, *flags])
+    assert "Traceback" not in err.getvalue()
+    lines = out.getvalue().splitlines()
+    if fault is not None:
+        assert (code, lines) == (cli.EXIT_ERROR, [])
+        return
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    h, c = hypergraph_from_json(h_text), cover_from_json(c_text)
+    counts, foreign = naive_profile(h, c)
+    hist = Counter(counts.values())
+    assert payload["histogram"] == {str(k): hist[k] for k in sorted(hist)}
+    assert payload["foreign"] == len(foreign)
+    lst = MultiplicityList.of(1) if spec == "--partition" else MultiplicityList.parse(spec)
+    ok, reason, edge, multiplicity = naive_verify(h, c, lst)
+    witness = None if ok else {"edge": list(edge), "multiplicity": multiplicity,
+                               "reason": reason}
+    assert (code, payload["status"], payload["witness"]) == \
+        ((cli.EXIT_OK, "ok", None) if ok else (cli.EXIT_FAIL, "fail", witness))
