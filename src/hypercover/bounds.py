@@ -117,27 +117,25 @@ def independent_matchings_lower_bound(k: int, m: int, edge_count: int, r: int) -
 
 
 def inertia(matrix) -> tuple[int, int]:
-    """(n+, n-): how many eigenvalues of a symmetric rational matrix, given as
-    a sequence of rows, are positive and how many negative.
+    """(n+, n-): how many eigenvalues of a symmetric integer matrix, given as
+    a sequence of rows, are positive and how many negative. ValueError for an
+    entry that is not an int.
 
     Sylvester's law of inertia: a congruence keeps both counts, so eliminate
     symmetrically and count the pivots by sign. The elimination is
-    fraction-free (Bareiss): rational entries are first scaled to integers by
-    a positive common denominator, and after each step every entry left is the
-    previous pivot times the Schur complement, so the next pivot d_k is a
-    leading minor and the true pivot is d_k / d_(k-1), positive exactly when
-    the two agree in sign. Each update divides exactly by the previous pivot;
-    a remainder would mean a broken invariant and raises. A non-zero diagonal
-    entry is a pivot as it stands. When the diagonal left is all zero but
-    a_ij is not, adding row and column j to row and column i makes
-    a_ii = 2 a_ij the pivot; when everything left is zero, so is the rest of
-    the spectrum.
+    fraction-free (Bareiss), which is exact only on integers: after each step
+    every entry left is the previous pivot times the Schur complement, so the
+    next pivot d_k is a leading minor and the true pivot is d_k / d_(k-1),
+    positive exactly when the two agree in sign. Each update divides exactly
+    by the previous pivot; a remainder would mean a broken invariant and
+    raises. A non-zero diagonal entry is a pivot as it stands. When the
+    diagonal left is all zero but a_ij is not, adding row and column j to row
+    and column i makes a_ii = 2 a_ij the pivot; when everything left is zero,
+    so is the rest of the spectrum.
     """
     a = [list(row) for row in matrix]
     if not all(isinstance(x, int) for row in a for x in row):
-        a = [[Fraction(x) for x in row] for row in a]
-        scale = math.lcm(*(x.denominator for row in a for x in row))
-        a = [[int(x * scale) for x in row] for row in a]
+        raise ValueError("inertia takes integer entries only")
     plus = minus = 0
     previous = 1
     while a:

@@ -378,14 +378,6 @@ def _split(mask: int, planes) -> list:
     return groups
 
 
-def _vertices(p: Edge, mask: int):
-    """The last vertices that bit i of a mask of prefix p stands for: p[-1] + 1 + i."""
-    while mask:
-        low = mask & -mask
-        yield p[-1] + low.bit_length()
-        mask ^= low
-
-
 def _least(masks) -> Edge | None:
     """The least r-set p + (v,) with v a vertex of the mask of prefix p."""
     found = min(((p, m) for p, m in masks if m), key=itemgetter(0), default=None)
@@ -434,20 +426,6 @@ class MultiplicityProfile:
                 for m, count in split:
                     counts[count] = counts.get(count, 0) + m.bit_count()
         return groups, foreign, counts
-
-    @cached_property
-    def multiplicity(self) -> dict:
-        """Edge of h -> number of blocks containing it; built on first use."""
-        counts = dict.fromkeys(self.bare, 0)
-        counts.update((p + (v,), count) for p, groups in self._tally[0].items()
-                      for m, count in groups for v in _vertices(p, m))
-        return counts
-
-    @cached_property
-    def foreign(self) -> dict:
-        """Foreign r-set -> number of blocks containing it; built on first use."""
-        return {p + (v,): count for p, mask in self._tally[1].items()
-                for m, count in _split(mask, self.planes[p]) for v in _vertices(p, m)}
 
     def histogram(self) -> dict:
         """Multiplicity -> number of edges of h covered that often, ascending."""

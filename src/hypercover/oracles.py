@@ -14,8 +14,8 @@ start deepening at `bounds.link_lower_bound`, the eigenvalue (or GF(2) rank)
 bound of the links, since every smaller count is proven infeasible there.
 Every search drops a state as soon as the blocks it can still afford cannot
 give its edges the multiplicity they still lack, and tries the widest of the
-cheapest blocks first. A complete hypergraph searched over its own table
-branches at the root over one block per symmetry orbit only.
+cheapest blocks first. A complete hypergraph branches at the root over one
+block per symmetry orbit only.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .core import (
 )
 
 ENUMERATION_GUARD = 16_500  # assignments (r+1)^n: n <= 8 at r = 2, n <= 7 at r = 3
-CANDIDATE_GUARD = 200_000  # candidate blocks handed to one search
 
 
 @dataclass(frozen=True)
@@ -94,21 +93,6 @@ class _Deadline:
             raise _OutOfTime
 
 
-def _stars(h: Hypergraph) -> list[int]:
-    """For each vertex v, the mask over the indices of h.edges of the edges
-    that hold v."""
-    star = [0] * h.n
-    for i, e in enumerate(h.edges):
-        for v in e:
-            star[v] |= 1 << i
-    return star
-
-
-def _union(star: list[int], part) -> int:
-    """The edges that meet a part: the OR of its vertices' stars."""
-    return reduce(or_, map(star.__getitem__, part))
-
-
 class _BlockTable:
     """Every block of one hypergraph whose implied edges are edges of it, in
     the order of their parts: `parts` holds each block's parts and `masks`
@@ -134,11 +118,12 @@ class _BlockTable:
 
     def __init__(self, h: Hypergraph):
         r, n = h.r, h.n
-        star = _stars(h)
+        star = [0] * n  # for each vertex, the mask of the edges that hold it
         adj = [0] * n  # for each vertex, the others that share an edge with it
-        for e in h.edges:
+        for i, e in enumerate(h.edges):
             held = sum(1 << v for v in e)
             for v in e:
+                star[v] |= 1 << i
                 adj[v] |= held ^ 1 << v
         self.star = star
         found = []
@@ -227,26 +212,6 @@ def enumerate_blocks(h: Hypergraph) -> list[RPartiteBlock]:
     return [RPartiteBlock(parts) for parts in _block_table(h).parts]
 
 
-def _candidate_masks(h: Hypergraph, candidates) -> list[int]:
-    """The edge mask of each given block. ValueError for a block whose part
-    count is not h's uniformity, one with a vertex outside 0..n-1 and one that
-    covers a non-edge of h, the least such edge named."""
-    star = _stars(h)
-    masks = []
-    for b in candidates:
-        if b.r != h.r:
-            raise ValueError(f"candidate block has {b.r} parts, not {h.r}")
-        top = max(p[-1] for p in b.parts)
-        if top >= h.n:
-            raise ValueError(f"candidate block has vertex {top}, outside 0..{h.n - 1}")
-        mask = reduce(and_, (_union(star, p) for p in b.parts))
-        if mask.bit_count() != b.edge_count():
-            least = min(e for e in b.implied_edges() if e not in h.edge_set)
-            raise ValueError(f"candidate block covers non-edge {least}")
-        masks.append(mask)
-    return masks
-
-
 def _root_orbits(parts: list, branches: list[int]) -> list[int]:
     """The first of `branches`, the candidates covering e0 = (0, ..., r-1) in
     try order, of each orbit under the permutations of K_n^r that fix e0 as a
@@ -263,14 +228,14 @@ def _root_orbits(parts: list, branches: list[int]) -> list[int]:
 
 
 def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
-            budget: SearchBudget, costs: list[int] | None = None,
-            symmetric: bool = False) -> SearchOutcome:
+            budget: SearchBudget, costs: list[int] | None = None) -> SearchOutcome:
     """Least total cost of a multiset of candidate blocks giving every edge of
     h a multiplicity in `lst`. Candidate bi has the parts parts[bi], covers the
     edges whose indices in h.edges are the bits of masks[bi], and costs
-    costs[bi], or 1 when costs is None. `symmetric` says that every
-    permutation of the vertices maps the candidates onto themselves and keeps
-    their costs, as for h's own block table and its locally maximal blocks.
+    costs[bi], or 1 when costs is None. The candidates must be h's block table,
+    or its locally maximal blocks, with costs that read only part sizes: when
+    h is complete, every permutation of the vertices then maps them onto
+    themselves and keeps their costs.
 
     Iterative deepening on the total cost. Unit-cost searches start at
     `link_lower_bound(h, lst)`, below which no cover exists, and stop after
@@ -289,11 +254,11 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
     (state, remaining cost) pairs are remembered across levels. Only the
     witness's blocks are built as RPartiteBlocks.
 
-    When h is complete and the candidates are symmetric, the root branches on
-    e0 = h.edges[0] over one block per orbit (`_root_orbits`): every cover
-    holds a block covering e0, and a permutation fixing e0 maps that block to
-    its orbit's representative and the cover to another cover of the same
-    cost. Deeper states branch on all their blocks.
+    When h is complete, the root branches on e0 = h.edges[0] over one block
+    per orbit (`_root_orbits`): every cover holds a block covering e0, and a
+    permutation fixing e0 maps that block to its orbit's representative and
+    the cover to another cover of the same cost. Deeper states branch on all
+    their blocks.
     """
     edges = len(h.edges)
     full = (1 << edges) - 1
@@ -324,7 +289,7 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
     # as bad, the others are its absences from planes[c], ..., planes[m0 - 2]
     under = levels[0] - 1 if levels else 0
     roots = cover_by_edge[0] if edges else []
-    if symmetric and edges == math.comb(h.n, h.r):
+    if edges == math.comb(h.n, h.r):
         roots = _root_orbits(parts, roots)
     check_guard("search multiplicity planes", depth, LIST_RANGE_GUARD)
     deadline = _Deadline(budget.max_seconds)
@@ -380,23 +345,16 @@ def min_cover_size(
     h: Hypergraph,
     lst: MultiplicityList,
     budget: SearchBudget | None = None,
-    candidates: list[RPartiteBlock] | None = None,
 ) -> SearchOutcome:
     """Smallest number of blocks giving every edge a multiplicity in `lst`.
 
     Iterative deepening on the block count; blocks may repeat (a multiset
-    cover). Without `candidates` the search runs over h's block table, and
-    with the unbounded list over its locally maximal blocks only, which
-    preserves the minimum.
+    cover). The search runs over h's block table, and with the unbounded list
+    over its locally maximal blocks only, which preserves the minimum.
     """
-    budget = budget or SearchBudget()
-    if candidates is None:  # the enumeration guard keeps a table within CANDIDATE_GUARD
-        table = _block_table(h)
-        parts, masks = table.maximal if lst.allowed is None else (table.parts, table.masks)
-    else:
-        check_guard("min_cover_size candidates", len(candidates), CANDIDATE_GUARD)
-        parts, masks = [b.parts for b in candidates], _candidate_masks(h, candidates)
-    return _search(h, parts, masks, lst, budget, symmetric=candidates is None)
+    table = _block_table(h)
+    parts, masks = table.maximal if lst.allowed is None else (table.parts, table.masks)
+    return _search(h, parts, masks, lst, budget or SearchBudget())
 
 
 def min_partition_size(h: Hypergraph, budget: SearchBudget | None = None) -> SearchOutcome:
@@ -413,7 +371,7 @@ def min_sum_of_orders(h: Hypergraph, budget: SearchBudget | None = None) -> Sear
     table = _block_table(h)
     return _search(h, table.parts, table.masks, MultiplicityList.any_positive(),
                    budget or SearchBudget(),
-                   costs=[sum(map(len, parts)) for parts in table.parts], symmetric=True)
+                   costs=[sum(map(len, parts)) for parts in table.parts])
 
 
 def _lower_masks(h: Hypergraph) -> list[list[int]]:

@@ -139,26 +139,27 @@ class TestMultiplicityProfile:
     def test_star_partition_profile(self):
         h = complete_hypergraph(4)
         profile = multiplicity_profile(h, Cover(2, k4_star_blocks()))
-        assert set(profile.multiplicity.values()) == {1}
-        assert not profile.foreign
+        assert profile.histogram() == {1: 6}
+        assert profile.foreign_count() == 0
 
     def test_empty_cover(self):
         h = complete_hypergraph(4)
         profile = multiplicity_profile(h, Cover(2, ()))
-        assert set(profile.multiplicity.values()) == {0}
+        assert profile.histogram() == {0: 6}
 
     def test_bit_cover_hamming(self):
         h = complete_hypergraph(4)
         profile = multiplicity_profile(h, Cover(2, k4_bit_blocks()))
         for u, v in itertools.combinations(range(4), 2):
-            assert profile.multiplicity[(u, v)] == bin(u ^ v).count("1")
+            assert profile.count((u, v)) == bin(u ^ v).count("1")
 
     def test_foreign_reported(self):
         h = Hypergraph(2, 4, frozenset({(0, 1)}))
         c = Cover(2, (RPartiteBlock(({0}, {1, 2})),))
         profile = multiplicity_profile(h, c)
-        assert profile.multiplicity[(0, 1)] == 1
-        assert profile.foreign == {(0, 2): 1}
+        assert profile.count((0, 1)) == 1
+        assert (profile.foreign_count(), profile.least_foreign()) == (1, (0, 2))
+        assert profile.count((0, 2)) == 1
 
     def test_both_counting_directions_agree(self):
         # one block larger than the edge set, one smaller
@@ -166,8 +167,10 @@ class TestMultiplicityProfile:
         big = RPartiteBlock(({0, 1, 2}, {3, 4, 5}))  # 9 implied > 3 edges
         small = RPartiteBlock(({0}, {3}))
         profile = multiplicity_profile(h, Cover(2, (big, small)))
-        assert profile.multiplicity == {(0, 3): 2, (1, 3): 1, (0, 4): 1}
-        assert sum(profile.foreign.values()) == 6
+        assert {e: profile.count(e) for e in h.edges} == {(0, 3): 2, (1, 3): 1, (0, 4): 1}
+        # the big block's 9 r-sets less its 3 edges, each covered once
+        assert profile.foreign_count() == 6
+        assert all(profile.count(e) == 1 for e in big.implied_edges() if e not in h.edge_set)
 
     def test_double_counting(self):
         h = complete_hypergraph(5)
@@ -176,7 +179,7 @@ class TestMultiplicityProfile:
         contributed = sum(
             1 for b in cover.blocks for e in b.implied_edges() if e in h.edges
         )
-        assert sum(profile.multiplicity.values()) == contributed
+        assert sum(k * edges for k, edges in profile.histogram().items()) == contributed
         # on a complete hypergraph every implied edge lands, so each block
         # contributes exactly its edge count
         assert contributed == sum(b.edge_count() for b in cover.blocks)
@@ -189,8 +192,10 @@ class TestMultiplicityProfile:
         profile = multiplicity_profile(Hypergraph(2, n, edges), c)
         masks = [*profile.links.values(), *itertools.chain(*profile.planes.values())]
         assert max(m.bit_length() for m in masks) <= 2
-        assert profile.multiplicity == {(n - 5, n - 4): 1, (n - 5, n - 1): 0, (n - 3, n - 2): 0}
-        assert profile.foreign == {(n - 5, n - 3): 1}
+        assert {e: profile.count(e) for e in edges} == \
+            {(n - 5, n - 4): 1, (n - 5, n - 1): 0, (n - 3, n - 2): 0}
+        assert (profile.foreign_count(), profile.least_foreign()) == (1, (n - 5, n - 3))
+        assert profile.count((n - 5, n - 3)) == 1
 
     def test_run_far_past_its_top_stays_narrow(self):
         # a counted prefix halfway up a million vertices whose run ends at the
@@ -204,10 +209,9 @@ class TestMultiplicityProfile:
         masks = [*profile.links.values(), *itertools.chain(*profile.planes.values())]
         assert max(m.bit_length() for m in masks) <= 2
         assert profile.bare == ((p, p + 3), (p, n - 1), (p + 1, p + 3))
-        assert profile.multiplicity == {(p, p + 1): 1, (p, p + 2): 1, (p, p + 3): 0,
-                                        (p, n - 1): 0, (p + 1, p + 3): 0}
-        assert profile.count((p, n - 1)) == 0
-        assert profile.foreign == {}
+        assert {e: profile.count(e) for e in edges} == {
+            (p, p + 1): 1, (p, p + 2): 1, (p, p + 3): 0, (p, n - 1): 0, (p + 1, p + 3): 0}
+        assert profile.foreign_count() == 0
 
     def test_uniformity_mismatch(self):
         with pytest.raises(ValueError):
@@ -249,9 +253,7 @@ class TestVerify:
         h = complete_hypergraph(4)
         for blocks in (k4_star_blocks(), k4_bit_blocks()):
             profile = multiplicity_profile(h, Cover(2, blocks))
-            expected = (
-                set(profile.multiplicity.values()) == {1} and not profile.foreign
-            )
+            expected = set(profile.histogram()) == {1} and not profile.foreign_count()
             assert verify_partition(h, Cover(2, blocks)).ok == expected
 
     @pytest.mark.parametrize("h,blocks,lst", [

@@ -465,9 +465,11 @@ VERIFY_LISTS = LISTS + (MultiplicityList.of(2, 3), MultiplicityList.up_to(4))
 def assert_profile_matches(h, c):
     counts, foreign = naive_profile(h, c)
     profile = multiplicity_profile(h, c)
-    assert profile.multiplicity == counts
-    assert profile.foreign == foreign
+    assert {e: profile.count(e) for e in h.edges} == counts
+    # equal counts, and every naive foreign r-set covered, give equal foreign sets
+    assert {f: profile.count(f) for f in foreign} == foreign
     assert profile.foreign_count() == len(foreign)
+    assert profile.least_foreign() == min(foreign, default=None)
     assert list(profile.histogram().items()) == sorted(Counter(counts.values()).items())
     for lst in VERIFY_LISTS:
         res = verify_cover(h, c, lst)
@@ -535,7 +537,8 @@ class TestProfileRuns:
         assert_profile_matches(h, c)
         profile = multiplicity_profile(h, c)
         assert (1,) not in profile.links
-        assert profile.foreign == {(1, 4): 1, (1, 5): 1}
+        assert (profile.foreign_count(), profile.least_foreign()) == (2, (1, 4))
+        assert profile.count((1, 4)) == profile.count((1, 5)) == 1
         res = verify_cover(h, c, MultiplicityList.of(1))
         assert (res.reason, res.witness_edge, res.witness_multiplicity) == ("foreign", (1, 4), 1)
 
@@ -731,7 +734,7 @@ class TestSearchAgainstMultisetEnumeration:
         candidates = enumerate_blocks(h)
         for lst in LISTS:
             expected = naive_min_cover(h, lst, candidates, max_t=4)
-            got = min_cover_size(h, lst, candidates=candidates)
+            got = min_cover_size(h, lst)
             if expected is not None:
                 assert got.is_exact and got.value == expected
             else:
@@ -753,7 +756,7 @@ class TestSearchAgainstMultisetEnumeration:
         h = random_hypergraph(rng, 5, r)
         candidates = enumerate_blocks(h)
         for lst in LISTS:
-            got = min_cover_size(h, lst, candidates=candidates)
+            got = min_cover_size(h, lst)
             assert got.is_exact and got.value == naive_min_cover(h, lst, candidates, max_t=6)
 
     def test_complete_graph_gapped_lists(self):
@@ -761,7 +764,7 @@ class TestSearchAgainstMultisetEnumeration:
         h = complete_hypergraph(4)
         candidates = enumerate_blocks(h)
         for lst in LISTS:
-            got = min_cover_size(h, lst, candidates=candidates)
+            got = min_cover_size(h, lst)
             assert got.is_exact and got.value == naive_min_cover(h, lst, candidates)
         assert min_cover_size(h, MultiplicityList.of(1, 3)).value == 3
 
@@ -791,6 +794,13 @@ def search_candidates(h, lst):
     return enumerate_blocks(h)
 
 
+def with_isolated_vertex(h: Hypergraph) -> Hypergraph:
+    """h with one more vertex in no edge: the same edges in the same order, so
+    the same block table, masks and link bound, but never complete, so its
+    search branches at the root over every block."""
+    return Hypergraph(h.r, h.n + 1, h.edges)
+
+
 class TestSearchAgainstKeptSimpleCore:
     """The search core, which starts at the link bound, cuts states that cannot
     finish and tries wide blocks first, against naive_search, which does none
@@ -802,9 +812,8 @@ class TestSearchAgainstKeptSimpleCore:
         r = (2, 3)[seed % 2]
         h = random_hypergraph(rng, rng.randint(r, 6), r)
         for lst in LISTS:
-            candidates = search_candidates(h, lst)
-            expected = naive_search(h, candidates, lst)
-            got = min_cover_size(h, lst, candidates=candidates)
+            expected = naive_search(h, search_candidates(h, lst), lst)
+            got = min_cover_size(h, lst)
             assert (got.status, got.value) == (expected.status, expected.value)
             if got.is_exact:
                 assert verify_cover(h, got.witness, lst).ok
@@ -817,9 +826,8 @@ class TestSearchAgainstKeptSimpleCore:
                              ids=MultiplicityList.describe)
     def test_complete_visits_no_more_states(self, r, lst):
         h = complete_hypergraph(6, r)
-        candidates = search_candidates(h, lst)
-        expected = naive_search(h, candidates, lst)
-        got = min_cover_size(h, lst, candidates=candidates)
+        expected = naive_search(h, search_candidates(h, lst), lst)
+        got = min_cover_size(with_isolated_vertex(h), lst)
         assert got.is_exact and got.value == expected.value
         assert verify_cover(h, got.witness, lst).ok
         assert 0 < got.nodes <= expected.nodes
@@ -843,16 +851,10 @@ class TestDeficitCutAgainstKeptSimpleCore:
                 assert verify_cover(h, got.witness, lst).ok
 
 
-def with_isolated_vertex(h: Hypergraph) -> Hypergraph:
-    """h with one more vertex in no edge: the same edges in the same order, so
-    the same search over given candidates, but never complete."""
-    return Hypergraph(h.r, h.n + 1, h.edges)
-
-
 class TestRootOrbitsAgainstUnreduced:
-    """A complete hypergraph searched over its own table branches at the root
-    over one block per orbit of the permutations fixing e0; the same table
-    passed as candidates is searched in full."""
+    """A complete hypergraph's search branches at the root over one block per
+    orbit of the permutations fixing e0; with an isolated vertex added, the
+    same table is searched in full."""
 
     @pytest.mark.parametrize("n", (4, 5, 6))
     @pytest.mark.parametrize("r", (2, 3))
@@ -860,53 +862,30 @@ class TestRootOrbitsAgainstUnreduced:
                              ids=MultiplicityList.describe)
     def test_complete(self, n, r, lst):
         h = complete_hypergraph(n, r)
-        candidates = search_candidates(h, lst)
-        got = min_cover_size(h, lst)
-        unreduced = min_cover_size(h, lst, candidates=candidates)
+        padded = with_isolated_vertex(h)
+        table, padded_table = _block_table(h), _block_table(padded)
+        assert (table.parts, table.masks) == (padded_table.parts, padded_table.masks)
+        got, unreduced = min_cover_size(h, lst), min_cover_size(padded, lst)
         assert got.is_exact and got.value == unreduced.value
         assert verify_cover(h, got.witness, lst).ok
         assert 0 < got.nodes <= unreduced.nodes
         # at n = 6, test_complete_visits_no_more_states and the pins in
         # test_oracles check the unreduced values; naive_search takes up to 15 s
         if n < 6:
-            assert naive_search(h, candidates, lst).value == got.value
+            assert naive_search(h, search_candidates(h, lst), lst).value == got.value
 
     @pytest.mark.parametrize("n", (4, 5))
     def test_min_sum_of_orders(self, n):
         h = complete_hypergraph(n)
         table = _block_table(h)
         got = min_sum_of_orders(h)
-        unreduced = _search(h, table.parts, table.masks, MultiplicityList.any_positive(),
-                            SearchBudget(), costs=[sum(map(len, p)) for p in table.parts])
+        unreduced = _search(with_isolated_vertex(h), table.parts, table.masks,
+                            MultiplicityList.any_positive(), SearchBudget(),
+                            costs=[sum(map(len, p)) for p in table.parts])
         assert got.is_exact and got.value == unreduced.value == naive_min_order(
             h, enumerate_blocks(h))
         assert sum(b.order() for b in got.witness.blocks) == got.value
         assert 0 < got.nodes <= unreduced.nodes
-
-    def test_given_candidates_are_not_reduced(self):
-        # both bicliques cover e0 = (0, 1) with parts of sizes (2, 2), one orbit;
-        # only the second extends to a partition, so a reduced root finds none
-        first, second = RPartiteBlock(((0, 2), (1, 3))), RPartiteBlock(((0, 3), (1, 2)))
-        candidates = [first, second, RPartiteBlock(((0,), (3,))), RPartiteBlock(((1,), (2,)))]
-        h, lst = complete_hypergraph(4), MultiplicityList.of(1)
-        got = min_cover_size(h, lst, candidates=candidates)
-        assert got.is_exact and got.value == naive_search(h, candidates, lst).value == 3
-        assert second in got.witness.blocks
-        assert got.nodes == min_cover_size(with_isolated_vertex(h), lst,
-                                           candidates=candidates).nodes
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_given_random_subsets(self, seed):
-        rng = random.Random(1600 + seed)
-        h = complete_hypergraph(5, (2, 3)[seed % 2])
-        blocks = enumerate_blocks(h)
-        candidates = [b for b in blocks if b.edge_count() == 1 or rng.random() < 0.5]
-        for lst in (MultiplicityList.of(1), MultiplicityList.up_to(2), MultiplicityList.of(2)):
-            got = min_cover_size(h, lst, candidates=candidates)
-            expected = naive_search(h, candidates, lst)
-            assert (got.status, got.value) == (expected.status, expected.value)
-            assert got.nodes == min_cover_size(with_isolated_vertex(h), lst,
-                                               candidates=candidates).nodes
 
 
 def numbers_case(case, seed0: int, top: int) -> Hypergraph:

@@ -41,7 +41,7 @@ class TestHexCover:
         for (i, a), (j, b) in itertools.combinations(enumerate(coords), 2):
             shared = sum(p == q for p, q in zip(a, b))
             assert shared <= 1  # two distinct cells share at most one line
-            assert profile.multiplicity[(i, j)] == 3 - shared
+            assert profile.count((i, j)) == 3 - shared
 
     def test_coordinate_count_formula(self):
         for m in range(1, 8):
@@ -126,4 +126,4 @@ class TestLogCover:
         assert len(c.blocks) == max(1, (n - 1).bit_length())
         profile = multiplicity_profile(h, c)
         for u, v in h.edges:
-            assert profile.multiplicity[(u, v)] == bin(u ^ v).count("1")
+            assert profile.count((u, v)) == bin(u ^ v).count("1")

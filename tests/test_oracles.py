@@ -14,13 +14,13 @@ from hypercover import (
     GuardError,
     Hypergraph,
     MultiplicityList,
-    RPartiteBlock,
     SearchBudget,
     chromatic_number,
     complete_hypergraph,
     cube_graph,
     enumerate_blocks,
     independence_number,
+    link_lower_bound,
     matching_cover_lower_bound,
     matching_number,
     min_cover_size,
@@ -205,19 +205,6 @@ class TestMinCover:
             assert part >= min_cover_size(h, ANY).value
             assert part >= min_cover_size(h, MultiplicityList.of(1, 2)).value
 
-    def test_candidate_order_does_not_matter(self):
-        h = complete_hypergraph(4)
-        blocks = enumerate_blocks(h)
-        baseline = min_cover_size(h, MultiplicityList.of(1), candidates=blocks).value
-        rng = random.Random(2)
-        for _ in range(4):
-            shuffled = blocks[:]
-            rng.shuffle(shuffled)
-            assert (
-                min_cover_size(h, MultiplicityList.of(1), candidates=shuffled).value
-                == baseline
-            )
-
     def test_budget_exhaustion_reports_unknown(self):
         h = complete_hypergraph(5)
         outcome = min_cover_size(h, MultiplicityList.of(1), SearchBudget(max_blocks=2))
@@ -234,42 +221,13 @@ class TestMinCover:
         assert outcome.lower == 2
         assert outcome.nodes > 0
 
-    def test_candidate_guard_on_given_lists(self, monkeypatch):
-        h = complete_hypergraph(4)
-        blocks = enumerate_blocks(h)
-        monkeypatch.setattr(oracles, "CANDIDATE_GUARD", len(blocks) - 1)
-        with pytest.raises(GuardError):
-            min_cover_size(h, ANY, candidates=blocks)
-        monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
-        assert min_cover_size(h, ANY, candidates=blocks).value == 2
-
     def test_link_bound_not_computed_above_its_work_cap(self):
         # a matching on 2,000 vertices is one link of m = 2,000 vertices,
-        # m^3 = 8*10^9 over the cap; the one candidate leaves 999 edges bare
+        # m^3 = 8*10^9 over the cap
         h = Hypergraph(2, 2000, [(2 * i, 2 * i + 1) for i in range(1000)])
         start = time.perf_counter()
-        outcome = min_cover_size(h, MultiplicityList.of(1),
-                                 candidates=[RPartiteBlock(((0,), (1,)))])
+        assert link_lower_bound(h, MultiplicityList.of(1)) == 0
         assert time.perf_counter() - start < 1.0
-        assert outcome.status == "unknown" and outcome.lower == SearchBudget().max_blocks + 1
-
-    def test_given_block_covering_a_non_edge(self):
-        # the block's edges, by part, give (3, 6) before (1, 5); the least is named
-        h = Hypergraph(2, 7, [e for e in complete_hypergraph(7).edges
-                              if e not in ((1, 5), (3, 6))])
-        with pytest.raises(ValueError, match=r"non-edge \(1, 5\)"):
-            min_cover_size(h, ANY, candidates=[RPartiteBlock(((0, 3, 5), (1, 4, 6)))])
-
-    def test_given_block_with_a_vertex_outside(self):
-        h = complete_hypergraph(3)
-        with pytest.raises(ValueError, match="vertex 3"):
-            min_cover_size(h, ANY, candidates=[RPartiteBlock(((0,), (3,)))])
-
-    def test_given_block_of_another_uniformity(self):
-        # the one edge holding 0 and 1 would pass a count of the edges meeting both parts
-        h = Hypergraph(3, 3, [(0, 1, 2)])
-        with pytest.raises(ValueError, match="2 parts, not 3"):
-            min_cover_size(h, ANY, candidates=[RPartiteBlock(((0,), (1,)))])
 
     @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 0.0, -1.0])
     def test_budget_rejects_non_finite_or_non_positive_seconds(self, seconds):

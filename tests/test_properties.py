@@ -3,7 +3,8 @@ label class storage, the JSON round trips, the multiplicity profiler against
 listing every block edge, the block enumerator against filtering every
 part assignment, its locally maximal blocks against trying every vertex in
 every part, the inertia by elimination against the characteristic
-polynomial, and the `verify` command on small documents, valid or spoilt.
+polynomial, the `verify` command on small documents, valid or spoilt, and the
+`bounds` and `rank` commands on odd option values.
 
 Examples are drawn deterministically (derandomize) and no example database
 is kept, so the suite gives the same verdict every time.
@@ -15,12 +16,13 @@ import itertools
 import json
 import os
 import tempfile
+import time
 from collections import Counter
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from test_cross_checks import (  # noqa: E402
     LISTS,
@@ -370,3 +372,68 @@ def test_verify_command_on_documents(case, spec):
                                "reason": reason}
     assert (code, payload["status"], payload["witness"]) == \
         ((cli.EXIT_OK, "ok", None) if ok else (cli.EXIT_FAIL, "fail", witness))
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# option values: small ints (most often, so that whole command lines often fit
+# the guards), powers of ten up to 10^400 and strings that are no number;
+# --alpha also takes floats, nan and the infinities included
+FLAG_VALUES = {
+    "small": st.integers(-3, 12).map(str),
+    "power": st.integers(0, 400).map(lambda k: str(10**k)),
+    "junk": st.sampled_from(["", "x", "1e3", "2.5", "0x10", "--", "-x", "\u0661\u0662"]),
+    "float": st.sampled_from(["nan", "inf", "-inf", "-0.0"]) | st.floats().map(str),
+}
+
+
+@st.composite
+def bounds_and_rank_argv(draw):
+    """A `bounds` or `rank` command line with each option drawn, or left out."""
+    command = draw(st.sampled_from(["rank", *sorted(cli.BOUNDS)]))
+    argv, options = (["rank"], ("r", "m")) if command == "rank" else \
+        (["bounds", command], cli.BOUNDS[command][1])
+    for option in options:
+        kinds = ["small"] * 4 + ["power", "junk", "missing"] + ["float"] * 3 * (option == "alpha")
+        kind = draw(st.sampled_from(kinds))
+        if kind != "missing":
+            argv += [f"--{option}", draw(FLAG_VALUES[kind])]
+    return argv
+
+
+@settings(SETTINGS, max_examples=300)
+@given(argv=bounds_and_rank_argv())
+# the largest certificates the guards admit, and an alpha that is no real
+# number, which draws seldom reach
+@example(argv=["rank", "--r", "6", "--m", "2"])
+@example(argv=["rank", "--r", "4", "--m", "3"])
+@example(argv=["bounds", "ks-order", "--n", "8", "--alpha", "nan", "--r", "2"])
+@example(argv=["bounds", "ks-order", "--n", "8", "--alpha", "inf", "--r", "2"])
+@example(argv=["bounds", "ks-order", "--n", "8", "--alpha", "-inf", "--r", "2"])
+def fuzz_bounds_and_rank(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert time.perf_counter() - start < 5.0, argv
+    assert code in (cli.EXIT_OK, cli.EXIT_FAIL, 2, cli.EXIT_ERROR), argv
+    assert "Traceback" not in err.getvalue()
+    lines = out.getvalue().splitlines()
+    if code in (cli.EXIT_OK, cli.EXIT_FAIL):
+        assert len(lines) == 1, argv
+        assert isinstance(json.loads(lines[0], parse_constant=_strict_constant), dict)
+    else:
+        assert lines == [], argv
+        if code == cli.EXIT_ERROR:
+            assert err.getvalue().startswith("error:"), argv
+
+
+def test_bounds_and_rank_argv_fuzz():
+    start = time.perf_counter()
+    fuzz_bounds_and_rank()
+    assert time.perf_counter() - start < 15.0
