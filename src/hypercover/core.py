@@ -259,6 +259,20 @@ class RPartiteBlock:
             yield tuple(sorted(combo))
 
 
+def _canonical_block(parts: tuple) -> RPartiteBlock:
+    """RPartiteBlock(parts) without its checks, for builders whose parts are
+    canonical by construction.
+
+    The caller guarantees that `parts` is a tuple of at least 2 non-empty,
+    pairwise disjoint, strictly increasing tuples of non-negative ints, in
+    increasing order. The result compares and hashes equal to
+    RPartiteBlock(parts).
+    """
+    block = object.__new__(RPartiteBlock)
+    block.__dict__["parts"] = parts  # the field, as frozen __init__ sets it
+    return block
+
+
 @dataclass(frozen=True)
 class Cover:
     """An ordered collection of complete r-partite blocks of one uniformity."""

@@ -2,12 +2,15 @@
 minimum total block order, independence, matching and chromatic numbers.
 
 Every search either returns a proven exact value or an explicit "unknown"
-outcome carrying the proven lower bracket; a wrong number is never emitted.
-Candidate blocks are restricted to those whose implied edges lie inside the
-target hypergraph, which covers-with-foreign-coverage never satisfy anyway.
-They are listed once per hypergraph, each as its parts and an edge mask, in a
-table that every search of it (or of an equal hypergraph) reads while it is
-alive; only a witness's blocks become RPartiteBlocks.
+outcome carrying the proven bracket [lower, upper]; a wrong number is never
+emitted. Candidate blocks are restricted to those whose implied edges lie
+inside the target hypergraph, which covers-with-foreign-coverage never
+satisfy anyway. They are listed once per hypergraph, each as its parts and an
+edge mask, in a table that every search of it (or of an equal hypergraph)
+reads while it is alive. The table is built in time proportional to its
+blocks: the last part of each block is read off as a subset of the vertices
+that complete every transversal of the others. Only a witness's blocks become
+RPartiteBlocks, built without re-checking parts that are canonical already.
 
 The three cover searches share one core, `_search`. Block-count searches
 start deepening at `bounds.link_lower_bound`, the eigenvalue (or GF(2) rank)
@@ -34,6 +37,7 @@ from .core import (
     Hypergraph,
     MultiplicityList,
     RPartiteBlock,
+    _canonical_block,
     check_guard,
     check_power_guard,
 )
@@ -53,8 +57,8 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Either an exact optimum or a proven bracket "unknown, >= lower", with
-    the reason the search stopped."""
+    """Either an exact optimum or a proven bracket "unknown, in [lower,
+    upper]", with the reason the search stopped."""
 
     status: str  # "exact" | "unknown"
     lower: int
@@ -62,6 +66,7 @@ class SearchOutcome:
     witness: Cover | None = None
     nodes: int = 0  # states the search visited
     stop: str = "exact"  # why it stopped: "exact" | "timeout" | "max_blocks"
+    upper: int | None = None  # the cost of a cover known to exist; the value when exact
 
     def __post_init__(self):
         if self.status not in ("exact", "unknown"):
@@ -72,6 +77,13 @@ class SearchOutcome:
             raise ValueError("stop must be 'exact', 'timeout' or 'max_blocks'")
         if (self.status == "exact") != (self.stop == "exact"):
             raise ValueError("exact outcomes stop as 'exact', unknown ones do not")
+        if self.value is not None:
+            if self.upper is None:
+                object.__setattr__(self, "upper", self.value)
+            elif self.upper != self.value:
+                raise ValueError("an exact outcome's upper end is its value")
+        if self.upper is not None and self.upper < self.lower:
+            raise ValueError("lower must not exceed upper")
 
     @property
     def is_exact(self) -> bool:
@@ -93,74 +105,134 @@ class _Deadline:
             raise _OutOfTime
 
 
+def _transversals(parts) -> list[int]:
+    """The vertex masks of the transversals of `parts`: one vertex from each."""
+    masks = [0]
+    for p in parts:
+        masks = [m | 1 << v for m in masks for v in p]
+    return masks
+
+
 class _BlockTable:
     """Every block of one hypergraph whose implied edges are edges of it, in
     the order of their parts: `parts` holds each block's parts and `masks`
     its edges as a mask over the indices of h.edges.
 
     A block's edges are the AND of its parts' unions of stars, since an r-edge
-    that meets r disjoint parts is one of their transversals; so the block
-    lies in h exactly when that AND has prod |P_i| bits. The table keeps the
-    stars, never h, so that h stays collectable while its table is cached.
+    that meets r disjoint parts is one of their transversals. The table keeps
+    the stars, never h, so that h stays collectable while its table is cached.
 
-    Vertices are given out in order: each stays out, joins an open part or
-    opens the next, so parts open in order of their least vertex and every
-    block is built once. Any two vertices of a block in different parts share
-    one of its edges, so while a part is still to open, each state carries
-    `common`, the vertices that share an edge of h with every vertex placed
-    so far: a part opens only with a vertex of `common`, and a state is
-    dropped once fewer vertices of `common` are left from v on than parts are
-    still to open (each takes its least vertex from there). Once every part is
-    open, a vertex joins a part only if the grown block still lies in h; a
-    failed check prunes the subtree. A vertex in no edge only stays out:
-    every vertex of a block lies in one of its edges.
+    Parts open in order of their least vertex, so every block is built once.
+    The first r - 1 parts grow by adding vertices in increasing order: a
+    state's children are the next vertex to add, which joins an open part or
+    opens the next one. Any two vertices of a block in different parts share
+    one of its edges, so each state carries `common`, the vertices that share
+    an edge of h with every vertex placed so far: a part opens only with a
+    vertex of `common`, and no vertex is added once fewer vertices of
+    `common` would be left above it than parts are still to open (the last
+    part included; each takes its least vertex from there).
+
+    Once r - 1 parts are open, the state carries W instead: the vertices above
+    the least vertex of part r - 1 that complete every transversal of those
+    parts to an edge, the AND of their link masks. A link holds no vertex of
+    its own set, so W is disjoint from every part, and each non-empty subset
+    S of W is the last part of exactly one block, whose edges are the AND of
+    the other parts' unions with the union of S's stars. W only shrinks as
+    the parts grow, so a state whose W is empty is dropped with its subtree,
+    and every state kept from there on yields at least one block.
     """
 
     def __init__(self, h: Hypergraph):
         r, n = h.r, h.n
         star = [0] * n  # for each vertex, the mask of the edges that hold it
         adj = [0] * n  # for each vertex, the others that share an edge with it
+        link = {}  # for each (r-1)-subset of an edge, as a vertex mask, the vertices completing it
         for i, e in enumerate(h.edges):
             held = sum(1 << v for v in e)
             for v in e:
+                rest = held ^ 1 << v
                 star[v] |= 1 << i
-                adj[v] |= held ^ 1 << v
+                adj[v] |= rest
+                link[rest] = link.get(rest, 0) | 1 << v
         self.star = star
-        found = []
-        # (next vertex, parts opened, parts, each part's union, common);
+        active = sum(1 << v for v in range(n) if star[v])
+        # (last vertex placed, parts, each part's union, common) while fewer
+        # than r - 1 parts are open, then (last vertex placed, parts, unions, W);
         # depth does not grow with n
-        stack = [(0, 0, ((),) * r, (0,) * r, (1 << n) - 1)]
-        while stack:
-            v, opened, parts, unions, common = stack.pop()
-            if opened < r and (common >> v).bit_count() < r - opened:
+        opening = [(-1, (), (), active)]
+        closing = []
+        while opening:
+            last, parts, unions, common = opening.pop()
+            k = len(parts)
+            rest = common >> (last + 1) << (last + 1)
+            while rest:  # open part k + 1 with v
+                low = rest & -rest
+                rest ^= low
+                if rest.bit_count() < r - k - 1:
+                    break
+                v = low.bit_length() - 1
+                near = common & adj[v]
+                grown, united = parts + ((v,),), unions + (star[v],)
+                if k + 1 < r - 1:
+                    if (near >> (v + 1)).bit_count() >= r - k - 1:
+                        opening.append((v, grown, united, near))
+                    continue
+                w = near >> (v + 1) << (v + 1)
+                for t in _transversals(parts):
+                    w &= link.get(t | low, 0)
+                    if not w:
+                        break
+                if w:
+                    closing.append((v, grown, united, w))
+            rest = active >> (last + 1) << (last + 1) if k else 0
+            while rest:  # v joins an open part
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                if (common >> (v + 1)).bit_count() < r - k:
+                    break
+                near = common & adj[v]
+                if (near >> (v + 1)).bit_count() < r - k:
+                    continue
+                sv = star[v]
+                for i in range(k):
+                    opening.append((v, parts[:i] + (parts[i] + (v,),) + parts[i + 1:],
+                                    unions[:i] + (unions[i] | sv,) + unions[i + 1:], near))
+        found = []
+        while closing:
+            last, parts, unions, w = closing.pop()
+            # the subsets of W and their unions of stars, each built from the
+            # subset less its largest vertex
+            lasts, ors = [()], [0]
+            rest = w
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                sv = star[v]
+                lasts += [s + (v,) for s in lasts]
+                ors += [u | sv for u in ors]
+            prefix = reduce(and_, unions)
+            found += [(parts + (s,), prefix & u) for s, u in zip(lasts[1:], ors[1:])]
+            above = active >> (last + 1) << (last + 1)
+            if not above:
                 continue
-            if v == n:
-                found.append((parts, reduce(and_, unions)))
-                continue
-            stack.append((v + 1, opened, parts, unions, common))
-            sv = star[v]
-            if not sv:
-                continue
-            if opened == r:
-                # the grown block has prod |P_j| edges iff v adds one with each
-                # transversal of the other parts: |edges| / |P_i| of them
-                count = reduce(and_, unions).bit_count()
-                for i, p in enumerate(parts):
-                    others = reduce(and_, unions[:i] + unions[i + 1:])
-                    if (sv & others).bit_count() * len(p) == count:
-                        stack.append((v + 1, r, parts[:i] + (p + (v,),) + parts[i + 1:],
-                                      unions[:i] + (unions[i] | sv,) + unions[i + 1:], common))
-                continue
-            near = common & adj[v]
-            for i in range(opened):
-                stack.append((v + 1, opened, parts[:i] + (parts[i] + (v,),) + parts[i + 1:],
-                              unions[:i] + (unions[i] | sv,) + unions[i + 1:], near))
-            if not common >> v & 1:
-                continue
-            grown = parts[:opened] + ((v,),) + parts[opened + 1:]
-            united = unions[:opened] + (sv,) + unions[opened + 1:]
-            if opened + 1 < r or reduce(and_, united).bit_count() == math.prod(map(len, grown)):
-                stack.append((v + 1, opened + 1, grown, united, near))
+            for i in range(r - 1):  # v joins part i
+                others = _transversals(parts[:i] + parts[i + 1:])
+                rest = above
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    grown = w
+                    for t in others:
+                        grown &= link.get(t | low, 0)
+                        if not grown:
+                            break
+                    if grown:
+                        v = low.bit_length() - 1
+                        closing.append((v, parts[:i] + (parts[i] + (v,),) + parts[i + 1:],
+                                        unions[:i] + (unions[i] | star[v],) + unions[i + 1:],
+                                        grown))
         found.sort(key=itemgetter(0))
         self.parts = [parts for parts, _ in found]
         self.masks = [mask for _, mask in found]
@@ -209,7 +281,7 @@ def enumerate_blocks(h: Hypergraph) -> list[RPartiteBlock]:
     """All complete r-partite blocks on subsets of the vertices whose implied
     edges are edges of h, each once up to part reordering, sorted by parts.
     They are read from h's block table (`_BlockTable`)."""
-    return [RPartiteBlock(parts) for parts in _block_table(h).parts]
+    return [_canonical_block(parts) for parts in _block_table(h).parts]
 
 
 def _root_orbits(parts: list, branches: list[int]) -> list[int]:
@@ -252,7 +324,10 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
     branches on the lowest such edge, trying its blocks cheapest first and,
     among equal costs, widest first (ties keep the candidates' order). Failed
     (state, remaining cost) pairs are remembered across levels. Only the
-    witness's blocks are built as RPartiteBlocks.
+    witness's blocks are built as RPartiteBlocks, canonical by construction.
+    An unknown outcome's upper end is the cost of min L copies of each edge
+    as a block of singletons (r|E| for a cost search, whose list is the
+    unbounded one).
 
     When h is complete, the root branches on e0 = h.edges[0] over one block
     per orbit (`_root_orbits`): every cover holds a block covering e0, and a
@@ -279,11 +354,13 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
     else:
         top, start = h.r * edges, 0
     saturate = lst.allowed is None
+    # min L copies of each edge as a block of singletons cover h
+    upper = (1 if saturate else min(lst.allowed)) * edges * (1 if unit else h.r)
     # no edge is covered more often than the top cost allows, so higher levels
     # admit nothing
     levels = (1,) if saturate else sorted(k for k in lst.allowed if k <= top)
     if full and not levels:
-        return SearchOutcome("unknown", max(start, top + 1), stop="max_blocks")
+        return SearchOutcome("unknown", max(start, top + 1), stop="max_blocks", upper=upper)
     depth = max(levels, default=0)
     # an edge covered c < m0 = min L times lacks m0 - c blocks: one is counted
     # as bad, the others are its absences from planes[c], ..., planes[m0 - 2]
@@ -333,12 +410,13 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
         try:
             found = dfs((0,) * depth, t)
         except _OutOfTime:
-            return SearchOutcome("unknown", t, nodes=deadline.calls, stop="timeout")
+            return SearchOutcome("unknown", t, nodes=deadline.calls, stop="timeout",
+                                 upper=upper)
         if found:
-            witness = Cover(h.r, tuple(RPartiteBlock(parts[bi]) for bi in chosen))
+            witness = Cover(h.r, tuple(_canonical_block(parts[bi]) for bi in chosen))
             return SearchOutcome("exact", t, t, witness, deadline.calls)
     return SearchOutcome("unknown", max(start, top + 1), nodes=deadline.calls,
-                         stop="max_blocks")
+                         stop="max_blocks", upper=upper)
 
 
 def min_cover_size(

@@ -411,6 +411,40 @@ def naive_enumerate_blocks(h):
     return out
 
 
+def naive_table(h):
+    """The parts and edge masks of naive_enumerate_blocks(h), the masks over
+    the indices of h.edges."""
+    index = {e: i for i, e in enumerate(h.edges)}
+    blocks = naive_enumerate_blocks(h)
+    return ([b.parts for b in blocks],
+            [sum(1 << index[e] for e in b.implied_edges()) for b in blocks])
+
+
+def naive_blocks_by_edge_sets(h):
+    """The parts and edge masks of the blocks of h, sorted by parts, found
+    from the sets F of edges rather than from part assignments, so that a
+    sparse h on many vertices stays cheap: two vertices of F lie in one part
+    exactly when no edge of F holds both, and F is the edge set of a block
+    when these classes are r disjoint parts whose transversals are F."""
+    found = []
+    for size in range(1, len(h.edges) + 1):
+        for chosen in itertools.combinations(range(len(h.edges)), size):
+            edges = {h.edges[i] for i in chosen}
+            vertices = set().union(*edges)
+            together = {v: set() for v in vertices}
+            for e in edges:
+                for v in e:
+                    together[v].update(e)
+            classes = {frozenset(vertices - together[v] | {v}) for v in vertices}
+            if len(classes) != h.r or sum(map(len, classes)) != len(vertices):
+                continue
+            parts = tuple(sorted(tuple(sorted(c)) for c in classes))
+            if {tuple(sorted(t)) for t in itertools.product(*parts)} == edges:
+                found.append((parts, sum(1 << i for i in chosen)))
+    found.sort()
+    return [parts for parts, _ in found], [mask for _, mask in found]
+
+
 def naive_locally_maximal(blocks, h):
     """Blocks to which no vertex outside can be added, in any part, keeping
     every transversal of the grown block an edge of h."""
@@ -819,6 +853,8 @@ class TestSearchAgainstKeptSimpleCore:
                 assert verify_cover(h, got.witness, lst).ok
                 assert len(got.witness.blocks) == got.value
                 assert link_lower_bound(h, lst) <= expected.value
+                # built without checks, the witness blocks are canonical already
+                assert all(b == RPartiteBlock(b.parts) for b in got.witness.blocks)
 
     # {2} is left out: the reference takes 12 s on K_6 and 42 s on K_6^3 there
     @pytest.mark.parametrize("r", (2, 3))

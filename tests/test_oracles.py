@@ -11,9 +11,11 @@ import pytest
 from conftest import random_hypergraph
 
 from hypercover import (
+    Cover,
     GuardError,
     Hypergraph,
     MultiplicityList,
+    RPartiteBlock,
     SearchBudget,
     chromatic_number,
     complete_hypergraph,
@@ -287,6 +289,65 @@ class TestSearchStop:
     def test_stop_agrees_with_status(self, status, value, stop):
         with pytest.raises(ValueError):
             oracles.SearchOutcome(status, 3, value, stop=stop)
+
+    @pytest.mark.parametrize("status,lower,value,stop,upper", [
+        ("exact", 3, 3, "exact", 4), ("unknown", 5, None, "timeout", 4),
+        ("unknown", 5, None, "max_blocks", 4),
+    ])
+    def test_upper_agrees_with_bracket(self, status, lower, value, stop, upper):
+        with pytest.raises(ValueError):
+            oracles.SearchOutcome(status, lower, value, stop=stop, upper=upper)
+
+    def test_exact_upper_is_the_value(self):
+        assert oracles.SearchOutcome("exact", 3, 3).upper == 3
+
+
+def bracket_corpus():
+    """Seeded random hypergraphs at r = 2, 3 on up to 6 vertices, and K_4..K_6,
+    K_4^3..K_6^3."""
+    rng = random.Random(2600)
+    corpus = [complete_hypergraph(n, r) for r in (2, 3) for n in (4, 5, 6)]
+    for i in range(16):
+        r = (2, 3)[i % 2]
+        corpus.append(random_hypergraph(rng, rng.randint(r, 6), r))
+    return corpus
+
+
+class TestSearchBracket:
+    """Every outcome carries the proven bracket [lower, upper]: upper is the
+    value of an exact outcome, and otherwise the cost of min L copies of each
+    edge as a block of singletons, a cover that always exists."""
+
+    BUDGETS = (SearchBudget(), SearchBudget(max_blocks=2), SearchBudget(max_seconds=1e-6))
+
+    @staticmethod
+    def trivial_cover(h, lst):
+        m0 = 1 if lst.allowed is None else min(lst.allowed)
+        return Cover(h.r, tuple(RPartiteBlock(tuple((v,) for v in e))
+                                for e in h.edges for _ in range(m0)))
+
+    def assert_bracket(self, h, lst, outcome, cost):
+        trivial = self.trivial_cover(h, lst)
+        assert verify_cover(h, trivial, lst).ok
+        assert outcome.lower <= outcome.upper
+        if outcome.is_exact:
+            assert outcome.upper == outcome.value <= cost(trivial)
+        else:
+            assert outcome.upper == cost(trivial)
+
+    @pytest.mark.parametrize("h", bracket_corpus(), ids=lambda h: f"r{h.r}n{h.n}e{len(h.edges)}")
+    def test_covers(self, h):
+        for lst in (ANY, MultiplicityList.up_to(2), MultiplicityList.of(2),
+                    MultiplicityList.of(1, 3), MultiplicityList.of(1)):
+            for budget in self.BUDGETS:
+                self.assert_bracket(h, lst, min_cover_size(h, lst, budget), len)
+
+    @pytest.mark.parametrize("h", [h for h in bracket_corpus() if h.n <= 5],
+                             ids=lambda h: f"r{h.r}n{h.n}e{len(h.edges)}")
+    def test_orders(self, h):
+        for budget in self.BUDGETS:
+            self.assert_bracket(h, ANY, min_sum_of_orders(h, budget),
+                                lambda c: sum(b.order() for b in c.blocks))
 
 
 class TestMinSumOfOrders:

@@ -1,10 +1,12 @@
 """Property tests: the JSON loaders on arbitrary field values, edge, block and
 label class storage, the JSON round trips, the multiplicity profiler against
-listing every block edge, the block enumerator against filtering every
-part assignment, its locally maximal blocks against trying every vertex in
-every part, the inertia by elimination against the characteristic
-polynomial, the `verify` command on small documents, valid or spoilt, and the
-`bounds` and `rank` commands on odd option values.
+listing every block edge, the block table's parts and edge masks against
+filtering every part assignment and, on sparse inputs with many vertices,
+against testing every set of edges, its locally maximal blocks against
+trying every vertex in every part, the inertia by elimination against the
+characteristic polynomial, the `verify` command on small documents, valid or
+spoilt, the `bounds` and `rank` commands on odd option values, and the
+`search` command on odd option values and small documents, valid or spoilt.
 
 Examples are drawn deterministically (derandomize) and no example database
 is kept, so the suite gives the same verdict every time.
@@ -27,12 +29,13 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from test_cross_checks import (  # noqa: E402
     LISTS,
     naive_block_parts,
+    naive_blocks_by_edge_sets,
     naive_canonical,
-    naive_enumerate_blocks,
     naive_inertia,
     naive_label_classes,
     naive_locally_maximal,
     naive_profile,
+    naive_table,
     naive_verify,
 )
 
@@ -42,6 +45,7 @@ from hypercover import (  # noqa: E402
     LabelBlock,
     MultiplicityList,
     RPartiteBlock,
+    complete_hypergraph,
     cover_from_json,
     cover_to_json,
     enumerate_blocks,
@@ -51,7 +55,7 @@ from hypercover import (  # noqa: E402
     multiplicity_profile,
 )
 from hypercover import cli  # noqa: E402
-from hypercover.oracles import _block_table  # noqa: E402
+from hypercover.oracles import _BlockTable, _block_table  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -107,10 +111,39 @@ def hypergraphs(draw):
     return Hypergraph(r, n, [e for e, k in zip(candidates, keep) if k])
 
 
-@settings(SETTINGS, max_examples=15)
+@settings(SETTINGS, max_examples=30)
 @given(h=hypergraphs())
+@example(h=complete_hypergraph(6, 4))
+@example(h=Hypergraph(4, 6, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 1, 4, 5),
+                             (2, 3, 4, 5)]))
 def test_enumerator_matches_assignments(h):
-    assert enumerate_blocks(h) == naive_enumerate_blocks(h)
+    blocks, table = enumerate_blocks(h), _block_table(h)
+    assert (table.parts, table.masks) == naive_table(h)
+    # built without checks, the blocks are canonical already
+    assert [b.parts for b in blocks] == table.parts
+    assert all(b == RPartiteBlock(b.parts) for b in blocks)
+
+
+@st.composite
+def sparse_hypergraphs(draw):
+    """Up to 10 edges on up to 24 vertices, too many for filtering part
+    assignments; the edges lie in a window of r + 3 vertices, so that some of
+    them form blocks with more than one vertex in a part."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, 24))
+    low = draw(st.integers(0, n - r))
+    vertices = st.integers(low, min(n - 1, low + r + 2))
+    edge = st.lists(vertices, min_size=r, max_size=r, unique=True).map(sorted).map(tuple)
+    return Hypergraph(r, n, draw(st.lists(edge, max_size=10)))
+
+
+@settings(SETTINGS, max_examples=40)
+@given(h=sparse_hypergraphs())
+@example(h=Hypergraph(150, 150, [tuple(range(150))]))
+@example(h=Hypergraph(2, 24, [(2 * i, 2 * i + 1) for i in range(12)]))
+def test_enumerator_matches_edge_sets(h):
+    table = _BlockTable(h)  # built directly: the enumeration guard refuses these sizes
+    assert (table.parts, table.masks) == naive_blocks_by_edge_sets(h)
 
 
 @settings(SETTINGS, max_examples=40)
@@ -437,3 +470,96 @@ def test_bounds_and_rank_argv_fuzz():
     start = time.perf_counter()
     fuzz_bounds_and_rank()
     assert time.perf_counter() - start < 15.0
+
+
+SEARCH_FAULTS = (None,) * 6 + ("vertex-past-n", "true", "2.0", "missing-key", "truncated",
+                                "no-file")
+# option values for `search`: valid ones (most often, so that many command
+# lines reach a search), then unreachable, guarded or unparsable ones
+SEARCH_VALUES = {
+    "--list": st.sampled_from(["any", "1", "2", "1,3", "2,3", "1..2", "1..3", "3,1"]) |
+    st.sampled_from([" ANY ", "2..2", "0_1", "\u0661..\u0662", "0", "-1", "1,0", "3..1", "1..0",
+                     "2,1000000000", "1000000000", "1..1000000000", "1" + "0" * 400, "1" * 5000,
+                     "", " ", "x", "1.5", "1e3", "1..", "..2", "1,,2", "1...3", "0x2"]),
+    "--max-blocks": st.integers(0, 12).map(str) |
+    st.sampled_from(["-1", "-3", "x", "", "2.5", "1e3"]) | FLAG_VALUES["power"],
+    "--max-seconds": st.sampled_from(["1e-9", "1e-6", "0.5", "2", "1e300"]) |
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e400", "x", ""]),
+}
+
+
+@st.composite
+def search_argv(draw):
+    """A `search` command line and the hypergraph document it reads, which is
+    small and valid or spoilt by the fault drawn with it ("no-file": the path
+    names no file). Each option is drawn or left out."""
+    r = draw(st.integers(2, 3))
+    n = draw(st.integers(0, 5))
+    pool = list(itertools.combinations(range(n), r))
+    edges = draw(st.lists(st.sampled_from(pool), max_size=10, unique=True)) if pool else []
+    doc = {"r": r, "n": n, "edges": [list(e) for e in edges]}
+    fault = draw(st.sampled_from(SEARCH_FAULTS))
+    if fault in ("vertex-past-n", "true", "2.0"):
+        bad = {"vertex-past-n": n + draw(st.integers(0, 3)), "true": True, "2.0": 2.0}[fault]
+        if doc["edges"]:
+            doc["edges"][0][-1] = bad
+        else:
+            doc["edges"].append(list(range(r - 1)) + [bad])
+    elif fault == "missing-key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    text = json.dumps(doc)
+    if fault == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    argv = ["search", draw(st.sampled_from(["min-cover"] * 3 + ["min-partition",
+                                                                 "min-sum-orders", "min-size"]))]
+    for option, values in SEARCH_VALUES.items():
+        if draw(st.sampled_from([True, True, False])):
+            argv += [option, draw(values)]
+    return argv, text, fault
+
+
+@settings(SETTINGS, max_examples=300)
+@given(case=search_argv())
+# the largest documents drawn: K_5 with each edge covered twice, and K_5^3
+# stopped by its time limit
+@example(case=(["search", "min-cover", "--list", "2"],
+               hypergraph_to_json(complete_hypergraph(5)), None))
+@example(case=(["search", "min-cover", "--list", "2,3", "--max-seconds", "1e-9"],
+               hypergraph_to_json(complete_hypergraph(5, 3)), None))
+def fuzz_search(case):
+    argv, text, fault = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "h.json")
+        if fault != "no-file":
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = argv[:2] + ["--file", path] + argv[2:]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+        assert time.perf_counter() - start < 5.0, argv
+    assert code in (cli.EXIT_OK, cli.EXIT_UNKNOWN, 2, cli.EXIT_ERROR), argv
+    assert "Traceback" not in err.getvalue()
+    lines = out.getvalue().splitlines()
+    if fault is not None:
+        assert code in (2, cli.EXIT_ERROR), argv
+    if code in (cli.EXIT_OK, cli.EXIT_UNKNOWN):
+        assert len(lines) == 1, argv
+        payload = json.loads(lines[0], parse_constant=_strict_constant)
+        assert payload["goal"] == argv[1] and payload["exact"] is (code == cli.EXIT_OK)
+        assert payload["status"] == ("ok" if code == cli.EXIT_OK else "unknown")
+        assert payload["value"] == (payload["lower"] if code == cli.EXIT_OK else None)
+    else:
+        assert lines == [], argv
+        if code == cli.EXIT_ERROR:
+            assert err.getvalue().startswith("error:"), argv
+
+
+def test_search_argv_fuzz():
+    start = time.perf_counter()
+    fuzz_search()
+    assert time.perf_counter() - start < 30.0
