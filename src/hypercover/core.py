@@ -43,10 +43,8 @@ class GuardError(ValueError):
 
 def check_guard(description: str, actual: int, limit: int) -> None:
     if actual > limit and os.environ.get(GUARD_ENV) != "1":
-        raise GuardError(
-            f"{description}: {actual} exceeds guard {limit}"
-            f" (set {GUARD_ENV}=1 to override)"
-        )
+        raise GuardError(f"{description}: {actual} exceeds guard {limit}"
+                         f" (set {GUARD_ENV}=1 to override)")
 
 
 def check_power_guard(description: str, factor: int, base: int, exponent: int,
@@ -394,11 +392,8 @@ def _split(mask: int, planes) -> list:
 
 def _least(masks) -> Edge | None:
     """The least r-set p + (v,) with v a vertex of the mask of prefix p."""
-    found = min(((p, m) for p, m in masks if m), key=itemgetter(0), default=None)
-    if found is None:
-        return None
-    p, m = found
-    return p + (p[-1] + (m & -m).bit_length(),)
+    p, m = min(((p, m) for p, m in masks if m), key=itemgetter(0), default=((), 0))
+    return p + (p[-1] + (m & -m).bit_length(),) if m else None
 
 
 @dataclass(frozen=True)
@@ -410,40 +405,24 @@ class MultiplicityProfile:
     the span it covers above p, whatever n is. planes[p][k] has bit i set when
     bit k of the number of blocks containing that r-set is 1; prefixes of no
     block edge have no planes. links[p] is the link mask of p in h, clipped to
-    the width of planes[p]; the other edges of h, which no block contains, are
-    bare, in increasing order. A covered r-set that is not an edge of h is
-    foreign.
-
-    The queries read one pass over the counted prefixes, made on first use,
-    which splits each link by its counters, keeps each non-empty foreign mask
-    and counts the edges of the links per multiplicity.
+    the width of planes[p], for each counted prefix with a run in h, in
+    increasing order; the other edges of h, which no block contains, are bare,
+    in increasing order. A covered r-set that is not an edge of h is foreign;
+    foreign[p] is the non-empty mask of those above p. counts maps each
+    multiplicity to the number of edges of the links covered that often. The
+    pass that builds the profile fills them all; only the witness of
+    least_outside reads the counters again, when a count falls outside L.
     """
 
     links: dict
     planes: dict
     bare: tuple
-
-    @cached_property
-    def _tally(self) -> tuple:
-        """(prefix -> its link mask split into (submask, count) by the counters,
-        prefix -> the non-empty mask of its foreign r-sets,
-        count -> number of edges of the links covered that often)."""
-        links = self.links
-        groups, foreign, counts = {}, {}, {}
-        for p, planes in self.planes.items():
-            link = links.get(p, 0)
-            mask = (planes[0] if len(planes) == 1 else reduce(or_, planes)) & ~link
-            if mask:
-                foreign[p] = mask
-            if link:
-                groups[p] = split = _split(link, planes)
-                for m, count in split:
-                    counts[count] = counts.get(count, 0) + m.bit_count()
-        return groups, foreign, counts
+    foreign: dict
+    counts: dict
 
     def histogram(self) -> dict:
         """Multiplicity -> number of edges of h covered that often, ascending."""
-        hist = dict(self._tally[2])
+        hist = dict(self.counts)
         if self.bare:
             hist[0] = hist.get(0, 0) + len(self.bare)
         return dict(sorted(hist.items()))
@@ -455,23 +434,22 @@ class MultiplicityProfile:
                    if plane >> i & 1)
 
     def foreign_count(self) -> int:
-        return sum(mask.bit_count() for mask in self._tally[1].values())
+        return sum(mask.bit_count() for mask in self.foreign.values())
 
     def least_foreign(self) -> Edge | None:
-        return _least(self._tally[1].items())
+        return _least(self.foreign.items())
 
     def least_outside(self, lst: "MultiplicityList") -> Edge | None:
         """The least edge of h whose multiplicity is not in `lst`; the bare edges
-        all are, since no list admits 0. Only the links of the counts that occur
-        outside `lst`, if any, are scanned."""
-        groups, _, counts = self._tally
-        outside = {count for count in counts if count not in lst}
-        least = _least((p, sum(m for m, count in split if count in outside))
-                       for p, split in groups.items()) if outside else None
-        if not self.bare:
-            return least
-        first_bare = self.bare[0]
-        return first_bare if least is None else min(least, first_bare)
+        all are, since no list admits 0. Only when some count occurs outside
+        `lst` are the links split by their counters, up to the first holding one."""
+        outside = {count for count in self.counts if count not in lst}
+        masks = ((p, sum(m for m, count in _split(link, self.planes[p]) if count in outside))
+                 for p, link in self.links.items()) if outside else ()
+        least = _least(itertools.islice(filter(itemgetter(1), masks), 1))
+        if self.bare and (least is None or self.bare[0] < least):
+            return self.bare[0]
+        return least
 
 
 def _cuts(b: RPartiteBlock) -> list:
@@ -495,16 +473,6 @@ def _cuts(b: RPartiteBlock) -> list:
     return cuts
 
 
-def _add(planes: list, mask: int) -> None:
-    """Add 1 to the bit-sliced counters `planes` at every bit of mask."""
-    for k, plane in enumerate(planes):
-        planes[k] = plane ^ mask
-        mask &= plane
-        if not mask:
-            return
-    planes.append(mask)
-
-
 def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
     """Count, for every edge of h and every foreign r-set, the blocks of c
     containing it.
@@ -518,7 +486,9 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
     found by one bisect bounded by the run's greatest length. The run of a
     prefix without counters is bare. A counted run becomes the link mask of
     its prefix, clipped at the last vertex the counters reach; the edges past
-    that top are bare.
+    that top are bare. Each link is tallied as it is built: one plane equal to
+    it adds its edges to multiplicity 1; any other is split by its counters,
+    whose bits outside it are foreign, as are all those the sweep never reaches.
     """
     if c.r != h.r:
         raise ValueError(f"cover uniformity {c.r} != hypergraph uniformity {h.r}")
@@ -535,40 +505,64 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
     for cut, upper, _ in cuts:
         low = upper[0]
         whole = packed_bits([v - low for v in upper], upper[-1] - low + 1)
-        for combo in itertools.product(*cut):
-            p = tuple(sorted(combo))
+        # a combination has one vertex per cut part; its sorted tuple is the prefix
+        prefixes = (zip(cut[0]) if len(cut) == 1
+                    else map(tuple, map(sorted, itertools.product(*cut))))
+        for p in prefixes:
             shift = p[-1] + 1 - low
-            _add(planes.setdefault(p, []), whole >> shift if shift >= 0 else whole << -shift)
+            mask = whole >> shift if shift >= 0 else whole << -shift
+            counters = planes.get(p)
+            if counters is None:
+                planes[p] = [mask]
+                continue
+            for k, plane in enumerate(counters):  # add 1 at each bit of mask, with carry
+                counters[k] = plane ^ mask
+                mask &= plane
+                if not mask:
+                    break
+            else:
+                counters.append(mask)
     # h's edges are sorted, so those of a prefix p form one run, at most
     # n - 1 - p[-1] long, that ends before p + (n,)
     edges, n = h.edges, h.n
     total = len(edges)
-    links: dict = {}
-    bare: list = []
-    start = 0
-    while start < total:
+    links, foreign, counts, bare = {}, {}, {}, []
+    end = 0
+    while end < total:
+        start = end
         p = edges[start][:-1]
         pmax = p[-1]
         end = bisect_left(edges, p + (n,), start, min(total, start + n - 1 - pmax))
         counters = planes.get(p)
         if counters is None:
             bare += edges[start:end]
-        else:
-            # the link stops at the last vertex the counters reach; the rest is bare
-            top = pmax + max(map(int.bit_length, counters))
-            stop = end
-            if edges[end - 1][-1] > top:
-                stop = bisect_left(edges, p + (top + 1,), start, end)
-                bare += edges[stop:end]
-            if stop > start:
-                first, last = edges[start][-1], edges[stop - 1][-1]
-                if last - first == stop - 1 - start:  # consecutive last vertices
-                    links[p] = ((1 << (stop - start)) - 1) << (first - pmax - 1)
-                else:
-                    links[p] = packed_bits(map(sub, map(itemgetter(-1), edges[start:stop]),
-                                               itertools.repeat(pmax + 1)), last - pmax)
-        start = end
-    return MultiplicityProfile(links, planes, tuple(bare))
+            continue
+        # the link stops at the last vertex the counters reach; the rest is bare
+        top = pmax + max(map(int.bit_length, counters))
+        stop = end
+        if edges[end - 1][-1] > top:
+            stop = bisect_left(edges, p + (top + 1,), start, end)
+            bare += edges[stop:end]
+        link = 0
+        if stop > start:
+            first, last = edges[start][-1], edges[stop - 1][-1]
+            if last - first == stop - 1 - start:  # consecutive last vertices
+                link = ((1 << (stop - start)) - 1) << (first - pmax - 1)
+            else:
+                link = packed_bits(map(sub, map(itemgetter(-1), edges[start:stop]),
+                                       itertools.repeat(pmax + 1)), last - pmax)
+        links[p] = link
+        if len(counters) == 1 and counters[0] == link:
+            counts[1] = counts.get(1, 0) + link.bit_count()
+            continue
+        mask = reduce(or_, counters) & ~link
+        if mask:
+            foreign[p] = mask
+        for m, count in _split(link, counters):
+            counts[count] = counts.get(count, 0) + m.bit_count()
+    if len(links) < len(planes):
+        foreign.update((p, reduce(or_, c)) for p, c in planes.items() if p not in links)
+    return MultiplicityProfile(links, planes, tuple(bare), foreign, counts)
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,7 @@ def cube_graph(r: int, m: int) -> CubeGraph:
             weight = base ** (m - 1 - j)
             zero = [hi + lo for hi in range(0, n, base * weight) for lo in range(weight)]
             with_label = zip(*(range(v, v + r * weight, weight) for v in zero))
-            edges.extend(tuple(sorted(e)) for e in itertools.product(*with_label))
+            edges.extend(map(tuple, map(sorted, itertools.product(*with_label))))
         # each edge is r distinct vertices of 0..n-1, sorted
         return CubeGraph(r, m, _canonical_hypergraph(r, n, edges, sort=True))
 

@@ -156,15 +156,18 @@ class _BlockTable:
                 link[rest] = link.get(rest, 0) | 1 << v
         self.star = star
         active = sum(1 << v for v in range(n) if star[v])
-        # (last vertex placed, parts, each part's union, common) while fewer
-        # than r - 1 parts are open, then (last vertex placed, parts, unions, W);
-        # depth does not grow with n
+        # (last vertex placed, parts, each part's union, common) while fewer than
+        # r - 1 parts are open, then (last, parts, unions, W, for each part the
+        # transversals of the others, or None); depth does not grow with n
         opening = [(-1, (), (), active)]
         closing = []
         while opening:
             last, parts, unions, common = opening.pop()
             k = len(parts)
             rest = common >> (last + 1) << (last + 1)
+            if k == r - 2 and rest:  # v opens part r - 1; W needs these transversals
+                trans = _transversals(parts)
+                known = (None,) * k + (trans,)
             while rest:  # open part k + 1 with v
                 low = rest & -rest
                 rest ^= low
@@ -178,12 +181,12 @@ class _BlockTable:
                         opening.append((v, grown, united, near))
                     continue
                 w = near >> (v + 1) << (v + 1)
-                for t in _transversals(parts):
+                for t in trans:
                     w &= link.get(t | low, 0)
                     if not w:
                         break
                 if w:
-                    closing.append((v, grown, united, w))
+                    closing.append((v, grown, united, w, known))
             rest = active >> (last + 1) << (last + 1) if k else 0
             while rest:  # v joins an open part
                 low = rest & -rest
@@ -198,27 +201,28 @@ class _BlockTable:
                 for i in range(k):
                     opening.append((v, parts[:i] + (parts[i] + (v,),) + parts[i + 1:],
                                     unions[:i] + (unions[i] | sv,) + unions[i + 1:], near))
-        found = []
+        groups = []  # (first r - 1 parts, last parts in increasing order, their masks)
         while closing:
-            last, parts, unions, w = closing.pop()
-            # the subsets of W and their unions of stars, each built from the
-            # subset less its largest vertex
-            lasts, ors = [()], [0]
+            last, parts, unions, w, known = closing.pop()
+            # the non-empty subsets of W in increasing order, with their unions of
+            # stars: v alone, v before each subset above v, then those subsets
+            lasts, ors = [], []
             rest = w
             while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
+                v = rest.bit_length() - 1
+                rest ^= 1 << v
                 sv = star[v]
-                lasts += [s + (v,) for s in lasts]
-                ors += [u | sv for u in ors]
+                lasts = [(v,), *[(v,) + s for s in lasts], *lasts]
+                ors = [sv, *[sv | u for u in ors], *ors]
             prefix = reduce(and_, unions)
-            found += [(parts + (s,), prefix & u) for s, u in zip(lasts[1:], ors[1:])]
+            groups.append((parts, lasts, [prefix & u for u in ors]))
             above = active >> (last + 1) << (last + 1)
             if not above:
                 continue
-            for i in range(r - 1):  # v joins part i
-                others = _transversals(parts[:i] + parts[i + 1:])
+            for i, others in enumerate(known):  # v joins part i
+                if others is None:  # known if the last vertex placed went into part i
+                    others = _transversals(parts[:i] + parts[i + 1:])
+                kept = (None,) * i + (others,) + (None,) * (r - 2 - i)
                 rest = above
                 while rest:
                     low = rest & -rest
@@ -232,10 +236,11 @@ class _BlockTable:
                         v = low.bit_length() - 1
                         closing.append((v, parts[:i] + (parts[i] + (v,),) + parts[i + 1:],
                                         unions[:i] + (unions[i] | star[v],) + unions[i + 1:],
-                                        grown))
-        found.sort(key=itemgetter(0))
-        self.parts = [parts for parts, _ in found]
-        self.masks = [mask for _, mask in found]
+                                        grown, kept))
+        # blocks of one group share their first r - 1 parts: sorting groups sorts blocks
+        groups.sort(key=itemgetter(0))
+        self.parts = [parts + (s,) for parts, lasts, _ in groups for s in lasts]
+        self.masks = [mask for _, _, masks in groups for mask in masks]
 
     @cached_property
     def maximal(self) -> tuple[list, list]:

@@ -564,6 +564,34 @@ class TestProfileRuns:
         assert (res.reason, res.witness_edge, res.witness_multiplicity) == \
             ("multiplicity", witness, 0)
 
+    @pytest.mark.parametrize("h, c, histogram, foreign, witness", [
+        # prefix (0,) has one plane equal to its link, and so does (1,)
+        (Hypergraph(2, 4, [(0, 1), (0, 2), (1, 3)]),
+         Cover(2, (RPartiteBlock(((0,), (1, 2))), RPartiteBlock(((1,), (3,))))),
+         {1: 3}, None, None),
+        # one plane, a strict superset of the link: (0, 2) is foreign
+        (Hypergraph(2, 4, [(0, 1), (0, 3)]), Cover(2, (RPartiteBlock(((0,), (1, 2, 3))),)),
+         {1: 2}, (0, 2), ("foreign", (0, 2), 1)),
+        # one plane, a strict subset of the link: (0, 2) lies inside it, uncounted
+        (Hypergraph(2, 4, [(0, 1), (0, 2), (0, 3)]), Cover(2, (RPartiteBlock(((0,), (1, 3))),)),
+         {0: 1, 1: 2}, None, ("multiplicity", (0, 2), 0)),
+        # two planes whose union is the link: (0, 1) twice, (0, 2) once
+        (Hypergraph(2, 3, [(0, 1), (0, 2)]),
+         Cover(2, (RPartiteBlock(((0,), (1, 2))), RPartiteBlock(((0,), (1,))))),
+         {1: 1, 2: 1}, None, ("multiplicity", (0, 1), 2)),
+    ])
+    def test_one_pass_cases(self, h, c, histogram, foreign, witness):
+        assert_profile_matches(h, c)
+        profile = multiplicity_profile(h, c)
+        assert profile.histogram() == histogram
+        assert profile.least_foreign() == foreign
+        res = verify_cover(h, c, MultiplicityList.of(1))
+        assert (res.reason, res.witness_edge, res.witness_multiplicity) == \
+            (witness or (None, None, None))
+        # a count of 1 outside the list is found in a link that took the shortcut
+        assert profile.least_outside(MultiplicityList.of(2)) == \
+            min(e for e in h.edges if profile.count(e) != 2)
+
     def test_counted_prefix_without_edges_is_all_foreign(self):
         h = Hypergraph(2, 6, [(0, 1), (2, 3)])
         c = Cover(2, (RPartiteBlock(((0,), (1,))), RPartiteBlock(((2,), (3,))),

@@ -563,3 +563,92 @@ def test_search_argv_fuzz():
     start = time.perf_counter()
     fuzz_search()
     assert time.perf_counter() - start < 30.0
+
+
+# option values for `construct`, per kind: sizes that build in well under a
+# second, sizes a guard refuses at once (10^6 and up), and unparsable ones;
+# never an allowed but slow size such as hex-cover --m 40 or cube-graph --r 2 --m 7
+HUGE = st.integers(6, 400).map(lambda k: str(10**k))
+JUNK = st.sampled_from(["", "x", "1.5", "0x2", "1e3", "--"])
+CONSTRUCT_SIZES = {
+    "hex-cover": {"m": st.integers(-2, 6)},
+    "grid3-cover": {"m": st.integers(-2, 6)},
+    "star-partition": {"n": st.integers(-2, 40)},
+    "log-cover": {"n": st.integers(-2, 40)},
+    "cube-graph": {"r": st.integers(-1, 5), "m": st.integers(-1, 2)},
+    "pi-partition": {"r": st.integers(-1, 5), "m": st.integers(-1, 2)},
+    "label-partition": {"r": st.integers(-1, 6)},
+}
+OUT_PATHS = ("none",) * 3 + ("fresh",) * 3 + ("shared",) * 2 + ("missing-dir", "directory")
+
+
+@st.composite
+def construct_argv(draw):
+    """A `construct` command line, each size option drawn or left out, and for
+    each output option one of OUT_PATHS, to be resolved in a scratch folder:
+    a new file, one file shared by every option that draws it, a file in a
+    folder that does not exist, or the scratch folder itself."""
+    kind = draw(st.sampled_from(sorted(CONSTRUCT_SIZES) * 2 + ["hex"]))
+    argv = ["construct", kind]
+    sizes = CONSTRUCT_SIZES.get(kind, {})
+    for option in ("m", "n", "r"):
+        size = sizes.get(option, st.integers(-2, 6))
+        # an option of the kind is most often given a size, any other left out
+        weights = ["size"] * 10 + ["none"] if option in sizes else ["none"] * 10 + ["size"]
+        value = draw(st.sampled_from(weights + ["huge", "junk"]))
+        if value != "none":
+            values = {"size": size.map(str), "huge": HUGE, "junk": JUNK}[value]
+            argv += [f"--{option}", draw(values)]
+    if kind in ("cube-graph", "pi-partition") and draw(st.booleans()):
+        argv += ["--r", str(draw(st.integers(-1, 3))), "--m", "3"]  # a later option wins
+    outs = {option: draw(st.sampled_from(OUT_PATHS))
+            for option in ("--hypergraph-out", "--cover-out", "--table-out")}
+    return argv, outs
+
+
+@settings(SETTINGS, max_examples=200)
+@given(case=construct_argv())
+@example(case=(["construct", "pi-partition", "--r", "3", "--m", "3"],
+               {"--hypergraph-out": "shared", "--cover-out": "shared", "--table-out": "fresh"}))
+@example(case=(["construct", "label-partition", "--r", "5"],
+               {"--hypergraph-out": "fresh", "--cover-out": "none", "--table-out": "fresh"}))
+@example(case=(["construct", "hex-cover", "--m", "4"],
+               {"--hypergraph-out": "fresh", "--cover-out": "missing-dir", "--table-out": "none"}))
+@example(case=(["construct", "cube-graph", "--r", "1" + "0" * 400, "--m", "1"],
+               {"--hypergraph-out": "fresh", "--cover-out": "none", "--table-out": "none"}))
+def fuzz_construct(case):
+    argv, outs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(argv)
+        for option, out in outs.items():
+            if out != "none":
+                argv += [option, {"fresh": os.path.join(tmp, option[2:] + ".json"),
+                                  "shared": os.path.join(tmp, "shared.json"),
+                                  "missing-dir": os.path.join(tmp, "missing", "out.json"),
+                                  "directory": tmp}[out]]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+        assert time.perf_counter() - start < 5.0, argv
+        assert code in (cli.EXIT_OK, 2, cli.EXIT_ERROR), argv
+        assert "Traceback" not in err.getvalue()
+        lines = out.getvalue().splitlines()
+        if code == cli.EXIT_OK:
+            assert len(lines) == 1, argv
+            payload = json.loads(lines[0], parse_constant=_strict_constant)
+            assert payload["kind"] == argv[1]
+            assert all(os.path.isfile(path) for path in payload["written"]), argv
+        else:
+            assert lines == [], argv
+            if code == cli.EXIT_ERROR:
+                assert err.getvalue().startswith("error:"), argv
+
+
+def test_construct_argv_fuzz():
+    start = time.perf_counter()
+    fuzz_construct()
+    assert time.perf_counter() - start < 30.0
