@@ -210,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a cover against a hypergraph")
     p.add_argument("--hypergraph", required=True)
     p.add_argument("--cover", required=True)
-    p.add_argument("--list", help='"a,b,c", "1..p", or "any"')
-    p.add_argument("--partition", action="store_true")
+    judged = p.add_mutually_exclusive_group()  # neither is a parameter error, exit 4
+    judged.add_argument("--list", help='"a,b,c", "1..p", or "any"')
+    judged.add_argument("--partition", action="store_true", help="the same as --list 1")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("rank", help="adjacency rank certificate for the cube hypergraph")

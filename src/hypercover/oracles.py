@@ -9,8 +9,10 @@ satisfy anyway. They are listed once per hypergraph, each as its parts and an
 edge mask, in a table that every search of it (or of an equal hypergraph)
 reads while it is alive. The table is built in time proportional to its
 blocks: the last part of each block is read off as a subset of the vertices
-that complete every transversal of the others. Only a witness's blocks become
-RPartiteBlocks, built without re-checking parts that are canonical already.
+that complete every transversal of the others, which a vertex does exactly
+when its star holds as many edges meeting every other part as they have
+transversals. Only a witness's blocks become RPartiteBlocks, built without
+re-checking parts that are canonical already.
 
 The three cover searches share one core, `_search`. Block-count searches
 start deepening at `bounds.link_lower_bound`, the eigenvalue (or GF(2) rank)
@@ -105,14 +107,6 @@ class _Deadline:
             raise _OutOfTime
 
 
-def _transversals(parts) -> list[int]:
-    """The vertex masks of the transversals of `parts`: one vertex from each."""
-    masks = [0]
-    for p in parts:
-        masks = [m | 1 << v for m in masks for v in p]
-    return masks
-
-
 class _BlockTable:
     """Every block of one hypergraph whose implied edges are edges of it, in
     the order of their parts: `parts` holds each block's parts and `masks`
@@ -132,62 +126,81 @@ class _BlockTable:
     `common` would be left above it than parts are still to open (the last
     part included; each takes its least vertex from there).
 
-    Once r - 1 parts are open, the state carries W instead: the vertices above
-    the least vertex of part r - 1 that complete every transversal of those
-    parts to an edge, the AND of their link masks. A link holds no vertex of
-    its own set, so W is disjoint from every part, and each non-empty subset
-    S of W is the last part of exactly one block, whose edges are the AND of
-    the other parts' unions with the union of S's stars. W only shrinks as
-    the parts grow, so a state whose W is empty is dropped with its subtree,
-    and every state kept from there on yields at least one block.
+    Once r - 1 parts are open, the state carries candidates for W instead,
+    and W is read off when it is popped: the candidates above the least
+    vertex of part r - 1 that complete every transversal of those parts to
+    an edge. A vertex s outside the parts does so exactly when star[s] holds
+    prod |P_i| edges of the AND of their unions, since each such edge is one
+    transversal plus s. When part r - 1 opens with v, the candidates are the
+    vertices above v that share an edge with every vertex placed; when v
+    joins part i, they are W & adj[v], which leaves out v. So W is disjoint
+    from every part, and each non-empty subset S of W is the last part of
+    exactly one block, whose edges are the AND of the other parts' unions with
+    the union of S's stars. W only shrinks as the parts grow, so a state whose
+    W is empty is dropped with its subtree, and every state kept from there on
+    yields at least one block.
     """
 
     def __init__(self, h: Hypergraph):
         r, n = h.r, h.n
         star = [0] * n  # for each vertex, the mask of the edges that hold it
         adj = [0] * n  # for each vertex, the others that share an edge with it
-        link = {}  # for each (r-1)-subset of an edge, as a vertex mask, the vertices completing it
         for i, e in enumerate(h.edges):
             held = sum(1 << v for v in e)
             for v in e:
-                rest = held ^ 1 << v
                 star[v] |= 1 << i
-                adj[v] |= rest
-                link[rest] = link.get(rest, 0) | 1 << v
+                adj[v] |= held ^ 1 << v
         self.star = star
         active = sum(1 << v for v in range(n) if star[v])
-        # (last vertex placed, parts, each part's union, common) while fewer than
-        # r - 1 parts are open, then (last, parts, unions, W, for each part the
-        # transversals of the others, or None); depth does not grow with n
-        opening = [(-1, (), (), active)]
-        closing = []
-        while opening:
-            last, parts, unions, common = opening.pop()
+        # (last vertex placed, parts, each part's union, common while fewer than
+        # r - 1 parts are open and W's candidates from then on); depth does not
+        # grow with n
+        stack = [(-1, (), (), active)]
+        groups = []  # (first r - 1 parts, last parts in increasing order, their masks)
+        while stack:
+            last, parts, unions, common = stack.pop()
             k = len(parts)
-            rest = common >> (last + 1) << (last + 1)
-            if k == r - 2 and rest:  # v opens part r - 1; W needs these transversals
-                trans = _transversals(parts)
-                known = (None,) * k + (trans,)
+            above = active >> (last + 1) << (last + 1)
+            if k == r - 1:
+                # W: the candidates whose stars hold one edge per transversal of the
+                # parts; its non-empty subsets in increasing order, with their unions
+                # of stars: v alone, v before each subset above v, then those subsets
+                prefix, count = reduce(and_, unions), math.prod(map(len, parts))
+                w, lasts, ors = 0, [], []
+                rest = common
+                while rest:
+                    v = rest.bit_length() - 1
+                    rest ^= 1 << v
+                    sv = star[v]
+                    if (prefix & sv).bit_count() == count:
+                        w |= 1 << v
+                        lasts = [(v,), *[(v,) + s for s in lasts], *lasts]
+                        ors = [sv, *[sv | u for u in ors], *ors]
+                if not w:
+                    continue
+                groups.append((parts, lasts, [prefix & u for u in ors]))
+                while above:  # v joins part i; W's candidates leave out v
+                    low = above & -above
+                    above ^= low
+                    v = low.bit_length() - 1
+                    near = w & adj[v]
+                    if near:
+                        sv = star[v]
+                        for i in range(k):
+                            stack.append((v, parts[:i] + (parts[i] + (v,),) + parts[i + 1:],
+                                          unions[:i] + (unions[i] | sv,) + unions[i + 1:], near))
+                continue
+            rest = common & above
             while rest:  # open part k + 1 with v
                 low = rest & -rest
                 rest ^= low
                 if rest.bit_count() < r - k - 1:
                     break
                 v = low.bit_length() - 1
-                near = common & adj[v]
-                grown, united = parts + ((v,),), unions + (star[v],)
-                if k + 1 < r - 1:
-                    if (near >> (v + 1)).bit_count() >= r - k - 1:
-                        opening.append((v, grown, united, near))
-                    continue
-                w = near >> (v + 1) << (v + 1)
-                for t in trans:
-                    w &= link.get(t | low, 0)
-                    if not w:
-                        break
-                if w:
-                    closing.append((v, grown, united, w, known))
-            rest = active >> (last + 1) << (last + 1) if k else 0
+                near = (common & adj[v]) >> (v + 1) << (v + 1)
+                if near.bit_count() >= r - k - 1:
+                    stack.append((v, parts + ((v,),), unions + (star[v],), near))
+            rest = above if k else 0
             while rest:  # v joins an open part
                 low = rest & -rest
                 rest ^= low
@@ -199,44 +212,8 @@ class _BlockTable:
                     continue
                 sv = star[v]
                 for i in range(k):
-                    opening.append((v, parts[:i] + (parts[i] + (v,),) + parts[i + 1:],
-                                    unions[:i] + (unions[i] | sv,) + unions[i + 1:], near))
-        groups = []  # (first r - 1 parts, last parts in increasing order, their masks)
-        while closing:
-            last, parts, unions, w, known = closing.pop()
-            # the non-empty subsets of W in increasing order, with their unions of
-            # stars: v alone, v before each subset above v, then those subsets
-            lasts, ors = [], []
-            rest = w
-            while rest:
-                v = rest.bit_length() - 1
-                rest ^= 1 << v
-                sv = star[v]
-                lasts = [(v,), *[(v,) + s for s in lasts], *lasts]
-                ors = [sv, *[sv | u for u in ors], *ors]
-            prefix = reduce(and_, unions)
-            groups.append((parts, lasts, [prefix & u for u in ors]))
-            above = active >> (last + 1) << (last + 1)
-            if not above:
-                continue
-            for i, others in enumerate(known):  # v joins part i
-                if others is None:  # known if the last vertex placed went into part i
-                    others = _transversals(parts[:i] + parts[i + 1:])
-                kept = (None,) * i + (others,) + (None,) * (r - 2 - i)
-                rest = above
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    grown = w
-                    for t in others:
-                        grown &= link.get(t | low, 0)
-                        if not grown:
-                            break
-                    if grown:
-                        v = low.bit_length() - 1
-                        closing.append((v, parts[:i] + (parts[i] + (v,),) + parts[i + 1:],
-                                        unions[:i] + (unions[i] | star[v],) + unions[i + 1:],
-                                        grown, kept))
+                    stack.append((v, parts[:i] + (parts[i] + (v,),) + parts[i + 1:],
+                                  unions[:i] + (unions[i] | sv,) + unions[i + 1:], near))
         # blocks of one group share their first r - 1 parts: sorting groups sorts blocks
         groups.sort(key=itemgetter(0))
         self.parts = [parts + (s,) for parts, lasts, _ in groups for s in lasts]

@@ -126,6 +126,21 @@ class TestVerify:
                                "--list", lst)
         assert code == EXIT_OK and payload["status"] == "ok"
 
+    def test_partition_and_list_together_are_a_usage_error(self, capsys, tmp_path):
+        # --partition judges against {1}; a --list beside it is refused, never ignored
+        h, c = self.build(capsys, tmp_path, "hex-cover", "--m", "2")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--hypergraph", h, "--cover", c, "--partition", "--list", "2,3"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "not allowed with argument" in captured.err
+
+    def test_neither_partition_nor_list_is_a_parameter_error(self, capsys, tmp_path):
+        h, c = self.build(capsys, tmp_path, "hex-cover", "--m", "2")
+        code, payload, err = run(capsys, "verify", "--hypergraph", h, "--cover", c)
+        assert code == EXIT_ERROR and payload is None
+        assert err == "error: pass --list or --partition\n"
+
 
 class TestRank:
     def test_r4_m1(self, capsys):

@@ -38,6 +38,14 @@ from hypercover import oracles
 ANY = MultiplicityList.any_positive()
 
 
+def stirling2(n: int, k: int) -> int:
+    """The partitions of n labelled elements into k non-empty classes."""
+    row = [1] + [0] * k  # S(0, j) for j = 0..k
+    for _ in range(n):
+        row = [0] + [row[j - 1] + j * row[j] for j in range(1, k + 1)]
+    return row[k]
+
+
 class TestEnumerateBlocks:
     def test_k3_count(self):
         assert len(enumerate_blocks(complete_hypergraph(3))) == 6
@@ -128,6 +136,17 @@ class TestBlockTable:
                        lambda h: min_cover_size(h, ANY)):
             with pytest.raises(GuardError):
                 search(h)
+
+    @pytest.mark.parametrize("n,r,blocks,maximal", [
+        (6, 2, 301, 31), (8, 3, 7770, 966), (7, 4, 1050, 350), (8, 4, 6951, 1701),
+        (7, 5, 266, 140), (8, 5, 2646, 1050), (8, 6, 462, 266)])
+    def test_complete_hypergraph_counts_are_stirling_numbers(self, n, r, blocks, maximal):
+        # a block's r parts and, as one more class, a new vertex with the vertices
+        # the block leaves out partition n + 1 vertices into r + 1 classes:
+        # S(n + 1, r + 1) blocks; a maximal block leaves none out: S(n, r)
+        assert (blocks, maximal) == (stirling2(n + 1, r + 1), stirling2(n, r))
+        table = oracles._BlockTable(complete_hypergraph(n, r))  # most are over the guard
+        assert (len(table.parts), len(table.maximal[0])) == (blocks, maximal)
 
     def test_sparse_matching_opens_parts_only_among_neighbours(self, monkeypatch):
         # 3^24 part assignments, but a part opens only with a vertex that

@@ -129,7 +129,7 @@ def sparse_hypergraphs(draw):
     """Up to 10 edges on up to 24 vertices, too many for filtering part
     assignments; the edges lie in a window of r + 3 vertices, so that some of
     them form blocks with more than one vertex in a part."""
-    r = draw(st.integers(2, 4))
+    r = draw(st.integers(2, 5))
     n = draw(st.integers(r, 24))
     low = draw(st.integers(0, n - r))
     vertices = st.integers(low, min(n - 1, low + r + 2))
@@ -144,6 +144,23 @@ def sparse_hypergraphs(draw):
 def test_enumerator_matches_edge_sets(h):
     table = _BlockTable(h)  # built directly: the enumeration guard refuses these sizes
     assert (table.parts, table.masks) == naive_blocks_by_edge_sets(h)
+
+
+# blocks of two parts of two vertices, of a part of three, and a stray edge
+SPARSE_R5 = Hypergraph(5, 12, [(0, 1, 2, 3, 4), (0, 1, 2, 3, 5), (0, 1, 2, 4, 6),
+                               (0, 1, 2, 5, 6), (0, 1, 3, 4, 7), (0, 1, 2, 3, 8),
+                               (5, 6, 7, 8, 9)])
+
+
+@pytest.mark.parametrize("h, reference", [(complete_hypergraph(7, 5), naive_table),
+                                          (SPARSE_R5, naive_blocks_by_edge_sets)],
+                         ids=["K_7^5", "sparse"])
+def test_table_at_r5_matches_reference(h, reference):
+    table = _BlockTable(h)  # built directly: 6^n part assignments are over the guard
+    assert (table.parts, table.masks) == reference(h)
+    expected = naive_locally_maximal([RPartiteBlock(parts) for parts in table.parts], h)
+    assert table.maximal == ([b.parts for b in expected],
+                             [table.masks[table.parts.index(b.parts)] for b in expected])
 
 
 @settings(SETTINGS, max_examples=40)
