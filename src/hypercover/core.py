@@ -27,7 +27,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import itemgetter, lt, or_, sub
+from operator import itemgetter, lt, or_
 
 Edge = tuple[int, ...]
 
@@ -35,6 +35,10 @@ GUARD_ENV = "HYPERCOVER_GUARD_OVERRIDE"
 LIST_RANGE_GUARD = 100_000  # multiplicities in one "lo..hi" list
 PROFILE_WORK_GUARD = 2_000_000_000  # counter bits added in multiplicity_profile
 COMPLETE_EDGE_GUARD = 12_000_000  # edges of K_n^r; hex_cover(40) has 10,953,540
+# packed_bits ORs shifts up to this width: below it shifting beat the byte
+# table at every density timed (by 18% or more; 2-core Intel Xeon, Python
+# 3.11.7), and at 2,048 bits with half the positions set the two broke even
+_SHIFT_WIDTH = 1024
 
 
 class GuardError(ValueError):
@@ -372,8 +376,18 @@ class BoundReport:
 
 
 def packed_bits(positions, width: int) -> int:
-    """The int with bit j set for each j in `positions` (all below width),
-    built in O(len(positions) + width) rather than by summing shifts."""
+    """The int with bit j set for each j in `positions` (all below width;
+    repeats allowed).
+
+    Up to _SHIFT_WIDTH bits, one shift per position is ORed into an int. Each
+    OR costs time in the width, so wider masks, such as gf2's wide columns
+    and the links of K_4681-scale runs, are set in a byte table instead, in
+    O(len(positions) + width), where shifting would take their product."""
+    if width <= _SHIFT_WIDTH:
+        bits = 0
+        for j in positions:
+            bits |= 1 << j
+        return bits
     row = bytearray((width + 7) // 8)
     for j in positions:
         row[j >> 3] |= 1 << (j & 7)
@@ -486,9 +500,12 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
     found by one bisect bounded by the run's greatest length. The run of a
     prefix without counters is bare. A counted run becomes the link mask of
     its prefix, clipped at the last vertex the counters reach; the edges past
-    that top are bare. Each link is tallied as it is built: one plane equal to
-    it adds its edges to multiplicity 1; any other is split by its counters,
-    whose bits outside it are foreign, as are all those the sweep never reaches.
+    that top are bare. The OR of the prefix's counters, read once, gives both
+    that top and the foreign bits. Each link is tallied as it is built: a link
+    equal to its one plane is covered exactly once, and the edges of all such
+    links are summed in the sweep and added to multiplicity 1 once, after it;
+    any other link is split by its counters, whose bits outside it are
+    foreign, as are all those the sweep never reaches.
     """
     if c.r != h.r:
         raise ValueError(f"cover uniformity {c.r} != hypergraph uniformity {h.r}")
@@ -527,18 +544,21 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
     edges, n = h.edges, h.n
     total = len(edges)
     links, foreign, counts, bare = {}, {}, {}, []
+    counters_of = planes.get
+    once = 0  # edges of the links equal to their one plane
     end = 0
     while end < total:
         start = end
         p = edges[start][:-1]
         pmax = p[-1]
         end = bisect_left(edges, p + (n,), start, min(total, start + n - 1 - pmax))
-        counters = planes.get(p)
+        counters = counters_of(p)
         if counters is None:
             bare += edges[start:end]
             continue
+        cover = reduce(or_, counters)  # every bit some block covers above p
         # the link stops at the last vertex the counters reach; the rest is bare
-        top = pmax + max(map(int.bit_length, counters))
+        top = pmax + cover.bit_length()
         stop = end
         if edges[end - 1][-1] > top:
             stop = bisect_left(edges, p + (top + 1,), start, end)
@@ -549,17 +569,19 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
             if last - first == stop - 1 - start:  # consecutive last vertices
                 link = ((1 << (stop - start)) - 1) << (first - pmax - 1)
             else:
-                link = packed_bits(map(sub, map(itemgetter(-1), edges[start:stop]),
-                                       itertools.repeat(pmax + 1)), last - pmax)
+                low = pmax + 1
+                link = packed_bits([e[-1] - low for e in edges[start:stop]], last - pmax)
         links[p] = link
-        if len(counters) == 1 and counters[0] == link:
-            counts[1] = counts.get(1, 0) + link.bit_count()
+        if cover == link and len(counters) == 1:
+            once += stop - start
             continue
-        mask = reduce(or_, counters) & ~link
+        mask = cover & ~link
         if mask:
             foreign[p] = mask
         for m, count in _split(link, counters):
             counts[count] = counts.get(count, 0) + m.bit_count()
+    if once:
+        counts[1] = counts.get(1, 0) + once
     if len(links) < len(planes):
         foreign.update((p, reduce(or_, c)) for p, c in planes.items() if p not in links)
     return MultiplicityProfile(links, planes, tuple(bare), foreign, counts)
@@ -619,9 +641,19 @@ def _json_int(doc, key: str) -> int:
     return value
 
 
+def _json_array(doc, key: str) -> list:
+    """doc[key], which must be a JSON array ("" and {} are refused, not read as
+    empty); the TypeError is reported as malformed JSON."""
+    value = doc[key]
+    if type(value) is not list:
+        raise TypeError(f"{key!r} must be an array, not {type(value).__name__}")
+    return value
+
+
 def _parse_hypergraph(text: str) -> Hypergraph:
     doc = json.loads(text)
-    return Hypergraph(_json_int(doc, "r"), _json_int(doc, "n"), map(tuple, doc["edges"]))
+    return Hypergraph(_json_int(doc, "r"), _json_int(doc, "n"),
+                      map(tuple, _json_array(doc, "edges")))
 
 
 def hypergraph_from_json(text: str) -> Hypergraph:
@@ -645,7 +677,8 @@ def cover_from_json(text: str) -> Cover:
     """Raises ValueError on text that is not a cover document."""
     try:
         doc = json.loads(text)
-        blocks = tuple(RPartiteBlock(tuple(b["parts"])) for b in doc["blocks"])
+        blocks = tuple(RPartiteBlock(tuple(_json_array(b, "parts")))
+                       for b in _json_array(doc, "blocks"))
         return Cover(_json_int(doc, "r"), blocks)
     except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed cover JSON: {exc!r}") from None

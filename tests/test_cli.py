@@ -282,8 +282,11 @@ class TestMalformedInput:
         '{"r": 2, "n": 1e400, "edges": []}',
         '{"r": 2, "n": true, "edges": []}',
         '{"r": 2.0, "n": 3, "edges": [[0,1]]}',
+        '{"r": 2, "n": 3, "edges": ""}',
+        '{"r": 2, "n": 3, "edges": {}}',
     ], ids=["no-edges", "edges-not-a-list", "not-an-object", "deep-nesting",
-            "string-r", "float-n", "overflowing-n", "bool-n", "float-r"])
+            "string-r", "float-n", "overflowing-n", "bool-n", "float-r",
+            "edges-empty-string", "edges-empty-object"])
     def test_search(self, tmp_path, text):
         path = tmp_path / "h.json"
         path.write_text(text)
@@ -297,8 +300,13 @@ class TestMalformedInput:
          '{"r": 2.7, "blocks": [{"parts": [[0],[1,2]]},{"parts": [[1],[2]]}]}'),
         (None, '{"r": 2.7, "blocks": [{"parts": [[0],[1,2]]},{"parts": [[1],[2]]}]}'),
         (None, '{"r": "2", "blocks": [{"parts": [[0],[1,2]]},{"parts": [[1],[2]]}]}'),
+        ('{"r": 2, "n": 3, "edges": ""}', '{"r": 2, "blocks": {}}'),
+        ('{"r": 2, "n": 3, "edges": {}}', '{"r": 2, "blocks": []}'),
+        (None, '{"r": 2, "blocks": ""}'),
+        (None, '{"r": 2, "blocks": [{"parts": {}}]}'),
     ], ids=["no-edges", "parts-not-a-list", "no-blocks", "non-integer-r-and-n",
-            "float-cover-r", "string-cover-r"])
+            "float-cover-r", "string-cover-r", "empty-string-edges-and-object-blocks",
+            "empty-object-edges", "empty-string-blocks", "empty-object-parts"])
     def test_verify(self, tmp_path, hyper, cover):
         h, c = tmp_path / "h.json", tmp_path / "c.json"
         h.write_text(hyper or hypergraph_to_json(complete_hypergraph(3)))

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -133,6 +134,25 @@ class TestBlock:
     def test_implied_edges_sorted(self):
         b = RPartiteBlock(({2, 0}, {1, 3}))
         assert sorted(b.implied_edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+
+class TestPackedBits:
+    """packed_bits shifts up to core._SHIFT_WIDTH bits and fills a byte table above."""
+
+    @pytest.mark.parametrize("width", [0, 1, core._SHIFT_WIDTH - 1, core._SHIFT_WIDTH,
+                                       core._SHIFT_WIDTH + 1, 5000])
+    def test_both_paths_match_summed_shifts(self, width):
+        rng = random.Random(width)
+        cases = [[]]
+        if width:
+            drawn = [rng.randrange(width) for _ in range(min(width, 300))]
+            # repeats, the top position, and positions out of order
+            cases += [[width - 1], [width - 1, 0, width - 1], drawn + drawn[:50] + [width - 1],
+                      list(range(width - 1, -1, -3))]
+        for positions in cases:
+            expected = sum(1 << j for j in set(positions))
+            assert core.packed_bits(positions, width) == expected
+            assert core.packed_bits(iter(positions), width) == expected
 
 
 class TestMultiplicityProfile:
@@ -368,6 +388,8 @@ class TestJson:
         '{"r": 2, "n": 3, "edges": [[0, 1], [0, true]]}',
         '{"r": 2, "n": 3, "edges": [[0, 1], [0, 1.0]]}',
         '{"r": 2, "n": 3, "edges": [[0, [1]]]}',
+        '{"r": 2, "n": 3, "edges": ""}',
+        '{"r": 2, "n": 3, "edges": {}}',
     ])
     def test_malformed_hypergraph_raises_value_error(self, text):
         with pytest.raises(ValueError):
@@ -383,6 +405,9 @@ class TestJson:
         '{"r": 2, "blocks": [{"parts": [[0], ["1"]]}]}',
         '{"r": true, "blocks": []}',
         '{"r": 2.0, "blocks": []}',
+        '{"r": 2, "blocks": ""}',
+        '{"r": 2, "blocks": {}}',
+        '{"r": 2, "blocks": [{"parts": ""}]}',
     ])
     def test_malformed_cover_raises_value_error(self, text):
         with pytest.raises(ValueError):

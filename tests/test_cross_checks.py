@@ -50,7 +50,7 @@ from hypercover import (
     pi_partition,
     verify_cover,
 )
-from hypercover.core import _is_canonical
+from hypercover.core import _SHIFT_WIDTH, _is_canonical
 from hypercover.gf2 import colex_subsets
 from hypercover.grids import hex_coordinates
 from hypercover.oracles import _block_table, _search
@@ -531,8 +531,10 @@ class TestProfileAgainstEnumeration:
         for _ in range(30):
             assert_profile_matches(*spread(rng, *random_profile_case(rng)))
 
+    # pi-5-2 and pi-3-3: short runs whose last vertices are not consecutive, each
+    # link equal to its one plane when built, and not with a block dropped or repeated
     @pytest.mark.parametrize("case", ["hex-3", "hex-4", "grid3-3", "grid3-4", "log-9",
-                                      "pi-2-2", "pi-3-2", "pi-4-1"])
+                                      "pi-2-2", "pi-3-2", "pi-4-1", "pi-5-2", "pi-3-3"])
     def test_constructions(self, case):
         kind, *args = case.split("-")
         args = tuple(map(int, args))
@@ -591,6 +593,22 @@ class TestProfileRuns:
         # a count of 1 outside the list is found in a link that took the shortcut
         assert profile.least_outside(MultiplicityList.of(2)) == \
             min(e for e in h.edges if profile.count(e) != 2)
+
+    @pytest.mark.parametrize("edges, histogram, witness", [
+        ([(0, 1), (0, 1500), (0, 2999)], {1: 3}, None),
+        ([(0, 1), (0, 700), (0, 2999), (1, 2)], {0: 2, 1: 2}, ("foreign", (0, 1500), 1)),
+    ])
+    def test_link_wider_than_shifting_pays(self, edges, histogram, witness):
+        # the link of (0,) is not consecutive and wider than packed_bits shifts
+        h = Hypergraph(2, 3000, edges)
+        c = Cover(2, (RPartiteBlock(((0,), (1, 1500, 2999))),))
+        assert_profile_matches(h, c)
+        profile = multiplicity_profile(h, c)
+        assert profile.links[(0,)].bit_length() > _SHIFT_WIDTH
+        assert profile.histogram() == histogram
+        res = verify_cover(h, c, MultiplicityList.of(1))
+        assert (res.reason, res.witness_edge, res.witness_multiplicity) == \
+            (witness or (None, None, None))
 
     def test_counted_prefix_without_edges_is_all_foreign(self):
         h = Hypergraph(2, 6, [(0, 1), (2, 3)])

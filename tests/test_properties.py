@@ -351,7 +351,8 @@ def test_inertia_matches_characteristic_polynomial(matrix):
     assert inertia(matrix) == naive_inertia(matrix)
 
 
-FAULTS = (None, None, "vertex-past-n", "true", "2.0", "wrong-r", "missing-key", "truncated")
+FAULTS = (None, None, "vertex-past-n", "true", "2.0", "wrong-r", "missing-key", "truncated",
+          "not-an-array")
 
 
 @st.composite
@@ -382,6 +383,10 @@ def verify_documents(draw):
     elif fault == "missing-key":
         doc = draw(st.sampled_from([h_doc, c_doc] + blocks))
         del doc[draw(st.sampled_from(sorted(doc)))]
+    elif fault == "not-an-array":  # "" and {} once read as no edges, blocks or parts
+        doc, key = draw(st.sampled_from([(h_doc, "edges"), (c_doc, "blocks")]
+                                        + [(b, "parts") for b in blocks]))
+        doc[key] = draw(st.sampled_from(["", {}]))
     h_text, c_text = json.dumps(h_doc), json.dumps(c_doc)
     if fault == "truncated":
         if draw(st.booleans()):
@@ -393,6 +398,8 @@ def verify_documents(draw):
 
 @settings(SETTINGS, max_examples=80)
 @given(case=verify_documents(), spec=st.sampled_from(["--partition", "1", "2,3", "1..4", "any"]))
+@example(case=('{"r": 2, "n": 3, "edges": ""}', '{"r": 2, "blocks": {}}', "not-an-array"),
+         spec="--partition")
 def test_verify_command_on_documents(case, spec):
     h_text, c_text, fault = case
     flags = ["--partition"] if spec == "--partition" else ["--list", spec]
