@@ -249,7 +249,7 @@ def derandomized_extraction(h: Hypergraph, c: Cover) -> ExtractionResult:
     expectations are exact (integer weights over a common denominator), so
     ties and small gaps between parts are decided exactly.
     """
-    missed = multiplicity_profile(h, c).least_outside(MultiplicityList.any_positive())
+    missed = multiplicity_profile(h, c).least.get(0)
     if missed is not None:
         raise ValueError(f"cover misses edge {missed}; the guarantee is void")
     r = h.r

@@ -112,23 +112,24 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.hypergraph, encoding="utf-8") as fh:
-        h = hypergraph_from_json(fh.read())
-    with open(args.cover, encoding="utf-8") as fh:
-        c = cover_from_json(fh.read())
+    # the list first: a bad one is refused before either file is read
     if args.partition:
         lst = MultiplicityList.of(1)
     elif args.list is None:
         raise ValueError("pass --list or --partition")
     else:
         lst = MultiplicityList.parse(args.list)
+    with open(args.hypergraph, encoding="utf-8") as fh:
+        h = hypergraph_from_json(fh.read())
+    with open(args.cover, encoding="utf-8") as fh:
+        c = cover_from_json(fh.read())
     result = verify_cover(h, c, lst)
     profile = result.profile
     payload = {
         "status": "ok" if result.ok else "fail",
         "list": lst.describe(),
         "histogram": {str(k): v for k, v in profile.histogram().items()},
-        "foreign": profile.foreign_count(),
+        "foreign": profile.foreign,
         "witness": None,
     }
     if not result.ok:

@@ -404,42 +404,31 @@ def _split(mask: int, planes) -> list:
     return groups
 
 
-def _least(masks) -> Edge | None:
-    """The least r-set p + (v,) with v a vertex of the mask of prefix p."""
-    p, m = min(((p, m) for p, m in masks if m), key=itemgetter(0), default=((), 0))
-    return p + (p[-1] + (m & -m).bit_length(),) if m else None
-
-
 @dataclass(frozen=True)
 class MultiplicityProfile:
-    """How many blocks of a cover contain each r-set, held per prefix.
+    """How many blocks of a cover contain each r-set, and what verify reads of it.
 
     The prefix of an edge is its first r-1 vertices. Bit i of a mask of
     prefix p stands for the last vertex p[-1] + 1 + i, so a mask is as wide as
     the span it covers above p, whatever n is. planes[p][k] has bit i set when
     bit k of the number of blocks containing that r-set is 1; prefixes of no
-    block edge have no planes. links[p] is the link mask of p in h, clipped to
-    the width of planes[p], for each counted prefix with a run in h, in
-    increasing order; the other edges of h, which no block contains, are bare,
-    in increasing order. A covered r-set that is not an edge of h is foreign;
-    foreign[p] is the non-empty mask of those above p. counts maps each
-    multiplicity to the number of edges of the links covered that often. The
-    pass that builds the profile fills them all; only the witness of
-    least_outside reads the counters again, when a count falls outside L.
+    block edge have no planes. counts maps each multiplicity, 0 included, to
+    the number of edges of h covered that often, and least maps it to the
+    least such edge. A covered r-set that is not an edge of h is foreign;
+    foreign is their number and least_foreign the least of them, or None.
+    The pass that builds the profile fills them all; no query reads the
+    counters again, except count.
     """
 
-    links: dict
     planes: dict
-    bare: tuple
-    foreign: dict
     counts: dict
+    least: dict
+    foreign: int
+    least_foreign: Edge | None
 
     def histogram(self) -> dict:
         """Multiplicity -> number of edges of h covered that often, ascending."""
-        hist = dict(self.counts)
-        if self.bare:
-            hist[0] = hist.get(0, 0) + len(self.bare)
-        return dict(sorted(hist.items()))
+        return dict(sorted(self.counts.items()))
 
     def count(self, edge: Edge) -> int:
         """Number of blocks containing the sorted r-set `edge`."""
@@ -447,23 +436,10 @@ class MultiplicityProfile:
         return sum(1 << k for k, plane in enumerate(self.planes.get(edge[:-1], ()))
                    if plane >> i & 1)
 
-    def foreign_count(self) -> int:
-        return sum(mask.bit_count() for mask in self.foreign.values())
-
-    def least_foreign(self) -> Edge | None:
-        return _least(self.foreign.items())
-
     def least_outside(self, lst: "MultiplicityList") -> Edge | None:
-        """The least edge of h whose multiplicity is not in `lst`; the bare edges
-        all are, since no list admits 0. Only when some count occurs outside
-        `lst` are the links split by their counters, up to the first holding one."""
-        outside = {count for count in self.counts if count not in lst}
-        masks = ((p, sum(m for m, count in _split(link, self.planes[p]) if count in outside))
-                 for p, link in self.links.items()) if outside else ()
-        least = _least(itertools.islice(filter(itemgetter(1), masks), 1))
-        if self.bare and (least is None or self.bare[0] < least):
-            return self.bare[0]
-        return least
+        """The least edge of h whose multiplicity is not in `lst`; those covered
+        0 times all are, since no list admits 0."""
+        return min((e for count, e in self.least.items() if count not in lst), default=None)
 
 
 def _cuts(b: RPartiteBlock) -> list:
@@ -498,14 +474,18 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
 
     h is then read in one sweep over its runs, the edges of one prefix each,
     found by one bisect bounded by the run's greatest length. The run of a
-    prefix without counters is bare. A counted run becomes the link mask of
-    its prefix, clipped at the last vertex the counters reach; the edges past
-    that top are bare. The OR of the prefix's counters, read once, gives both
-    that top and the foreign bits. Each link is tallied as it is built: a link
-    equal to its one plane is covered exactly once, and the edges of all such
-    links are summed in the sweep and added to multiplicity 1 once, after it;
-    any other link is split by its counters, whose bits outside it are
-    foreign, as are all those the sweep never reaches.
+    prefix without counters is bare (covered 0 times). A counted run becomes
+    the link mask of its prefix, clipped at the last vertex the counters
+    reach; the edges past that top are bare. The OR of the prefix's counters,
+    read once, gives both that top and the foreign bits. Each link is tallied
+    as it is built: a link equal to its one plane is covered exactly once, and
+    the edges of all such links are summed in the sweep and added to
+    multiplicity 1 once, after it; any other link is split by its counters,
+    whose bits outside it are foreign. The sweep reads h in increasing order,
+    so the first edge it meets at each multiplicity, and its first foreign
+    r-set, are the least; a link's edges precede the bare ones past its top.
+    Counted prefixes the sweep never reaches have no edge in h, so all their
+    bits are foreign; they are looked up only when some are left.
     """
     if c.r != h.r:
         raise ValueError(f"cover uniformity {c.r} != hypergraph uniformity {h.r}")
@@ -543,9 +523,11 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
     # n - 1 - p[-1] long, that ends before p + (n,)
     edges, n = h.edges, h.n
     total = len(edges)
-    links, foreign, counts, bare = {}, {}, {}, []
+    counts, least = {}, {}
+    foreign, least_foreign = 0, None
     counters_of = planes.get
     once = 0  # edges of the links equal to their one plane
+    reached = 0  # counted prefixes with a run in h
     end = 0
     while end < total:
         start = end
@@ -554,15 +536,16 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
         end = bisect_left(edges, p + (n,), start, min(total, start + n - 1 - pmax))
         counters = counters_of(p)
         if counters is None:
-            bare += edges[start:end]
+            least.setdefault(0, edges[start])
+            counts[0] = counts.get(0, 0) + end - start
             continue
+        reached += 1
         cover = reduce(or_, counters)  # every bit some block covers above p
         # the link stops at the last vertex the counters reach; the rest is bare
         top = pmax + cover.bit_length()
         stop = end
         if edges[end - 1][-1] > top:
             stop = bisect_left(edges, p + (top + 1,), start, end)
-            bare += edges[stop:end]
         link = 0
         if stop > start:
             first, last = edges[start][-1], edges[stop - 1][-1]
@@ -571,20 +554,32 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
             else:
                 low = pmax + 1
                 link = packed_bits([e[-1] - low for e in edges[start:stop]], last - pmax)
-        links[p] = link
         if cover == link and len(counters) == 1:
+            if not once:
+                least.setdefault(1, edges[start])
             once += stop - start
-            continue
-        mask = cover & ~link
-        if mask:
-            foreign[p] = mask
-        for m, count in _split(link, counters):
-            counts[count] = counts.get(count, 0) + m.bit_count()
+        else:
+            mask = cover & ~link
+            if mask:  # bit i of a mask of p stands for vertex pmax + 1 + i
+                if least_foreign is None:
+                    least_foreign = p + (pmax + (mask & -mask).bit_length(),)
+                foreign += mask.bit_count()
+            for m, count in _split(link, counters):
+                if count not in least:
+                    least[count] = p + (pmax + (m & -m).bit_length(),)
+                counts[count] = counts.get(count, 0) + m.bit_count()
+        if stop < end:  # after the link's edges, all below the top
+            least.setdefault(0, edges[stop])
+            counts[0] = counts.get(0, 0) + end - stop
     if once:
         counts[1] = counts.get(1, 0) + once
-    if len(links) < len(planes):
-        foreign.update((p, reduce(or_, c)) for p, c in planes.items() if p not in links)
-    return MultiplicityProfile(links, planes, tuple(bare), foreign, counts)
+    if reached < len(planes):  # the rest have no edge in h: all their bits are foreign
+        rest = [(p, reduce(or_, c)) for p, c in planes.items()
+                if (i := bisect_left(edges, p)) == total or edges[i][:-1] != p]
+        foreign += sum(m.bit_count() for _, m in rest)
+        least_foreign = min(filter(None, (least_foreign, *(
+            p + (p[-1] + (m & -m).bit_length(),) for p, m in rest))))
+    return MultiplicityProfile(planes, counts, least, foreign, least_foreign)
 
 
 @dataclass(frozen=True)
@@ -602,7 +597,7 @@ class VerifyResult:
 def verify_cover(h: Hypergraph, c: Cover, lst: MultiplicityList) -> VerifyResult:
     """Pass iff every edge multiplicity lies in `lst` and nothing foreign is covered."""
     profile = multiplicity_profile(h, c)
-    e = profile.least_foreign()
+    e = profile.least_foreign
     if e is not None:
         return VerifyResult(False, "foreign", e, profile.count(e), profile)
     e = profile.least_outside(lst)

@@ -30,7 +30,9 @@ class GF2Matrix:
     data: tuple
 
     def __post_init__(self):
-        data = tuple(int(x) for x in self.data)
+        data = tuple(self.data)
+        if set(map(type, data)) - {int}:  # bool, float and str are refused, not converted
+            raise ValueError("rows must be integers")
         if len(data) != self.rows:
             raise ValueError("data length must equal the row count")
         if any(x < 0 or x >> self.cols for x in data):

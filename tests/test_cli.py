@@ -141,6 +141,19 @@ class TestVerify:
         assert code == EXIT_ERROR and payload is None
         assert err == "error: pass --list or --partition\n"
 
+    @pytest.mark.parametrize("lst, message", [
+        ("0..5", "multiplicities must be positive"),
+        ("2,x", "invalid literal for int()"),
+        (None, "pass --list or --partition"),
+    ])
+    def test_list_is_read_before_either_file(self, capsys, tmp_path, lst, message):
+        # neither file exists: the list error shows that no file was opened
+        missing = str(tmp_path / "missing.json")
+        argv = ["verify", "--hypergraph", missing, "--cover", missing]
+        code, payload, err = run(capsys, *argv, *(["--list", lst] if lst else []))
+        assert code == EXIT_ERROR and payload is None
+        assert message in err and "missing.json" not in err
+
 
 class TestRank:
     def test_r4_m1(self, capsys):

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,15 @@ from hypercover import (
     verify_partition,
 )
 from hypercover import core, cube
+
+
+def traced_profile(h, c):
+    """multiplicity_profile(h, c) and the tracemalloc peak, in bytes, of building it."""
+    tracemalloc.start()
+    try:
+        return multiplicity_profile(h, c), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def k4_star_blocks():
@@ -160,12 +170,21 @@ class TestMultiplicityProfile:
         h = complete_hypergraph(4)
         profile = multiplicity_profile(h, Cover(2, k4_star_blocks()))
         assert profile.histogram() == {1: 6}
-        assert profile.foreign_count() == 0
+        assert profile.foreign == 0
 
     def test_empty_cover(self):
         h = complete_hypergraph(4)
         profile = multiplicity_profile(h, Cover(2, ()))
         assert profile.histogram() == {0: 6}
+        assert profile.least == {0: (0, 1)}
+
+    def test_uncovered_edges_are_not_held(self):
+        # K_401 with no block leaves 80,200 edges covered 0 times; the profile
+        # holds their number and the least of them, not the edges
+        h = complete_hypergraph(401)
+        profile, peak = traced_profile(h, Cover(2, ()))
+        assert (profile.counts, profile.least) == ({0: 80_200}, {0: (0, 1)})
+        assert peak < 100_000
 
     def test_bit_cover_hamming(self):
         h = complete_hypergraph(4)
@@ -178,7 +197,7 @@ class TestMultiplicityProfile:
         c = Cover(2, (RPartiteBlock(({0}, {1, 2})),))
         profile = multiplicity_profile(h, c)
         assert profile.count((0, 1)) == 1
-        assert (profile.foreign_count(), profile.least_foreign()) == (1, (0, 2))
+        assert (profile.foreign, profile.least_foreign) == (1, (0, 2))
         assert profile.count((0, 2)) == 1
 
     def test_both_counting_directions_agree(self):
@@ -189,7 +208,7 @@ class TestMultiplicityProfile:
         profile = multiplicity_profile(h, Cover(2, (big, small)))
         assert {e: profile.count(e) for e in h.edges} == {(0, 3): 2, (1, 3): 1, (0, 4): 1}
         # the big block's 9 r-sets less its 3 edges, each covered once
-        assert profile.foreign_count() == 6
+        assert profile.foreign == 6
         assert all(profile.count(e) == 1 for e in big.implied_edges() if e not in h.edge_set)
 
     def test_double_counting(self):
@@ -205,16 +224,17 @@ class TestMultiplicityProfile:
         assert contributed == sum(b.edge_count() for b in cover.blocks)
 
     def test_masks_start_above_their_prefix(self):
-        # edges near the top of a million vertices: every mask is a few bits
+        # edges near the top of a million vertices: every mask is a few bits,
+        # where one as wide as n would take 125 KB
         n = 1_000_000
         edges = frozenset({(n - 5, n - 4), (n - 5, n - 1), (n - 3, n - 2)})
         c = Cover(2, (RPartiteBlock(({n - 5}, {n - 4, n - 3})),))
-        profile = multiplicity_profile(Hypergraph(2, n, edges), c)
-        masks = [*profile.links.values(), *itertools.chain(*profile.planes.values())]
-        assert max(m.bit_length() for m in masks) <= 2
+        profile, peak = traced_profile(Hypergraph(2, n, edges), c)
+        assert max(m.bit_length() for m in itertools.chain(*profile.planes.values())) <= 2
+        assert peak < 20_000
         assert {e: profile.count(e) for e in edges} == \
             {(n - 5, n - 4): 1, (n - 5, n - 1): 0, (n - 3, n - 2): 0}
-        assert (profile.foreign_count(), profile.least_foreign()) == (1, (n - 5, n - 3))
+        assert (profile.foreign, profile.least_foreign) == (1, (n - 5, n - 3))
         assert profile.count((n - 5, n - 3)) == 1
 
     def test_run_far_past_its_top_stays_narrow(self):
@@ -225,13 +245,13 @@ class TestMultiplicityProfile:
         p = n // 2
         edges = frozenset({(p, p + 1), (p, p + 2), (p, p + 3), (p, n - 1), (p + 1, p + 3)})
         c = Cover(2, (RPartiteBlock(({p}, {p + 1, p + 2})),))
-        profile = multiplicity_profile(Hypergraph(2, n, edges), c)
-        masks = [*profile.links.values(), *itertools.chain(*profile.planes.values())]
-        assert max(m.bit_length() for m in masks) <= 2
-        assert profile.bare == ((p, p + 3), (p, n - 1), (p + 1, p + 3))
+        profile, peak = traced_profile(Hypergraph(2, n, edges), c)
+        assert max(m.bit_length() for m in itertools.chain(*profile.planes.values())) <= 2
+        assert peak < 20_000
+        assert (profile.counts[0], profile.least[0]) == (3, (p, p + 3))
         assert {e: profile.count(e) for e in edges} == {
             (p, p + 1): 1, (p, p + 2): 1, (p, p + 3): 0, (p, n - 1): 0, (p + 1, p + 3): 0}
-        assert profile.foreign_count() == 0
+        assert profile.foreign == 0
 
     def test_uniformity_mismatch(self):
         with pytest.raises(ValueError):
@@ -273,7 +293,7 @@ class TestVerify:
         h = complete_hypergraph(4)
         for blocks in (k4_star_blocks(), k4_bit_blocks()):
             profile = multiplicity_profile(h, Cover(2, blocks))
-            expected = set(profile.histogram()) == {1} and not profile.foreign_count()
+            expected = set(profile.histogram()) == {1} and not profile.foreign
             assert verify_partition(h, Cover(2, blocks)).ok == expected
 
     @pytest.mark.parametrize("h,blocks,lst", [

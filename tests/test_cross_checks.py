@@ -50,6 +50,7 @@ from hypercover import (
     pi_partition,
     verify_cover,
 )
+from hypercover import core
 from hypercover.core import _SHIFT_WIDTH, _is_canonical
 from hypercover.gf2 import colex_subsets
 from hypercover.grids import hex_coordinates
@@ -502,9 +503,13 @@ def assert_profile_matches(h, c):
     assert {e: profile.count(e) for e in h.edges} == counts
     # equal counts, and every naive foreign r-set covered, give equal foreign sets
     assert {f: profile.count(f) for f in foreign} == foreign
-    assert profile.foreign_count() == len(foreign)
-    assert profile.least_foreign() == min(foreign, default=None)
+    assert profile.foreign == len(foreign)
+    assert profile.least_foreign == min(foreign, default=None)
     assert list(profile.histogram().items()) == sorted(Counter(counts.values()).items())
+    least = {}
+    for e in sorted(counts):
+        least.setdefault(counts[e], e)
+    assert profile.least == least
     for lst in VERIFY_LISTS:
         res = verify_cover(h, c, lst)
         assert (res.ok, res.reason, res.witness_edge, res.witness_multiplicity) == \
@@ -586,7 +591,7 @@ class TestProfileRuns:
         assert_profile_matches(h, c)
         profile = multiplicity_profile(h, c)
         assert profile.histogram() == histogram
-        assert profile.least_foreign() == foreign
+        assert profile.least_foreign == foreign
         res = verify_cover(h, c, MultiplicityList.of(1))
         assert (res.reason, res.witness_edge, res.witness_multiplicity) == \
             (witness or (None, None, None))
@@ -598,13 +603,20 @@ class TestProfileRuns:
         ([(0, 1), (0, 1500), (0, 2999)], {1: 3}, None),
         ([(0, 1), (0, 700), (0, 2999), (1, 2)], {0: 2, 1: 2}, ("foreign", (0, 1500), 1)),
     ])
-    def test_link_wider_than_shifting_pays(self, edges, histogram, witness):
+    def test_link_wider_than_shifting_pays(self, edges, histogram, witness, monkeypatch):
         # the link of (0,) is not consecutive and wider than packed_bits shifts
         h = Hypergraph(2, 3000, edges)
         c = Cover(2, (RPartiteBlock(((0,), (1, 1500, 2999))),))
         assert_profile_matches(h, c)
+        widths = []
+        packed_bits = core.packed_bits
+        monkeypatch.setattr(core, "packed_bits",
+                            lambda positions, width: widths.append(width)
+                            or packed_bits(positions, width))
         profile = multiplicity_profile(h, c)
-        assert profile.links[(0,)].bit_length() > _SHIFT_WIDTH
+        # the block's part (1, 1500, 2999) in the planes phase, then the link in
+        # the sweep, both set in the byte table
+        assert widths == [2999, 2999] and _SHIFT_WIDTH < 2999
         assert profile.histogram() == histogram
         res = verify_cover(h, c, MultiplicityList.of(1))
         assert (res.reason, res.witness_edge, res.witness_multiplicity) == \
@@ -616,11 +628,26 @@ class TestProfileRuns:
                       RPartiteBlock(((1,), (4, 5)))))
         assert_profile_matches(h, c)
         profile = multiplicity_profile(h, c)
-        assert (1,) not in profile.links
-        assert (profile.foreign_count(), profile.least_foreign()) == (2, (1, 4))
+        # (1,) has counters and no edge of h, so the sweep never reaches it
+        assert (1,) in profile.planes and all(e[0] != 1 for e in h.edges)
+        assert (profile.foreign, profile.least_foreign) == (2, (1, 4))
         assert profile.count((1, 4)) == profile.count((1, 5)) == 1
         res = verify_cover(h, c, MultiplicityList.of(1))
         assert (res.reason, res.witness_edge, res.witness_multiplicity) == ("foreign", (1, 4), 1)
+
+    @pytest.mark.parametrize("extra, least", [
+        # a foreign r-set the sweep meets, (2, 5), above the unreached (1, 4)
+        (((2,), (3, 5)), (1, 4)),
+        # and one below it, (0, 2), which stays the least
+        (((0,), (1, 2)), (0, 2)),
+    ])
+    def test_least_foreign_across_reached_and_unreached_prefixes(self, extra, least):
+        h = Hypergraph(2, 6, [(0, 1), (2, 3)])
+        blocks = [((0,), (1,)), ((2,), (3,)), ((1,), (4, 5)), extra]
+        c = Cover(2, tuple(map(RPartiteBlock, blocks)))
+        assert_profile_matches(h, c)
+        profile = multiplicity_profile(h, c)
+        assert (profile.foreign, profile.least_foreign) == (3, least)
 
     @pytest.mark.parametrize("extra, lst", [(0, MultiplicityList.of(1)),
                                             (1, MultiplicityList.of(1, 2)),
@@ -634,7 +661,10 @@ class TestProfileRuns:
         c = Cover(2, tuple(map(RPartiteBlock, blocks)))
         assert_profile_matches(h, c)
         profile = multiplicity_profile(h, c)
-        assert profile.bare == ()
+        # the covered (0, 3) puts (0, 2) below the counters' top of (0,): inside
+        # the link, not past it
+        assert profile.count((0, 3)) >= 1
+        assert (profile.counts[0], profile.least[0]) == (1, (0, 2))
         res = verify_cover(h, c, lst)
         assert (res.ok, res.reason, res.witness_edge, res.witness_multiplicity) == \
             (False, "multiplicity", (0, 2), 0)

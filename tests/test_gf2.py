@@ -20,6 +20,14 @@ from hypercover import (
 from hypercover.gf2 import colex_subsets
 
 
+class TestGF2Matrix:
+    @pytest.mark.parametrize("row", [2.7, "3", True])
+    def test_rows_that_are_not_ints_are_refused(self, row):
+        # refused, not converted to 2, 3 or 1
+        with pytest.raises(ValueError, match="rows must be integers"):
+            GF2Matrix(1, 3, [row])
+
+
 class TestRank:
     def test_zero_matrix(self):
         assert gf2_rank(GF2Matrix(4, 4, (0, 0, 0, 0))) == 0

@@ -315,7 +315,7 @@ def test_profile_matches_listing(case):
     counts, foreign = naive_profile(h, c)
     profile = multiplicity_profile(h, c)
     assert profile.histogram() == dict(sorted(Counter(counts.values()).items()))
-    assert profile.foreign_count() == len(foreign)
+    assert profile.foreign == len(foreign)
     for e, count in [*counts.items(), *foreign.items()]:
         assert profile.count(e) == count
     for lst in LISTS:
