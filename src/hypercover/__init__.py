@@ -4,7 +4,6 @@ bounds, a derandomized independent-set extractor, and GF(2) rank certificates.
 """
 
 from .core import (
-    BoundReport,
     Cover,
     GuardError,
     Hypergraph,

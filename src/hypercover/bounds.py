@@ -35,16 +35,19 @@ LINK_WORK_CAP = 200_000  # sum of m^3 over the link matrices link_lower_bound el
 
 
 def _float_domain(bound):
-    """Let a closed form raise ValueError, not OverflowError, where an input or
-    its value does not fit a float."""
+    """Let a closed form raise ValueError, not OverflowError or an infinite
+    value, where an input or its value does not fit a float."""
 
     @functools.wraps(bound)
     def checked(*args, **kwargs):
         try:
-            return bound(*args, **kwargs)
+            value = bound(*args, **kwargs)
         except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
             raise ValueError(f"{bound.__name__}: an input or the value does not fit"
-                             " a float") from None
+                             " a float")
+        return value
 
     return checked
 
@@ -215,8 +218,9 @@ def cover_incidence(n: int, c: Cover) -> list[int]:
     """a_i = number of blocks containing vertex i; sums to sum_of_orders."""
     counts = [0] * n
     for b in c.blocks:
-        for v in b.support():
-            counts[v] += 1
+        for p in b.parts:
+            for v in p:
+                counts[v] += 1
     return counts
 
 
@@ -263,11 +267,14 @@ def derandomized_extraction(h: Hypergraph, c: Cover) -> ExtractionResult:
     survivors = set(range(h.n))
     expectations = [Fraction(total, scale)]
     for b in c.blocks:
-        for v in b.support() & survivors:  # one block fewer: the weight grows by r/(r-1)
-            grown = weight[v] * r // (r - 1)
-            total += grown - weight[v]
-            weight[v] = grown
-        loss = [sum(weight[v] for v in p if v in survivors) for p in b.parts]
+        loss = []
+        for p in b.parts:
+            alive = [v for v in p if v in survivors]
+            for v in alive:  # one block fewer: the weight grows by r/(r-1)
+                grown = weight[v] * r // (r - 1)
+                total += grown - weight[v]
+                weight[v] = grown
+            loss.append(sum(weight[v] for v in alive))
         least = min(loss)
         survivors.difference_update(b.parts[loss.index(least)])
         total -= least

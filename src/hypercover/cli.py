@@ -18,7 +18,6 @@ import sys
 from . import bounds as bnd
 from . import gf2, oracles
 from .core import (
-    BoundReport,
     GuardError,
     MultiplicityList,
     cover_from_json,
@@ -44,6 +43,17 @@ def _need(args, names) -> None:
     for name in names:
         if getattr(args, name) is None:
             raise ValueError(f"--{name} is required for this invocation")
+
+
+def _report(name: str, inputs: dict, value) -> dict:
+    """The `report` object of the bounds and search payloads: a lower bound
+    named by its closed form or search goal, with its inputs. ValueError where
+    the value does not fit a float."""
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: the value does not fit a float") from None
+    return {"name": name, "inputs": inputs, "value": value, "direction": "lower"}
 
 
 def _write(path: str | None, render) -> list[str]:
@@ -83,12 +93,12 @@ BOUNDS = {
     "independent-matchings": (bnd.independent_matchings_lower_bound, ("k", "m", "edges", "r")),
 }
 
-# goal -> (required options, search: (hypergraph, args, budget) -> outcome)
+# goal -> (whether it takes --list, which it then requires; search: (hypergraph,
+# list or None, budget) -> outcome)
 SEARCHES = {
-    "min-cover": (("list",), lambda h, a, budget: oracles.min_cover_size(
-        h, MultiplicityList.parse(a.list), budget)),
-    "min-partition": ((), lambda h, a, budget: oracles.min_partition_size(h, budget)),
-    "min-sum-orders": ((), lambda h, a, budget: oracles.min_sum_of_orders(h, budget)),
+    "min-cover": (True, oracles.min_cover_size),
+    "min-partition": (False, lambda h, lst, budget: oracles.min_partition_size(h, budget)),
+    "min-sum-orders": (False, lambda h, lst, budget: oracles.min_sum_of_orders(h, budget)),
 }
 
 
@@ -162,30 +172,30 @@ def _cmd_bounds(args) -> int:
     bound, options = BOUNDS[args.name]
     _need(args, options)
     inputs = {name: getattr(args, name) for name in options}
-    report = BoundReport(args.name, inputs, float(bound(*inputs.values())), "lower")
-    _emit(report.to_dict())
+    _emit(_report(args.name, inputs, bound(*inputs.values())))
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
+    # the options first: a bad one is refused before the file is read
+    takes_list, search = SEARCHES[args.goal]
+    if takes_list:
+        _need(args, ("list",))
+    elif args.list is not None:
+        raise ValueError(f"--list does not apply to {args.goal}")
+    lst = MultiplicityList.parse(args.list) if takes_list else None
+    budget = oracles.SearchBudget(max_blocks=args.max_blocks, max_seconds=args.max_seconds)
     with open(args.file, encoding="utf-8") as fh:
         h = hypergraph_from_json(fh.read())
-    budget = oracles.SearchBudget(
-        max_blocks=args.max_blocks, max_seconds=args.max_seconds
-    )
-    options, search = SEARCHES[args.goal]
-    _need(args, options)
-    outcome = search(h, args, budget)
+    outcome = search(h, lst, budget)
     payload = {
         "goal": args.goal,
         "status": "ok" if outcome.is_exact else "unknown",
         "value": outcome.value,
         "lower": outcome.lower,
         "exact": outcome.is_exact,
-        "report": BoundReport(
-            args.goal, {"n": h.n, "r": h.r, "edges": len(h.edges)},
-            float(outcome.value if outcome.is_exact else outcome.lower), "lower",
-        ).to_dict(),
+        "report": _report(args.goal, {"n": h.n, "r": h.r, "edges": len(h.edges)},
+                          outcome.lower),
     }
     _emit(payload)
     return EXIT_OK if outcome.is_exact else EXIT_UNKNOWN

@@ -246,19 +246,8 @@ class RPartiteBlock:
     def r(self) -> int:
         return len(self.parts)
 
-    def support(self) -> frozenset:
-        return frozenset(v for p in self.parts for v in p)
-
-    def edge_count(self) -> int:
-        return math.prod(len(p) for p in self.parts)
-
     def order(self) -> int:
         return sum(len(p) for p in self.parts)
-
-    def implied_edges(self):
-        """Yield every edge of the block in canonical sorted-tuple form."""
-        for combo in itertools.product(*self.parts):
-            yield tuple(sorted(combo))
 
 
 def _canonical_block(parts: tuple) -> RPartiteBlock:
@@ -349,30 +338,6 @@ class MultiplicityList:
         if self.allowed is None:
             return "any"
         return ",".join(str(x) for x in sorted(self.allowed))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A named bound value with its inputs, for machine-checkable comparisons."""
-
-    name: str
-    inputs: dict = field(default_factory=dict)
-    value: float = 0.0
-    direction: str = "lower"
-
-    def __post_init__(self):
-        if self.direction not in ("lower", "upper"):
-            raise ValueError("direction must be 'lower' or 'upper'")
-        if not math.isfinite(self.value):
-            raise ValueError("bound value must be finite")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": dict(self.inputs),
-            "value": float(self.value),
-            "direction": self.direction,
-        }
 
 
 def packed_bits(positions, width: int) -> int:

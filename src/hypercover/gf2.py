@@ -39,9 +39,6 @@ class GF2Matrix:
             raise ValueError("row bits outside the column range")
         object.__setattr__(self, "data", data)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
 
 def gf2_rank(matrix: GF2Matrix) -> int:
     """Rank over GF(2) by Gaussian elimination on packed rows."""

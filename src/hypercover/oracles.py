@@ -62,7 +62,6 @@ class SearchOutcome:
     """Either an exact optimum or a proven bracket "unknown, in [lower,
     upper]", with the reason the search stopped."""
 
-    status: str  # "exact" | "unknown"
     lower: int
     value: int | None = None
     witness: Cover | None = None
@@ -71,14 +70,10 @@ class SearchOutcome:
     upper: int | None = None  # the cost of a cover known to exist; the value when exact
 
     def __post_init__(self):
-        if self.status not in ("exact", "unknown"):
-            raise ValueError("status must be 'exact' or 'unknown'")
-        if (self.status == "exact") != (self.value is not None):
-            raise ValueError("exact outcomes carry a value, unknown ones do not")
         if self.stop not in ("exact", "timeout", "max_blocks"):
             raise ValueError("stop must be 'exact', 'timeout' or 'max_blocks'")
-        if (self.status == "exact") != (self.stop == "exact"):
-            raise ValueError("exact outcomes stop as 'exact', unknown ones do not")
+        if (self.stop == "exact") != (self.value is not None):
+            raise ValueError("exact outcomes carry a value, unknown ones do not")
         if self.value is not None:
             if self.upper is None:
                 object.__setattr__(self, "upper", self.value)
@@ -89,22 +84,15 @@ class SearchOutcome:
 
     @property
     def is_exact(self) -> bool:
-        return self.status == "exact"
+        return self.stop == "exact"
+
+    @property
+    def status(self) -> str:
+        return "exact" if self.stop == "exact" else "unknown"
 
 
 class _OutOfTime(Exception):
     pass
-
-
-class _Deadline:
-    def __init__(self, seconds: float):
-        self.t_end = time.monotonic() + seconds
-        self.calls = 0
-
-    def check(self):
-        self.calls += 1
-        if self.calls % 256 == 0 and time.monotonic() > self.t_end:
-            raise _OutOfTime
 
 
 class _BlockTable:
@@ -132,12 +120,18 @@ class _BlockTable:
     an edge. A vertex s outside the parts does so exactly when star[s] holds
     prod |P_i| edges of the AND of their unions, since each such edge is one
     transversal plus s. When part r - 1 opens with v, the candidates are the
-    vertices above v that share an edge with every vertex placed; when v
-    joins part i, they are W & adj[v], which leaves out v. So W is disjoint
-    from every part, and each non-empty subset S of W is the last part of
-    exactly one block, whose edges are the AND of the other parts' unions with
-    the union of S's stars. W only shrinks as the parts grow, so a state whose
-    W is empty is dropped with its subtree, and every state kept from there on
+    vertices above v that share an edge with every vertex placed. So W is
+    disjoint from every part, and each non-empty subset S of W is the last
+    part of exactly one block, whose edges are the AND of the other parts'
+    unions with the union of S's stars.
+
+    Every state with k >= 1 open parts grows in one join loop: v joins part
+    i, and the child's `common` is the state's (W once k = r - 1) & adj[v],
+    which leaves out v. Below r - 1 the loop stops once fewer than r - k
+    vertices of `common` lie above v, and skips v when fewer of the child's
+    do; at r - 1 it counts from vertex 0 and needs one, since the last part
+    may lie below v. W only shrinks as the parts grow, so a state whose W is
+    empty is dropped with its subtree, and every state kept from there on
     yields at least one block.
     """
 
@@ -181,36 +175,28 @@ class _BlockTable:
                 if not w:
                     continue
                 groups.append((parts, lasts, [prefix & u for u in ors]))
-                while above:  # v joins part i; W's candidates leave out v
-                    low = above & -above
-                    above ^= low
+                common = w
+            else:
+                rest = common & above
+                while rest:  # open part k + 1 with v
+                    low = rest & -rest
+                    rest ^= low
+                    if rest.bit_count() < r - k - 1:
+                        break
                     v = low.bit_length() - 1
-                    near = w & adj[v]
-                    if near:
-                        sv = star[v]
-                        for i in range(k):
-                            stack.append((v, parts[:i] + (parts[i] + (v,),) + parts[i + 1:],
-                                          unions[:i] + (unions[i] | sv,) + unions[i + 1:], near))
-                continue
-            rest = common & above
-            while rest:  # open part k + 1 with v
-                low = rest & -rest
-                rest ^= low
-                if rest.bit_count() < r - k - 1:
-                    break
-                v = low.bit_length() - 1
-                near = (common & adj[v]) >> (v + 1) << (v + 1)
-                if near.bit_count() >= r - k - 1:
-                    stack.append((v, parts + ((v,),), unions + (star[v],), near))
+                    near = (common & adj[v]) >> (v + 1) << (v + 1)
+                    if near.bit_count() >= r - k - 1:
+                        stack.append((v, parts + ((v,),), unions + (star[v],), near))
             rest = above if k else 0
             while rest:  # v joins an open part
                 low = rest & -rest
                 rest ^= low
                 v = low.bit_length() - 1
-                if (common >> (v + 1)).bit_count() < r - k:
+                floor = 0 if k == r - 1 else v + 1
+                if (common >> floor).bit_count() < r - k:
                     break
                 near = common & adj[v]
-                if (near >> (v + 1)).bit_count() < r - k:
+                if (near >> floor).bit_count() < r - k:
                     continue
                 sv = star[v]
                 for i in range(k):
@@ -311,7 +297,9 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
     witness's blocks are built as RPartiteBlocks, canonical by construction.
     An unknown outcome's upper end is the cost of min L copies of each edge
     as a block of singletons (r|E| for a cost search, whose list is the
-    unbounded one).
+    unbounded one). The outcome's `nodes` counts the states visited over all
+    levels; the clock is read at every 256th, and a search past
+    budget.max_seconds stops as "timeout".
 
     When h is complete, the root branches on e0 = h.edges[0] over one block
     per orbit (`_root_orbits`): every cover holds a block covering e0, and a
@@ -344,7 +332,7 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
     # admit nothing
     levels = (1,) if saturate else sorted(k for k in lst.allowed if k <= top)
     if full and not levels:
-        return SearchOutcome("unknown", max(start, top + 1), stop="max_blocks", upper=upper)
+        return SearchOutcome(max(start, top + 1), stop="max_blocks", upper=upper)
     depth = max(levels, default=0)
     # an edge covered c < m0 = min L times lacks m0 - c blocks: one is counted
     # as bad, the others are its absences from planes[c], ..., planes[m0 - 2]
@@ -353,12 +341,16 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
     if edges == math.comb(h.n, h.r):
         roots = _root_orbits(parts, roots)
     check_guard("search multiplicity planes", depth, LIST_RANGE_GUARD)
-    deadline = _Deadline(budget.max_seconds)
+    t_end = time.monotonic() + budget.max_seconds
+    nodes = 0
     failed: set = set()
     chosen: list[int] = []
 
     def dfs(planes: tuple, left: int) -> bool:
-        deadline.check()
+        nonlocal nodes
+        nodes += 1
+        if nodes % 256 == 0 and time.monotonic() > t_end:
+            raise _OutOfTime
         ok = 0
         for k in levels:
             ok |= planes[k - 1] if k == depth else planes[k - 1] & ~planes[k]
@@ -394,13 +386,11 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
         try:
             found = dfs((0,) * depth, t)
         except _OutOfTime:
-            return SearchOutcome("unknown", t, nodes=deadline.calls, stop="timeout",
-                                 upper=upper)
+            return SearchOutcome(t, nodes=nodes, stop="timeout", upper=upper)
         if found:
             witness = Cover(h.r, tuple(_canonical_block(parts[bi]) for bi in chosen))
-            return SearchOutcome("exact", t, t, witness, deadline.calls)
-    return SearchOutcome("unknown", max(start, top + 1), nodes=deadline.calls,
-                         stop="max_blocks", upper=upper)
+            return SearchOutcome(t, t, witness, nodes)
+    return SearchOutcome(max(start, top + 1), nodes=nodes, stop="max_blocks", upper=upper)
 
 
 def min_cover_size(

@@ -18,6 +18,17 @@ def random_hypergraph(rng: random.Random, n: int, r: int, p: float = 0.5,
     return Hypergraph(r, n, frozenset(edges))
 
 
+def implied_edges(b: RPartiteBlock) -> list:
+    """Every edge of the block, one per transversal of its parts, as a sorted
+    tuple: the listing the profiler and the block table never build."""
+    return [tuple(sorted(combo)) for combo in itertools.product(*b.parts)]
+
+
+def entry(matrix, i: int, j: int) -> int:
+    """Entry (i, j) of a GF2Matrix, read off its packed row i."""
+    return matrix.data[i] >> j & 1
+
+
 def singleton_block(edge) -> RPartiteBlock:
     return RPartiteBlock(tuple(frozenset({v}) for v in edge))
 

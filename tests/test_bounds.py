@@ -115,6 +115,20 @@ class TestMatchingBounds:
             independent_matchings_lower_bound(2, 3, 5, 2)
 
 
+class TestValuesBeyondAFloat:
+    """Inputs that fit a float but whose value does not: the float arithmetic
+    rounds it to infinity, and an infinite lower bound is a wrong number."""
+
+    @pytest.mark.parametrize("bound, args", [
+        (ks_chromatic_lower_bound, (10**305, 5)),
+        (ks_order_lower_bound, (10**300, 1, 10**300)),
+        (independent_matchings_lower_bound, (10**300, 10**5, 10**306, 2)),
+    ], ids=["ks-chromatic", "ks-order", "independent-matchings"])
+    def test_infinite_value_is_refused(self, bound, args):
+        with pytest.raises(ValueError, match="does not fit a float"):
+            bound(*args)
+
+
 class TestOrders:
     def test_sum_of_orders_empty(self):
         assert sum_of_orders(Cover(2, ())) == 0

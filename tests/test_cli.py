@@ -248,6 +248,31 @@ class TestSearch:
                            "--file", self.write_k4(tmp_path))
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("argv, message", [
+        (("min-cover",), "--list is required"),
+        (("min-cover", "--list", "0..5"), "multiplicities must be positive"),
+        (("min-cover", "--list", "2,x"), "invalid literal for int()"),
+        (("min-partition", "--list", "2"), "--list does not apply to min-partition"),
+        (("min-sum-orders", "--list", "any"), "--list does not apply to min-sum-orders"),
+        (("min-partition", "--max-seconds", "0"), "max_seconds"),
+    ], ids=["no-list", "list-0..5", "list-2,x", "partition-list", "sum-orders-list",
+            "budget"])
+    def test_options_are_read_before_the_file(self, capsys, tmp_path, argv, message):
+        # the file does not exist: the option error shows that it was not opened
+        missing = str(tmp_path / "missing.json")
+        code, payload, err = run(capsys, "search", argv[0], "--file", missing, *argv[1:])
+        assert code == EXIT_ERROR and payload is None
+        assert err.startswith("error:") and message in err and "missing.json" not in err
+
+    def test_lower_end_beyond_a_float_is_refused(self, capsys, tmp_path):
+        # no multiplicity of the list is reachable within the budget, so the
+        # proven lower end is max_blocks + 1 = 10^399 + 1, which no float holds
+        code, payload, err = run(capsys, "search", "min-cover", "--file",
+                                 self.write_k4(tmp_path), "--list", str(10**400),
+                                 "--max-blocks", str(10**399))
+        assert code == EXIT_ERROR and payload is None
+        assert err.startswith("error:") and "float" in err
+
     @pytest.mark.parametrize("seconds", ["nan", "inf", "0"])
     def test_max_seconds_must_be_finite_and_positive(self, capsys, tmp_path, seconds):
         code, _, err = run(capsys, "search", "min-partition",
@@ -476,11 +501,13 @@ class TestOddFlagValues:
         ("bounds", "matching", "--nu", "2", "--edges", "6", "--r", BIG),
         ("bounds", "independent-matchings", "--k", BIG, "--m", "1", "--edges", BIG,
          "--r", "2"),
+        # k fits a float, but the bound rounds to infinity
+        ("bounds", "ks-chromatic", "--k", str(10**305), "--r", "5"),
     ], ids=["ks-order-n", "ks-order-r", "ks-chromatic-k", "matching-r",
-            "independent-matchings-k-edges"])
+            "independent-matchings-k-edges", "ks-chromatic-infinite"])
     def test_bounds_beyond_a_float_are_refused(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
-        assert code == EXIT_ERROR
+        code, payload, err = run(capsys, *argv)
+        assert code == EXIT_ERROR and payload is None
         assert err.startswith("error:") and "float" in err
 
     def test_ks_order_for_huge_r(self, capsys):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_block, random_cover_of, random_hypergraph
+from conftest import entry, implied_edges, random_block, random_cover_of, random_hypergraph
 
 from hypercover import (
     Cover,
@@ -63,7 +63,7 @@ LISTS = (MultiplicityList.any_positive(), MultiplicityList.up_to(2), Multiplicit
 
 def naive_min_cover(h, lst, candidates, max_t=4):
     """Try every multiset of candidate blocks of size 0..max_t."""
-    block_edges = [list(b.implied_edges()) for b in candidates]
+    block_edges = [implied_edges(b) for b in candidates]
     for t in range(max_t + 1):
         for combo in itertools.combinations_with_replacement(block_edges, t):
             counts = Counter(e for edges in combo for e in edges)
@@ -80,7 +80,7 @@ def naive_search(h, candidates, lst, max_blocks=SearchBudget().max_blocks):
     `nodes` counts the DFS calls."""
     index = {e: i for i, e in enumerate(h.edges)}
     full = (1 << len(index)) - 1
-    masks = [sum(1 << index[e] for e in b.implied_edges()) for b in candidates]
+    masks = [sum(1 << index[e] for e in implied_edges(b)) for b in candidates]
     cover_by_edge = [[bi for bi, m in enumerate(masks) if m >> i & 1] for i in range(len(index))]
     saturate = lst.allowed is None
     levels = (1,) if saturate else sorted(lst.allowed)
@@ -114,8 +114,8 @@ def naive_search(h, candidates, lst, max_blocks=SearchBudget().max_blocks):
     for t in range(max_blocks + 1):
         if dfs((0,) * depth, t):
             witness = Cover(h.r, tuple(candidates[bi] for bi in chosen))
-            return SearchOutcome("exact", t, t, witness, nodes[0])
-    return SearchOutcome("unknown", max_blocks + 1, nodes=nodes[0], stop="max_blocks")
+            return SearchOutcome(t, t, witness, nodes[0])
+    return SearchOutcome(max_blocks + 1, nodes=nodes[0], stop="max_blocks")
 
 
 def naive_inertia(matrix):
@@ -195,7 +195,7 @@ def naive_min_order(h, candidates):
     """Least total order of a set of candidates covering every edge, by a
     shortest-path sweep over all 2^|E| covered-edge sets in increasing order."""
     bit = {e: 1 << i for i, e in enumerate(h.edges)}
-    blocks = [(sum(bit[e] for e in b.implied_edges()), b.order()) for b in candidates]
+    blocks = [(sum(bit[e] for e in implied_edges(b)), b.order()) for b in candidates]
     best = {0: 0}
     for mask in range(1 << len(bit)):
         if mask not in best:
@@ -239,7 +239,7 @@ def naive_chromatic(h):
 
 
 def naive_gf2_rank(matrix):
-    rows = [[matrix.entry(i, j) for j in range(matrix.cols)] for i in range(matrix.rows)]
+    rows = [[entry(matrix, i, j) for j in range(matrix.cols)] for i in range(matrix.rows)]
     rank = 0
     col = 0
     while rank < len(rows) and col < matrix.cols:
@@ -325,7 +325,7 @@ def naive_profile(h, c):
     counts = {e: 0 for e in h.edges}
     foreign = {}
     for b in c.blocks:
-        for e in b.implied_edges():
+        for e in implied_edges(b):
             if e in counts:
                 counts[e] += 1
             else:
@@ -418,7 +418,7 @@ def naive_table(h):
     index = {e: i for i, e in enumerate(h.edges)}
     blocks = naive_enumerate_blocks(h)
     return ([b.parts for b in blocks],
-            [sum(1 << index[e] for e in b.implied_edges()) for b in blocks])
+            [sum(1 << index[e] for e in implied_edges(b)) for b in blocks])
 
 
 def naive_blocks_by_edge_sets(h):
@@ -452,7 +452,7 @@ def naive_locally_maximal(blocks, h):
     out = []
     for b in blocks:
         grown = (b.parts[:i] + (set(p) | {v},) + b.parts[i + 1:]
-                 for v in range(h.n) if v not in b.support()
+                 for v in range(h.n) if all(v not in p for p in b.parts)
                  for i, p in enumerate(b.parts))
         if not any(all(tuple(sorted(c)) in h.edges for c in itertools.product(*parts))
                    for parts in grown):
@@ -479,7 +479,7 @@ def random_profile_case(rng):
         others = rng.sample(range(top), rng.randint(r - 1, top))
         parts = [others[i::r - 1] for i in range(r - 1)] + [[top]]
         blocks.append(RPartiteBlock(tuple(map(frozenset, parts))))
-        blocks = [b for b in blocks if top in b.support()]
+        blocks = [b for b in blocks if any(top in p for p in b.parts)]
     return h, Cover(r, tuple(blocks))
 
 
@@ -829,7 +829,7 @@ class TestBlocksAgainstAssignments:
         assert blocks == naive_enumerate_blocks(h)
         table = _block_table(h)
         index = {e: i for i, e in enumerate(h.edges)}
-        assert table.masks == [sum(1 << index[e] for e in b.implied_edges()) for b in blocks]
+        assert table.masks == [sum(1 << index[e] for e in implied_edges(b)) for b in blocks]
         parts, masks = table.maximal
         maximal = naive_locally_maximal(blocks, h)
         assert parts == [b.parts for b in maximal]

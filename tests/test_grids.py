@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from conftest import implied_edges
+
 from hypercover import MultiplicityList, multiplicity_profile, verify_cover, verify_partition
 from hypercover.grids import (
     grid3_cover,
@@ -81,7 +83,7 @@ class TestGrid3Cover:
         for size in sizes:
             counts = {}
             for b in c.blocks[start : start + size]:
-                for e in b.implied_edges():
+                for e in implied_edges(b):
                     counts[e] = counts.get(e, 0) + 1
             assert all(v == 1 for v in counts.values())
             start += size

@@ -1,5 +1,6 @@
 """Exact brute-force oracles: candidate enumeration and minimum searches."""
 
+import dataclasses
 import gc
 import inspect
 import random
@@ -8,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import random_hypergraph
+from conftest import implied_edges, random_hypergraph
 
 from hypercover import (
     Cover,
@@ -61,7 +62,7 @@ class TestEnumerateBlocks:
         h = Hypergraph(2, 3, frozenset({(0, 1)}))
         blocks = enumerate_blocks(h)
         assert len(blocks) == 1
-        assert list(blocks[0].implied_edges()) == [(0, 1)]
+        assert implied_edges(blocks[0]) == [(0, 1)]
 
     def test_guard(self):
         with pytest.raises(GuardError):
@@ -301,13 +302,21 @@ class TestSearchStop:
         outcome = min_sum_of_orders(complete_hypergraph(5), SearchBudget(max_seconds=1e-9))
         assert outcome.stop == "timeout"
 
-    @pytest.mark.parametrize("status,value,stop", [
-        ("exact", 3, "timeout"), ("exact", 3, "max_blocks"),
-        ("unknown", None, "exact"), ("unknown", None, "budget"),
+    @pytest.mark.parametrize("value,stop", [
+        (3, "timeout"), (3, "max_blocks"), (None, "exact"), (None, "budget"),
     ])
-    def test_stop_agrees_with_status(self, status, value, stop):
+    def test_stop_agrees_with_value(self, value, stop):
         with pytest.raises(ValueError):
-            oracles.SearchOutcome(status, 3, value, stop=stop)
+            oracles.SearchOutcome(3, value, stop=stop)
+
+    @pytest.mark.parametrize("value,stop,status", [
+        (3, "exact", "exact"), (None, "timeout", "unknown"), (None, "max_blocks", "unknown"),
+    ])
+    def test_status_follows_stop(self, value, stop, status):
+        outcome = oracles.SearchOutcome(3, value, stop=stop)
+        assert outcome.status == status and outcome.is_exact is (status == "exact")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.status = "exact"
 
     @pytest.mark.parametrize("status,lower,value,stop,upper", [
         ("exact", 3, 3, "exact", 4), ("unknown", 5, None, "timeout", 4),
@@ -315,10 +324,12 @@ class TestSearchStop:
     ])
     def test_upper_agrees_with_bracket(self, status, lower, value, stop, upper):
         with pytest.raises(ValueError):
-            oracles.SearchOutcome(status, lower, value, stop=stop, upper=upper)
+            oracles.SearchOutcome(lower, value, stop=stop, upper=upper)
+        # the same outcome without that upper end stands, with this status
+        assert oracles.SearchOutcome(lower, value, stop=stop).status == status
 
     def test_exact_upper_is_the_value(self):
-        assert oracles.SearchOutcome("exact", 3, 3).upper == 3
+        assert oracles.SearchOutcome(3, 3).upper == 3
 
 
 def bracket_corpus():

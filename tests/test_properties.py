@@ -550,6 +550,9 @@ def search_argv(draw):
                hypergraph_to_json(complete_hypergraph(5)), None))
 @example(case=(["search", "min-cover", "--list", "2,3", "--max-seconds", "1e-9"],
                hypergraph_to_json(complete_hypergraph(5, 3)), None))
+# a proven lower end, 10^399 + 1, that no float holds
+@example(case=(["search", "min-cover", "--list", "1" + "0" * 400, "--max-blocks", "1" + "0" * 399],
+               hypergraph_to_json(complete_hypergraph(4)), None))
 def fuzz_search(case):
     argv, text, fault = case
     with tempfile.TemporaryDirectory() as tmp:
