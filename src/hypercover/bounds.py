@@ -264,6 +264,7 @@ def derandomized_extraction(h: Hypergraph, c: Cover) -> ExtractionResult:
     start = {a: (r - 1) ** a * r ** (top - a) for a in set(incidence)}
     weight = [start[a] for a in incidence]
     total, scale = sum(weight), r**top
+    guarantee = -(-total // scale)  # ceil(sum_i ((r-1)/r)^a_i), exactly
     survivors = set(range(h.n))
     expectations = [Fraction(total, scale)]
     for b in c.blocks:
@@ -279,7 +280,6 @@ def derandomized_extraction(h: Hypergraph, c: Cover) -> ExtractionResult:
         survivors.difference_update(b.parts[loss.index(least)])
         total -= least
         expectations.append(Fraction(total, scale))
-    guarantee = survivor_guarantee(incidence, r)
     return ExtractionResult(frozenset(survivors), guarantee, tuple(expectations))
 
 

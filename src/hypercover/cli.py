@@ -70,9 +70,9 @@ def _label_partition(args):
     return None, None, {"r": args.r, "blocks": len(blocks), "table": label_table(blocks)}
 
 
-# kind -> (required options, builder: args -> (hypergraph, cover, payload
-# fields)); a "table" field is also written to --table-out. Builders look the
-# constructions up when called, so a wrapper bound in their place is used.
+# kind -> (required options, each an int; builder: args -> (hypergraph, cover,
+# payload fields)); a "table" field is also written to --table-out. Builders
+# look the constructions up when called, so a wrapper bound in their place is used.
 CONSTRUCTIONS = {
     "hex-cover": (("m",), lambda a: (*hex_cover(a.m), {})),
     "grid3-cover": (("m",), lambda a: (*grid3_cover(a.m), {})),
@@ -85,20 +85,23 @@ CONSTRUCTIONS = {
     "label-partition": (("r",), _label_partition),
 }
 
-# name -> (closed form, its options in call order, which are also the payload's inputs)
+# name -> (closed form, its options in call order with their types; the options
+# are also the payload's inputs)
 BOUNDS = {
-    "ks-order": (bnd.ks_order_lower_bound, ("n", "alpha", "r")),
-    "ks-chromatic": (bnd.ks_chromatic_lower_bound, ("k", "r")),
-    "matching": (bnd.matching_cover_lower_bound, ("nu", "edges", "r")),
-    "independent-matchings": (bnd.independent_matchings_lower_bound, ("k", "m", "edges", "r")),
+    "ks-order": (bnd.ks_order_lower_bound, {"n": int, "alpha": float, "r": int}),
+    "ks-chromatic": (bnd.ks_chromatic_lower_bound, {"k": int, "r": int}),
+    "matching": (bnd.matching_cover_lower_bound, {"nu": int, "edges": int, "r": int}),
+    "independent-matchings": (bnd.independent_matchings_lower_bound,
+                              {"k": int, "m": int, "edges": int, "r": int}),
 }
 
-# goal -> (whether it takes --list, which it then requires; search: (hypergraph,
-# list or None, budget) -> outcome)
+# goal -> (the options of --list and --max-blocks it takes, the list then being
+# required; search: (hypergraph, list or None, budget) -> outcome)
 SEARCHES = {
-    "min-cover": (True, oracles.min_cover_size),
-    "min-partition": (False, lambda h, lst, budget: oracles.min_partition_size(h, budget)),
-    "min-sum-orders": (False, lambda h, lst, budget: oracles.min_sum_of_orders(h, budget)),
+    "min-cover": (("list", "max_blocks"), oracles.min_cover_size),
+    "min-partition": (("max_blocks",),
+                      lambda h, lst, budget: oracles.min_partition_size(h, budget)),
+    "min-sum-orders": ((), lambda h, lst, budget: oracles.min_sum_of_orders(h, budget)),
 }
 
 
@@ -178,13 +181,16 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_search(args) -> int:
     # the options first: a bad one is refused before the file is read
-    takes_list, search = SEARCHES[args.goal]
-    if takes_list:
+    takes, search = SEARCHES[args.goal]
+    for name in ("list", "max_blocks"):
+        if name not in takes and getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {args.goal}")
+    lst = None
+    if "list" in takes:
         _need(args, ("list",))
-    elif args.list is not None:
-        raise ValueError(f"--list does not apply to {args.goal}")
-    lst = MultiplicityList.parse(args.list) if takes_list else None
-    budget = oracles.SearchBudget(max_blocks=args.max_blocks, max_seconds=args.max_seconds)
+        lst = MultiplicityList.parse(args.list)
+    blocks = oracles.SearchBudget.max_blocks if args.max_blocks is None else args.max_blocks
+    budget = oracles.SearchBudget(max_blocks=blocks, max_seconds=args.max_seconds)
     with open(args.file, encoding="utf-8") as fh:
         h = hypergraph_from_json(fh.read())
     outcome = search(h, lst, budget)
@@ -210,9 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a named construction")
     p.add_argument("kind", choices=CONSTRUCTIONS)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
+    for name in dict.fromkeys(o for options, _ in CONSTRUCTIONS.values() for o in options):
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("--hypergraph-out")
     p.add_argument("--cover-out")
     p.add_argument("--table-out")
@@ -233,20 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate a closed-form lower bound")
     p.add_argument("name", choices=BOUNDS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--r", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--nu", type=int)
-    p.add_argument("--edges", type=int)
+    for name, kind in {o: t for _, options in BOUNDS.values() for o, t in options.items()}.items():
+        p.add_argument(f"--{name}", type=kind)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("search", help="exact brute-force search")
     p.add_argument("goal", choices=SEARCHES)
     p.add_argument("--file", required=True)
     p.add_argument("--list", help='for min-cover: "a,b,c", "1..p", or "any"')
-    p.add_argument("--max-blocks", type=int, default=oracles.SearchBudget.max_blocks)
+    p.add_argument("--max-blocks", type=int, help="not for min-sum-orders")
     p.add_argument("--max-seconds", type=float, default=oracles.SearchBudget.max_seconds)
     p.set_defaults(func=_cmd_search)
     return parser

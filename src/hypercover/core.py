@@ -177,21 +177,16 @@ class Hypergraph:
         return frozenset(self.edges)
 
 
-def _canonical_hypergraph(r: int, n: int, edges, sort: bool = False) -> Hypergraph:
+def _canonical_hypergraph(r: int, n: int, edges: tuple) -> Hypergraph:
     """Hypergraph(r, n, edges) without the per-edge check, for builders whose
     edges are canonical by construction.
 
-    The caller guarantees that every edge is a strictly increasing r-tuple of
-    ints in 0..n-1. Without `sort`, `edges` is a tuple of them in strictly
-    increasing order. With `sort`, it is a list in any order, repeats allowed,
-    which is sorted in place and freed of its repeats (a set would hold a second
-    table of all the edges). The result compares and hashes equal to
-    Hypergraph(r, n, edges). r and n are still checked.
+    The caller guarantees that `edges` is a tuple of strictly increasing
+    r-tuples of ints in 0..n-1, in strictly increasing order. The result
+    compares and hashes equal to Hypergraph(r, n, edges). r and n are still
+    checked.
     """
     _check_sizes(r, n)
-    if sort:
-        edges.sort()
-        edges = _drop_repeats(edges)
     h = object.__new__(Hypergraph)
     h.__dict__.update(r=r, n=n, edges=edges)  # the fields, as frozen __init__ sets them
     return h
@@ -210,8 +205,14 @@ def induced_subhypergraph(h: Hypergraph, vertices) -> tuple[Hypergraph, list[int
 
     Returns (subhypergraph, old_ids) where old_ids[new] = original vertex.
     The relabelling keeps the order of vertices, so the edges stay sorted.
+    ValueError for a vertex that is not an int in 0..n-1.
     """
+    vertices = tuple(vertices)  # checked before a set merges True into 1
+    if set(map(type, vertices)) - {int}:
+        raise ValueError("vertices must be integers")
     old = sorted(set(vertices))
+    if old and (old[0] < 0 or old[-1] >= h.n):
+        raise ValueError(f"vertices must lie in 0..{h.n - 1}")
     pos = {v: i for i, v in enumerate(old)}
     edges = tuple(tuple(pos[v] for v in e) for e in h.edges if all(v in pos for v in e))
     return Hypergraph(h.r, len(old), edges), old
@@ -311,7 +312,13 @@ class MultiplicityList:
 
     @classmethod
     def up_to(cls, p: int) -> "MultiplicityList":
-        return cls(frozenset(range(1, p + 1)))
+        return cls._range(1, p)
+
+    @classmethod
+    def _range(cls, lo: int, hi: int) -> "MultiplicityList":
+        """lo..hi, refused by LIST_RANGE_GUARD before the set is built."""
+        check_guard("multiplicity range width", hi - lo + 1, LIST_RANGE_GUARD)
+        return cls(frozenset(range(lo, hi + 1)))
 
     @classmethod
     def any_positive(cls) -> "MultiplicityList":
@@ -324,9 +331,7 @@ class MultiplicityList:
         if spec.lower() == "any":
             return cls.any_positive()
         if ".." in spec:
-            lo, hi = (int(x) for x in spec.split("..", 1))
-            check_guard("multiplicity range width", hi - lo + 1, LIST_RANGE_GUARD)
-            return cls(frozenset(range(lo, hi + 1)))
+            return cls._range(*(int(x) for x in spec.split("..", 1)))
         return cls(frozenset(int(x) for x in spec.split(",")))
 
     def __contains__(self, count: int) -> bool:
@@ -438,10 +443,10 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
     prefix, so the work is the span the blocks cover, not the vertex count.
 
     h is then read in one sweep over its runs, the edges of one prefix each,
-    found by one bisect bounded by the run's greatest length. The run of a
-    prefix without counters is bare (covered 0 times). A counted run becomes
+    found by one bisect bounded by the run's greatest length. A run becomes
     the link mask of its prefix, clipped at the last vertex the counters
-    reach; the edges past that top are bare. The OR of the prefix's counters,
+    reach; the edges past that top are bare (covered 0 times), and so is the
+    whole run of a prefix without counters. The OR of the prefix's counters,
     read once, gives both that top and the foreign bits. Each link is tallied
     as it is built: a link equal to its one plane is covered exactly once, and
     the edges of all such links are summed in the sweep and added to
@@ -499,13 +504,9 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
         p = edges[start][:-1]
         pmax = p[-1]
         end = bisect_left(edges, p + (n,), start, min(total, start + n - 1 - pmax))
-        counters = counters_of(p)
-        if counters is None:
-            least.setdefault(0, edges[start])
-            counts[0] = counts.get(0, 0) + end - start
-            continue
-        reached += 1
-        cover = reduce(or_, counters)  # every bit some block covers above p
+        counters = counters_of(p, ())
+        reached += bool(counters)
+        cover = reduce(or_, counters, 0)  # every bit some block covers above p
         # the link stops at the last vertex the counters reach; the rest is bare
         top = pmax + cover.bit_length()
         stop = end

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .core import (Cover, Hypergraph, RPartiteBlock, _canonical_hypergraph, _collector_paused,
-                   check_guard, check_power_guard)
+                   _drop_repeats, check_guard, check_power_guard)
 
 CUBE_EDGE_GUARD = 10**7
 # parts built: of the dimensions m >= 2 the other guards admit, pi_partition(5, 3)
@@ -186,8 +186,9 @@ def cube_graph(r: int, m: int) -> CubeGraph:
             zero = [hi + lo for hi in range(0, n, base * weight) for lo in range(weight)]
             with_label = zip(*(range(v, v + r * weight, weight) for v in zero))
             edges.extend(map(tuple, map(sorted, itertools.product(*with_label))))
+        edges.sort()  # in place: a set would hold a second table of all the edges
         # each edge is r distinct vertices of 0..n-1, sorted
-        return CubeGraph(r, m, _canonical_hypergraph(r, n, edges, sort=True))
+        return CubeGraph(r, m, _canonical_hypergraph(r, n, _drop_repeats(edges)))
 
 
 def pinto_upper_bound(r: int, m: int) -> int:

@@ -158,9 +158,7 @@ class _BlockTable:
             if k == r - 1:
                 # W: the candidates whose stars hold one edge per transversal of the
                 # parts; its non-empty subsets in increasing order, with their unions
-                # of stars: v alone, v before each subset above v, then those subsets.
-                # At r = 2 every candidate shares an edge with each vertex of the one
-                # open part, which is all its transversals, so none is tested
+                # of stars: v alone, v before each subset above v, then those subsets
                 prefix, count = reduce(and_, unions), math.prod(map(len, parts))
                 w, lasts, ors = 0, [], []
                 rest = common
@@ -168,7 +166,7 @@ class _BlockTable:
                     v = rest.bit_length() - 1
                     rest ^= 1 << v
                     sv = star[v]
-                    if r == 2 or (prefix & sv).bit_count() == count:
+                    if (prefix & sv).bit_count() == count:
                         w |= 1 << v
                         lasts = [(v,), *[(v,) + s for s in lasts], *lasts]
                         ors = [sv, *[sv | u for u in ors], *ors]

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import hypercover
-from hypercover import cli as cli_module
+from hypercover import cli as cli_module, oracles
 from hypercover.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, build_parser, main
 from hypercover import (SearchBudget, complete_hypergraph, cover_to_json, hypergraph_to_json,
                         log_cover)
@@ -254,9 +254,10 @@ class TestSearch:
         (("min-cover", "--list", "2,x"), "invalid literal for int()"),
         (("min-partition", "--list", "2"), "--list does not apply to min-partition"),
         (("min-sum-orders", "--list", "any"), "--list does not apply to min-sum-orders"),
+        (("min-sum-orders", "--max-blocks", "0"), "--max-blocks does not apply to min-sum-orders"),
         (("min-partition", "--max-seconds", "0"), "max_seconds"),
     ], ids=["no-list", "list-0..5", "list-2,x", "partition-list", "sum-orders-list",
-            "budget"])
+            "sum-orders-max-blocks", "budget"])
     def test_options_are_read_before_the_file(self, capsys, tmp_path, argv, message):
         # the file does not exist: the option error shows that it was not opened
         missing = str(tmp_path / "missing.json")
@@ -279,9 +280,23 @@ class TestSearch:
                            "--file", self.write_k4(tmp_path), "--max-seconds", seconds)
         assert code == EXIT_ERROR and "max_seconds" in err
 
-    def test_budget_defaults_are_search_budgets(self):
-        args = build_parser().parse_args(["search", "min-partition", "--file", "k4.json"])
-        assert SearchBudget(args.max_blocks, args.max_seconds) == SearchBudget()
+    def test_max_blocks_does_not_apply_to_min_sum_orders(self, capsys, tmp_path):
+        # the cost search has no block budget: the option is refused, not ignored
+        code, payload, err = run(capsys, "search", "min-sum-orders",
+                                 "--file", self.write_k4(tmp_path), "--max-blocks", "0")
+        assert code == EXIT_ERROR and payload is None
+        assert "--max-blocks does not apply to min-sum-orders" in err
+
+    def test_budget_defaults_are_search_budgets(self, capsys, tmp_path, monkeypatch):
+        budgets = []
+        search = oracles._search
+        monkeypatch.setattr(oracles, "_search", lambda h, parts, masks, lst, budget, **kw:
+                            budgets.append(budget) or search(h, parts, masks, lst, budget, **kw))
+        k4 = self.write_k4(tmp_path)
+        for argv in (("min-partition",), ("min-sum-orders",), ("min-cover", "--list", "any")):
+            code, _, _ = run(capsys, "search", argv[0], "--file", k4, *argv[1:])
+            assert code == EXIT_OK
+        assert budgets == [SearchBudget()] * 3
 
 
 def cli(*argv, memory_mb=None):

@@ -105,6 +105,13 @@ class TestHypergraph:
         assert old == [1, 3, 4]
         assert sub.n == 3 and len(sub.edges) == 3
 
+    # vertices h does not have, and vertices that are not ints (checked before
+    # a set merges True into 1 and 2.0 into 2)
+    @pytest.mark.parametrize("vertices", [[0, 7], [-3, 0, 1], [0, True, 2.0]], ids=repr)
+    def test_induced_rejects_foreign_vertices(self, vertices):
+        with pytest.raises(ValueError, match="vertices must"):
+            induced_subhypergraph(complete_hypergraph(4), vertices)
+
 
 class TestBlock:
     def test_rejects_empty_part(self):
@@ -321,6 +328,8 @@ class TestMultiplicityList:
     def test_range_width_guard(self):
         with pytest.raises(GuardError):
             MultiplicityList.parse("1..1000000000")
+        with pytest.raises(GuardError, match="multiplicity range width"):
+            MultiplicityList.up_to(core.LIST_RANGE_GUARD + 1)
 
     def test_membership(self):
         assert 5 in MultiplicityList.any_positive()
