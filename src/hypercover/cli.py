@@ -96,9 +96,11 @@ BOUNDS = {
 }
 
 # goal -> (the options of --list and --max-blocks it takes, the list then being
-# required; search: (hypergraph, list or None, budget) -> outcome)
+# required; search: (hypergraph, list or None, budget) -> outcome). Like the
+# builders, searches look the oracles up when called.
 SEARCHES = {
-    "min-cover": (("list", "max_blocks"), oracles.min_cover_size),
+    "min-cover": (("list", "max_blocks"),
+                  lambda h, lst, budget: oracles.min_cover_size(h, lst, budget)),
     "min-partition": (("max_blocks",),
                       lambda h, lst, budget: oracles.min_partition_size(h, budget)),
     "min-sum-orders": ((), lambda h, lst, budget: oracles.min_sum_of_orders(h, budget)),

@@ -46,8 +46,14 @@ class GuardError(ValueError):
 
 
 def check_guard(description: str, actual: int, limit: int) -> None:
+    """GuardError if actual > limit, unless the override is set. A count with
+    more digits than int-to-str conversion allows is named by its power of two."""
     if actual > limit and os.environ.get(GUARD_ENV) != "1":
-        raise GuardError(f"{description}: {actual} exceeds guard {limit}"
+        try:
+            shown = str(actual)
+        except ValueError:
+            shown = f"at least 2^{actual.bit_length() - 1}"
+        raise GuardError(f"{description}: {shown} exceeds guard {limit}"
                          f" (set {GUARD_ENV}=1 to override)")
 
 

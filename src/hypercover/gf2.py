@@ -113,8 +113,16 @@ def adjacency_cube_matrix(r: int, m: int) -> GF2Matrix:
     r >= 4 only; rows and columns follow the colexicographic subset order.
     """
     if r % 2 or r < 4:
-        raise ValueError(f"certificates need even r >= 4; odd r inherits the even case"
-                         f" at r-1 (for r={r} consult partition_lower_bound instead)")
+        if r == 2:
+            hint = ("; at r=2 the cube hypergraph is a graph: bound its partitions by"
+                    " the Graham-Pollak inertia bound (link_lower_bound, within its"
+                    " work cap), or find them with search min-partition at small m")
+        elif r >= 3:
+            hint = (f"; odd r inherits the even case at r-1 (for r={r} consult"
+                    f" partition_lower_bound instead)")
+        else:
+            hint = ""
+        raise ValueError(f"certificates need even r >= 4{hint}")
     if m < 1:
         raise ValueError("dimension must be at least 1")
     half = r // 2

@@ -41,10 +41,12 @@ from .core import (
     RPartiteBlock,
     _canonical_block,
     check_guard,
-    check_power_guard,
 )
 
-ENUMERATION_GUARD = 16_500  # assignments (r+1)^n: n <= 8 at r = 2, n <= 7 at r = 3
+# _BlockTable work in mask bits: K_11, K_9^3, K_9^5 and the cube r=3 m=2 are
+# within it, K_12 and K_9^4 over; 10^7 takes 0.1-0.3 s to count (2-core Intel
+# Xeon, Python 3.11.7)
+TABLE_WORK_GUARD = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -133,10 +135,22 @@ class _BlockTable:
     may lie below v. W only shrinks as the parts grow, so a state whose W is
     empty is dropped with its subtree, and every state kept from there on
     yields at least one block.
+
+    `work` counts, in mask bits, what the build does: n·(|E| + n) for the
+    stars and adjacency masks; |E| + n for each state popped and again for
+    each vertex its loops may visit, each of which reads a star or an
+    adjacency mask; and |E| for each block. It is checked against
+    TABLE_WORK_GUARD before the masks are built, at every pop, and before
+    each vertex of W doubles the lists of a state's last parts, so a wide W
+    is refused before 2^|W| lists exist.
     """
 
     def __init__(self, h: Hypergraph):
-        r, n = h.r, h.n
+        r, n, edges = h.r, h.n, len(h.edges)
+        width = edges + n  # the bits of a star and an adjacency mask
+        work, limit = n * width, TABLE_WORK_GUARD
+        if work > limit:
+            limit = _over(work)
         star = [0] * n  # for each vertex, the mask of the edges that hold it
         adj = [0] * n  # for each vertex, the others that share an edge with it
         for i, e in enumerate(h.edges):
@@ -155,6 +169,12 @@ class _BlockTable:
             last, parts, unions, common = stack.pop()
             k = len(parts)
             above = active >> (last + 1) << (last + 1)
+            # the pop and each vertex its loops may visit, each reading an edge
+            # and a vertex mask: W's candidates are drawn from common, the
+            # vertices that join or open a part from above
+            work += (1 + (common | above).bit_count()) * width
+            if work > limit:
+                limit = _over(work)
             if k == r - 1:
                 # W: the candidates whose stars hold one edge per transversal of the
                 # parts; its non-empty subsets in increasing order, with their unions
@@ -167,6 +187,9 @@ class _BlockTable:
                     rest ^= 1 << v
                     sv = star[v]
                     if (prefix & sv).bit_count() == count:
+                        work += edges * (len(lasts) + 1)
+                        if work > limit:
+                            limit = _over(work)
                         w |= 1 << v
                         lasts = [(v,), *[(v,) + s for s in lasts], *lasts]
                         ors = [sv, *[sv | u for u in ors], *ors]
@@ -204,6 +227,7 @@ class _BlockTable:
         groups.sort(key=itemgetter(0))
         self.parts = [parts + (s,) for parts, lasts, _ in groups for s in lasts]
         self.masks = [mask for _, _, masks in groups for mask in masks]
+        self.work = work
 
     @cached_property
     def maximal(self) -> tuple[list, list]:
@@ -229,19 +253,27 @@ class _BlockTable:
         return [self.parts[i] for i in kept], [self.masks[i] for i in kept]
 
 
+def _over(work: int) -> float:
+    """The limit on a block table's work once `work` has crossed
+    TABLE_WORK_GUARD: GuardError unless the override is set, and no limit
+    from then on, so the environment is read once per build."""
+    check_guard("block table work", work, TABLE_WORK_GUARD)
+    return math.inf
+
+
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # Hypergraph -> _BlockTable
 
 
 def _block_table(h: Hypergraph) -> _BlockTable:
     """h's block table, built on first use and shared by every equal
     hypergraph while one of them is alive (a table depends only on r, n and
-    the edges). The (r+1)^n part assignments bound the work of building it;
-    they are checked on every call, so a table built under the guard override
+    the edges). The work its build counted is checked against
+    TABLE_WORK_GUARD on every call, so a table built under the guard override
     is not handed out without it."""
-    check_power_guard("enumerate_blocks assignments", 1, h.r + 1, h.n, ENUMERATION_GUARD)
     table = _TABLES.get(h)
     if table is None:
         table = _TABLES[h] = _BlockTable(h)
+    check_guard("block table work", table.work, TABLE_WORK_GUARD)
     return table
 
 
@@ -417,7 +449,6 @@ def min_sum_of_orders(h: Hypergraph, budget: SearchBudget | None = None) -> Sear
 
     An "unknown" outcome carries the first total order not yet ruled out.
     """
-    check_guard("min_sum_of_orders vertices", h.n, 5)
     table = _block_table(h)
     return _search(h, table.parts, table.masks, MultiplicityList.any_positive(),
                    budget or SearchBudget(),

@@ -13,8 +13,8 @@ import pytest
 import hypercover
 from hypercover import cli as cli_module, oracles
 from hypercover.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, EXIT_UNKNOWN, build_parser, main
-from hypercover import (SearchBudget, complete_hypergraph, cover_to_json, hypergraph_to_json,
-                        log_cover)
+from hypercover import (Hypergraph, MultiplicityList, SearchBudget, complete_hypergraph, cover_to_json,
+                        hypergraph_to_json, log_cover)
 
 
 def run(capsys, *argv):
@@ -69,13 +69,15 @@ class TestConstruct:
         assert "guard" in err
 
     def test_guard_override_env(self, capsys, monkeypatch, tmp_path):
-        path = tmp_path / "k6.json"
-        path.write_text(hypergraph_to_json(complete_hypergraph(6)))
+        # a path on 9 of 4,000 vertices: its block table's masks may take
+        # 4,000 * (8 + 4,000) bits, over the guard; four stars of order 3 cover it
+        path = tmp_path / "path.json"
+        path.write_text(hypergraph_to_json(Hypergraph(2, 4000, [(v, v + 1) for v in range(8)])))
         code, _, err = run(capsys, "search", "min-sum-orders", "--file", str(path))
         assert code == EXIT_ERROR and "guard" in err
         monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
         code, payload, _ = run(capsys, "search", "min-sum-orders", "--file", str(path))
-        assert code == EXIT_OK and payload["value"] == 16
+        assert code == EXIT_OK and payload["value"] == 12
 
 
 class TestVerify:
@@ -183,6 +185,18 @@ class TestRank:
         assert code == EXIT_ERROR
         assert "even" in err
 
+    @pytest.mark.parametrize("r,names,absent", [
+        ("2", ["link_lower_bound", "search min-partition"], "partition_lower_bound"),
+        ("3", ["partition_lower_bound", "r-1"], "link_lower_bound"),
+        ("5", ["partition_lower_bound", "r-1"], "link_lower_bound"),
+    ])
+    def test_below_four_or_odd_names_what_applies(self, capsys, r, names, absent):
+        # partition_lower_bound needs r >= 3, so r = 2 is pointed elsewhere
+        code, payload, err = run(capsys, "rank", "--r", r, "--m", "1")
+        assert code == EXIT_ERROR and payload is None
+        assert err.startswith("error: certificates need even r >= 4")
+        assert all(name in err for name in names) and absent not in err
+
 
 class TestBounds:
     def test_ks_order(self, capsys):
@@ -286,6 +300,17 @@ class TestSearch:
                                  "--file", self.write_k4(tmp_path), "--max-blocks", "0")
         assert code == EXIT_ERROR and payload is None
         assert "--max-blocks does not apply to min-sum-orders" in err
+
+    def test_min_cover_looked_up_when_called(self, capsys, tmp_path, monkeypatch):
+        # a wrapper bound in place of the oracle sees the CLI's min-cover jobs
+        calls = []
+        oracle = oracles.min_cover_size
+        monkeypatch.setattr(oracles, "min_cover_size",
+                            lambda *args: calls.append(args[1]) or oracle(*args))
+        code, payload, _ = run(capsys, "search", "min-cover",
+                               "--file", self.write_k4(tmp_path), "--list", "any")
+        assert code == EXIT_OK and payload["value"] == 2
+        assert calls == [MultiplicityList.any_positive()]
 
     def test_budget_defaults_are_search_budgets(self, capsys, tmp_path, monkeypatch):
         budgets = []
@@ -422,6 +447,31 @@ class TestHostileSizes:
         assert "exceeds guard" in proc.stderr
         assert elapsed < 1.0
 
+
+    @pytest.mark.parametrize("edges", [
+        [],  # the stars and adjacency masks of 2*10^6 vertices
+        [(0, v) for v in range(1, 41)],  # K_{1,40}: 2^40 - 1 blocks
+        [(u, v) for u in range(16) for v in range(u + 1, 16)],  # K_16: 21.5M blocks
+    ], ids=["n-2000000", "star-40", "K_16"])
+    def test_block_table_refused_at_once(self, tmp_path, edges):
+        path = tmp_path / "h.json"
+        n = 2_000_000 if not edges else max(map(max, edges)) + 1
+        path.write_text(json.dumps({"r": 2, "n": n, "edges": edges}))
+        start = time.perf_counter()
+        proc = cli("search", "min-partition", "--file", str(path), memory_mb=512)
+        elapsed = time.perf_counter() - start
+        assert_input_error(proc)
+        assert "block table work" in proc.stderr and "exceeds guard" in proc.stderr
+        assert elapsed < 1.0
+
+    def test_count_too_long_to_print(self, tmp_path):
+        # n has 3,000 digits, so the count n^2 has more than int-to-str allows
+        path = tmp_path / "h.json"
+        path.write_text('{"r": 2, "n": 1' + "0" * 3000 + ', "edges": []}')
+        proc = cli("search", "min-partition", "--file", str(path))
+        assert_input_error(proc)
+        assert "block table work: at least 2^" in proc.stderr
+        assert "exceeds guard" in proc.stderr
 
     @pytest.mark.parametrize("low", [list(range(50_000)), [*range(30_000), 89_999]],
                              ids=["half-half", "one-high-vertex"])

@@ -65,20 +65,21 @@ class TestEnumerateBlocks:
         assert implied_edges(blocks[0]) == [(0, 1)]
 
     def test_guard(self):
-        with pytest.raises(GuardError):
-            enumerate_blocks(complete_hypergraph(9))
+        # K_12's table counts about 1.9 * 10^7 work, over the guard
+        with pytest.raises(GuardError, match="block table work"):
+            enumerate_blocks(complete_hypergraph(12))
 
     def test_guard_override_env(self, monkeypatch):
         monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
-        blocks = enumerate_blocks(complete_hypergraph(9))
-        # unordered pairs of disjoint non-empty subsets: (3^9 - 2*2^9 + 1) / 2
-        assert len(blocks) == (3**9 - 2 * 2**9 + 1) // 2
+        blocks = enumerate_blocks(complete_hypergraph(12))
+        # unordered pairs of disjoint non-empty subsets: (3^12 - 2*2^12 + 1) / 2
+        assert len(blocks) == (3**12 - 2 * 2**12 + 1) // 2
 
     @pytest.mark.parametrize("value", ["0", "", "true"])
     def test_guard_override_only_by_one(self, monkeypatch, value):
         monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", value)
         with pytest.raises(GuardError):
-            enumerate_blocks(complete_hypergraph(9))
+            enumerate_blocks(complete_hypergraph(12))
 
     def test_depth_does_not_grow_with_vertices(self, monkeypatch):
         # a frame per vertex would need 150 frames beyond the 100 left here
@@ -128,7 +129,9 @@ class TestBlockTable:
         assert Hypergraph(2, 5, edges) not in oracles._TABLES
 
     def test_guard_checked_on_every_lookup(self, monkeypatch):
-        h = Hypergraph(2, 9, [(v, v + 1) for v in range(8)])  # 3^9 assignments
+        # a path on 9 of 4,000 vertices: the stars and adjacency masks may take
+        # 4,000 * (8 + 4,000) bits, over the guard before the first block
+        h = Hypergraph(2, 4000, [(v, v + 1) for v in range(8)])
         monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
         assert min_partition_size(h).value == 4
         assert h in oracles._TABLES
@@ -146,19 +149,84 @@ class TestBlockTable:
         # the block leaves out partition n + 1 vertices into r + 1 classes:
         # S(n + 1, r + 1) blocks; a maximal block leaves none out: S(n, r)
         assert (blocks, maximal) == (stirling2(n + 1, r + 1), stirling2(n, r))
-        table = oracles._BlockTable(complete_hypergraph(n, r))  # most are over the guard
+        table = oracles._BlockTable(complete_hypergraph(n, r))
         assert (len(table.parts), len(table.maximal[0])) == (blocks, maximal)
 
-    def test_sparse_matching_opens_parts_only_among_neighbours(self, monkeypatch):
+    def test_sparse_matching_opens_parts_only_among_neighbours(self):
         # 3^24 part assignments, but a part opens only with a vertex that
         # shares an edge with every vertex placed so far: 12 blocks, the edges
-        monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
         h = Hypergraph(2, 24, [(2 * i, 2 * i + 1) for i in range(12)])
         t0 = time.perf_counter()
         outcome = min_partition_size(h)
         assert time.perf_counter() - t0 < 5
         assert oracles._block_table(h).parts == [((2 * i,), (2 * i + 1,)) for i in range(12)]
         assert outcome.is_exact and outcome.value == 12
+
+    @pytest.mark.parametrize("h,blocks", [
+        (complete_hypergraph(9), (3**9 - 2 * 2**9 + 1) // 2),
+        (complete_hypergraph(10), (3**10 - 2 * 2**10 + 1) // 2),
+        (complete_hypergraph(8, 3), stirling2(9, 4)),
+        (Hypergraph(2, 24, [(2 * i, 2 * i + 1) for i in range(12)]), 12),
+        (cube_graph(2, 2).hypergraph, 169),
+    ], ids=["K_9", "K_10", "K_8^3", "matching", "cube(2,2)"])
+    def test_admitted_without_override(self, monkeypatch, h, blocks):
+        # each builds in milliseconds, though it has 3^9 or more part assignments
+        monkeypatch.delenv("HYPERCOVER_GUARD_OVERRIDE", raising=False)
+        table = oracles._block_table(h)
+        assert len(table.parts) == blocks
+        assert table.work <= oracles.TABLE_WORK_GUARD
+
+    @pytest.mark.parametrize("n,r", [(8, 2), (7, 3), (6, 4), (5, 5)])
+    def test_complete_hosts_bound_their_vertex_counts(self, monkeypatch, n, r):
+        # every h on n vertices counts no more work than K_n^r: its states,
+        # the vertices they visit, its blocks and its edges are fewer
+        monkeypatch.delenv("HYPERCOVER_GUARD_OVERRIDE", raising=False)
+        rng = random.Random(n * r)
+        for h in [complete_hypergraph(n, r)] + [random_hypergraph(rng, n, r, p)
+                                                for p in (0.3, 0.6, 0.9)]:
+            assert oracles._BlockTable(h).work <= oracles._block_table(
+                complete_hypergraph(n, r)).work <= oracles.TABLE_WORK_GUARD
+
+    def test_environment_read_once_past_the_guard(self, monkeypatch):
+        # the count crosses the guard once; from then on no check reads the
+        # environment again, at any pop or doubling of W
+        calls = []
+        check = oracles.check_guard
+        monkeypatch.setattr(oracles, "check_guard",
+                            lambda *args: calls.append(args) or check(*args))
+        monkeypatch.setenv("HYPERCOVER_GUARD_OVERRIDE", "1")
+        table = oracles._BlockTable(complete_hypergraph(12))
+        assert len(calls) == 1 and table.work > oracles.TABLE_WORK_GUARD
+        star = Hypergraph(2, 21, [(0, v) for v in range(1, 21)])
+        assert len(oracles._BlockTable(star).parts) == 2**20 - 1
+        assert len(calls) == 2
+
+    def test_wide_w_refused_before_its_lists(self, monkeypatch):
+        # the star K_{1,40} has 2^40 - 1 blocks, all subsets of its leaves
+        # beside the centre; the count passes the guard within 2^18 of them
+        monkeypatch.delenv("HYPERCOVER_GUARD_OVERRIDE", raising=False)
+        star = Hypergraph(2, 41, [(0, v) for v in range(1, 41)])
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="block table work"):
+            oracles._BlockTable(star)
+        assert time.perf_counter() - start < 2
+
+    def test_every_visit_counted(self, monkeypatch):
+        # 2^16 first parts, each a subset of 16 vertices beside two common
+        # neighbours, but only 32 blocks: the vertices each state's loops may
+        # visit are counted, so the guard refuses 2^23 such states in time
+        monkeypatch.delenv("HYPERCOVER_GUARD_OVERRIDE", raising=False)
+
+        def fan(a):
+            b1, b2 = 3 * a, 3 * a + 1
+            return Hypergraph(3, 3 * a + 2, [(i, a + i, b1) for i in range(a)]
+                              + [(i, 2 * a + i, b2) for i in range(a)])
+
+        assert len(oracles._BlockTable(fan(12)).parts) == 24
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="block table work"):
+            oracles._BlockTable(fan(23))
+        assert time.perf_counter() - start < 2
 
 
 class TestMinPartition:
@@ -393,9 +461,14 @@ class TestMinSumOfOrders:
         h = Hypergraph(3, 3, frozenset({(0, 1, 2)}))
         assert min_sum_of_orders(h).value == 3
 
-    def test_guard(self):
-        with pytest.raises(GuardError):
-            min_sum_of_orders(complete_hypergraph(6))
+    def test_k6_exact(self, monkeypatch):
+        # no cap on the vertices: the table guard and the time budget bound it
+        monkeypatch.delenv("HYPERCOVER_GUARD_OVERRIDE", raising=False)
+        h = complete_hypergraph(6)
+        outcome = min_sum_of_orders(h)
+        assert outcome.is_exact and outcome.value == 16
+        assert verify_cover(h, outcome.witness, ANY).ok
+        assert sum(b.order() for b in outcome.witness.blocks) == 16
 
     def test_timeout_reports_proven_lower_bound(self):
         # the optimum for K_5 is 12; every total below the reported lower is ruled out

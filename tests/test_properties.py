@@ -142,7 +142,7 @@ def sparse_hypergraphs(draw):
 @example(h=Hypergraph(150, 150, [tuple(range(150))]))
 @example(h=Hypergraph(2, 24, [(2 * i, 2 * i + 1) for i in range(12)]))
 def test_enumerator_matches_edge_sets(h):
-    table = _BlockTable(h)  # built directly: the enumeration guard refuses these sizes
+    table = _BlockTable(h)
     assert (table.parts, table.masks) == naive_blocks_by_edge_sets(h)
 
 
@@ -156,7 +156,7 @@ SPARSE_R5 = Hypergraph(5, 12, [(0, 1, 2, 3, 4), (0, 1, 2, 3, 5), (0, 1, 2, 4, 6)
                                           (SPARSE_R5, naive_blocks_by_edge_sets)],
                          ids=["K_7^5", "sparse"])
 def test_table_at_r5_matches_reference(h, reference):
-    table = _BlockTable(h)  # built directly: 6^n part assignments are over the guard
+    table = _BlockTable(h)
     assert (table.parts, table.masks) == reference(h)
     expected = naive_locally_maximal([RPartiteBlock(parts) for parts in table.parts], h)
     assert table.maximal == ([b.parts for b in expected],
