@@ -110,37 +110,56 @@ def _canonical_edge(edge, r: int, n: int) -> Edge:
     return t
 
 
-def _is_canonical(edges, r: int, n: int) -> bool:
-    """True iff every edge is an increasing tuple of r ints in 0..n-1.
+def _canonical_columns(rows, r: int, n: int, json_ints: bool = False) -> list | None:
+    """The columns of `rows`, column i holding item i of every row, if every
+    row holds r ints increasing within 0..n-1; None otherwise.
 
-    Checked column by column, so the loops over the edges run in C; fewer
-    edges than columns, such as one edge on 10^6 vertices, are checked edge
-    by edge instead, so the loops over the vertices do.
+    The rows must be sequences: a row without a length raises TypeError, and a
+    mapping with r keys KeyError. Checked column by column, so the loops over
+    the rows run in C, and the columns are kept for the caller. Fewer rows than
+    columns, such as one edge on 10^6 vertices, are checked row by row
+    instead, so the loops over the vertices do, and then transposed.
+
+    `json_ints` says the rows are parsed JSON with no bool, float or negative
+    number in them; the type and sign passes are then skipped. Of the other
+    JSON values, a string, array, object or null raises TypeError when
+    compared with an int, NaN fails every comparison and Infinity is below
+    neither the next column nor n, so any of them still fails the check.
     """
-    if not edges:
-        return True
-    if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {r}:
-        return False
-    if len(edges) < r:
-        return (all(set(map(type, e)) == {int} and all(map(lt, e, e[1:])) for e in edges)
-                and min(e[0] for e in edges) >= 0 and max(e[-1] for e in edges) < n)
-    previous = None
+    if not rows:
+        return []
+    if set(map(len, rows)) != {r}:
+        return None
+    if len(rows) < r:
+        if (all(set(map(type, e)) == {int} and all(map(lt, e, e[1:])) for e in rows)
+                and min(e[0] for e in rows) >= 0 and max(e[-1] for e in rows) < n):
+            return list(zip(*rows))
+        return None
+    columns = []
     for i in range(r):
-        column = list(map(itemgetter(i), edges))
-        if set(map(type, column)) != {int}:
-            return False
-        if previous is None:
-            if min(column) < 0:
-                return False
-        elif not all(map(lt, previous, column)):
-            return False
-        previous = column
-    return max(previous) < n
+        column = list(map(itemgetter(i), rows))
+        if not json_ints and set(map(type, column)) != {int}:
+            return None
+        if columns:
+            if not all(map(lt, columns[-1], column)):
+                return None
+        elif not json_ints and min(column) < 0:
+            return None
+        columns.append(column)
+    return columns if max(columns[-1]) < n else None
 
 
 def _drop_repeats(edges) -> tuple:
     """The sorted `edges` as a tuple, each once; sorting made repeats adjacent."""
     return tuple(map(itemgetter(0), itertools.groupby(edges)))
+
+
+def _in_order(edges) -> tuple:
+    """Canonical edges as their strictly increasing tuple: `edges` itself when
+    it already is one, else sorted with repeats dropped."""
+    if all(map(lt, edges, itertools.islice(edges, 1, None))):
+        return tuple(edges)
+    return _drop_repeats(sorted(edges))
 
 
 def _check_sizes(r: int, n: int) -> None:
@@ -168,14 +187,11 @@ class Hypergraph:
         if isinstance(edges, Iterator):  # read once, maybe checked twice
             edges = tuple(edges)
         # checked before deduplication, which would let (0, True) hide behind (0, 1)
-        if not _is_canonical(edges, r, n):
-            edges = sorted(_canonical_edge(e, r, n) for e in edges)
-        elif not all(map(lt, edges, itertools.islice(edges, 1, None))):
-            edges = sorted(edges)
+        if set(map(type, edges)) <= {tuple} and _canonical_columns(edges, r, n) is not None:
+            edges = _in_order(edges)
         else:
-            object.__setattr__(self, "edges", tuple(edges))
-            return
-        object.__setattr__(self, "edges", _drop_repeats(edges))
+            edges = _drop_repeats(sorted(_canonical_edge(e, r, n) for e in edges))
+        object.__setattr__(self, "edges", edges)
 
     @cached_property
     def edge_set(self) -> frozenset:
@@ -593,6 +609,19 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 # objects round-trip byte-identically. The dumps hold only dicts, tuples and
 # ints built in place, which form no cycle, so json's circular-reference check
 # (an id-dict insert and delete per edge) is off.
+#
+# A hypergraph document is loaded so that it and its edges are never held
+# twice. Its number literals are parsed once per distinct literal (_Literals),
+# so each vertex is one int object however often it occurs; without that,
+# every occurrence above 256 is an int of its own. r and n are checked first.
+# The rows are then checked column by column with the check Hypergraph itself
+# runs (_canonical_columns), which keeps the columns. When no float literal
+# was parsed and the text holds no "t", "f" or "-", the document holds no
+# bool, float or negative number, and the check skips its type and sign
+# passes, which pays for the parse hook. The rows are then released, and only
+# then are the edge tuples zipped from the columns and put in order. A
+# document that fails the check is passed to Hypergraph as tuples, the
+# general path with its own errors.
 
 
 def hypergraph_to_json(h: Hypergraph) -> str:
@@ -617,17 +646,46 @@ def _json_array(doc, key: str) -> list:
     return value
 
 
+class _Literals(dict):
+    """Number literal -> its value by `parse`, parsed on first sight: as a json
+    hook (its bound __getitem__), it makes equal numbers of one document one
+    object."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, literal: str):
+        value = self[literal] = self.parse(literal)
+        return value
+
+
 def _parse_hypergraph(text: str) -> Hypergraph:
-    doc = json.loads(text)
-    return Hypergraph(_json_int(doc, "r"), _json_int(doc, "n"),
-                      map(tuple, _json_array(doc, "edges")))
+    floats = _Literals(float)
+    doc = json.loads(text, parse_int=_Literals(int).__getitem__, parse_float=floats.__getitem__)
+    r, n, rows = _json_int(doc, "r"), _json_int(doc, "n"), _json_array(doc, "edges")
+    del doc
+    _check_sizes(r, n)  # before any column is read: no columns would zip to no edges
+    # a bool is spelt with a "t" or an "f", and a negative number with a "-";
+    # bytes, which json.loads reads too, are not searched
+    json_ints = not floats and isinstance(text, str) and not any(c in text for c in "tf-")
+    try:  # a JSON row is a list, or else a value without a length or an object
+        columns = _canonical_columns(rows, r, n, json_ints)
+    except (TypeError, KeyError):
+        columns = None
+    if columns is None:
+        return Hypergraph(r, n, map(tuple, rows))
+    del rows  # the last reference to the document: its lists go before any tuple is built
+    edges = tuple(zip(*columns))
+    del columns
+    return _canonical_hypergraph(r, n, _in_order(edges))
 
 
 def hypergraph_from_json(text: str) -> Hypergraph:
     """Raises ValueError on text that is not a hypergraph document."""
     try:
-        # the document, one list per edge, is freed when _parse_hypergraph
-        # returns, before collection resumes
+        # the document, one list per edge, is freed inside _parse_hypergraph,
+        # before collection resumes
         with _collector_paused():
             return _parse_hypergraph(text)
     except (KeyError, TypeError, RecursionError) as exc:
@@ -643,9 +701,10 @@ def cover_to_json(c: Cover) -> str:
 def cover_from_json(text: str) -> Cover:
     """Raises ValueError on text that is not a cover document."""
     try:
-        doc = json.loads(text)
-        blocks = tuple(RPartiteBlock(tuple(_json_array(b, "parts")))
-                       for b in _json_array(doc, "blocks"))
-        return Cover(_json_int(doc, "r"), blocks)
+        with _collector_paused():  # a JSON document and tuples of ints
+            doc = json.loads(text)
+            blocks = tuple(RPartiteBlock(tuple(_json_array(b, "parts")))
+                           for b in _json_array(doc, "blocks"))
+            return Cover(_json_int(doc, "r"), blocks)
     except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed cover JSON: {exc!r}") from None

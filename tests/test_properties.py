@@ -1,5 +1,6 @@
-"""Property tests: the JSON loaders on arbitrary field values, edge, block and
-label class storage, the JSON round trips, the multiplicity profiler against
+"""Property tests: the JSON loaders on arbitrary field values, the hypergraph
+loader against a plain document checked edge by edge, edge, block and label
+class storage, the JSON round trips, the multiplicity profiler against
 listing every block edge, the block table's parts and edge masks against
 filtering every part assignment and, on sparse inputs with many vertices,
 against testing every set of edges, its locally maximal blocks against
@@ -16,6 +17,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import tempfile
 import time
@@ -290,6 +292,85 @@ def test_json_round_trip(case):
     text = hypergraph_to_json(h)
     assert hypergraph_from_json(text) == h
     assert hypergraph_to_json(hypergraph_from_json(text)) == text
+
+
+def plain_load(text, check=None):
+    """The plain document's rows as tuples, given to Hypergraph after `check`,
+    if any, has checked them and returned them sorted; a TypeError is reported
+    as malformed JSON."""
+    doc = json.loads(text)
+    r, n = doc["r"], doc["n"]
+    try:
+        rows = map(tuple, doc["edges"])
+        return Hypergraph(r, n, rows if check is None or r < 2 else sorted(check(rows, r, n)))
+    except TypeError as exc:
+        raise ValueError(f"malformed hypergraph JSON: {exc!r}") from None
+
+
+BAD_VERTICES = [True, False, 1.0, 2.5, math.nan, math.inf, -math.inf, "1", None, -1, [0]]
+BAD_ROWS = [{}, {"0": 1, "1": 2}, "ab", "", 5, [[0, 1]], [[0], [1]], None]
+
+
+@st.composite
+def host_documents(draw):
+    """Hypergraph documents as text: distinct edges near n, above 256 when n
+    is, maybe shuffled, repeated and reversed, and maybe spoilt by a bool,
+    float, NaN, infinite, string, null, array, negative or too large vertex, a
+    row of the wrong length or type, r <= 1 with rows present, or n = 0."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 8) | st.integers(257, 300))
+    candidates = list(itertools.combinations(range(max(0, n - 7), n), r))
+    rows = [list(e) for e in sorted(draw(st.sets(st.sampled_from(candidates), max_size=12)))
+            ] if candidates else []
+    if rows and draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+        rows = [row[::-1] if draw(st.booleans()) else row for row in draw(st.permutations(rows))]
+    fault = draw(st.sampled_from([None, None, "vertex", "length", "row", "r", "n"]))
+    if fault == "r":
+        r = draw(st.integers(-1, 1))
+    elif fault == "n":
+        n = draw(st.sampled_from([0, max(0, n - 2)]))
+    elif rows and fault is not None:
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "vertex":
+            rows[i] = list(rows[i])
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            v = rows[i][j]  # a look-alike of v keeps the row and the edges in order
+            look_alikes = [float(v), str(v)] + ([bool(v)] if v in (0, 1) else [])
+            rows[i][j] = draw(st.sampled_from(BAD_VERTICES + look_alikes + [n, n + 300]))
+        elif fault == "length":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [n + 1]
+        else:
+            rows[i] = draw(st.sampled_from(BAD_ROWS))
+    return json.dumps({"r": r, "n": n, "edges": rows})
+
+
+@settings(SETTINGS, max_examples=150)
+@given(text=host_documents())
+@example(text='{"r": 1, "n": 3, "edges": [[0], [2]]}')
+@example(text='{"r": 0, "n": 3, "edges": [[]]}')
+@example(text='{"r": 2, "n": 0, "edges": [[0, 1]]}')
+@example(text='{"r": 2, "n": 3, "edges": [[-1, 1], [0, 2]]}')
+@example(text='{"r": 2, "n": 300, "edges": [[0, 257], [0, 300]]}')
+@example(text='{"r": 2, "n": 0, "edges": []}')
+@example(text='{"r": 2, "n": 3, "edges": [{"0": 1, "1": 2}]}')
+@example(text='{"r": 2, "n": 3, "edges": [[0, 1], 5]}')
+@example(text='{"r": 2, "n": 3, "edges": [[0, 1], [1, NaN]]}')
+@example(text='{"r": 2, "n": 3, "edges": [[0, 1], [true, 2]]}')
+@example(text='{"r": 2, "n": 3, "edges": [[false, 1], [1, 2]]}')
+@example(text='{"r": 2, "n": 3, "edges": [[0, 1], [1, 2e0]]}')
+@example(text='{"r": 2, "n": 3, "edges": [[0, 1], [Infinity, 2]]}')
+@example(text='{"r": 2, "n": 3, "edges": [["a", "b"], ["b", "c"]]}')
+@example(text='{"r": 2, "n": 3, "edges": [[[0], [1]], [[1], [2]]]}')
+@example(text='{"r": 2, "n": 3, "edges": [[0, 1], [1, 2.0]]}')
+@example(text='{"r": 2, "n": 3, "edges": [[0, 1], [1, 2]], "note": "tf-"}')
+def test_loader_matches_reference(text):
+    loaded = outcome(hypergraph_from_json, text)
+    assert loaded == outcome(plain_load, text) == outcome(plain_load, text, naive_canonical)
+    assert outcome(hypergraph_from_json, text.encode()) == loaded  # json.loads reads bytes too
+    if isinstance(loaded, Hypergraph):
+        assert type(loaded.edges) is tuple
+        assert all(type(e) is tuple and set(map(type, e)) == {int} for e in loaded.edges)
 
 
 @st.composite
