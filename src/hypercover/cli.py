@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from .core import (
     cover_from_json,
     cover_to_json,
     hypergraph_from_json,
-    hypergraph_to_json,
+    hypergraph_json_chunks,
     verify_cover,
 )
 from .cube import cube_graph, label_partition, label_table, pi_partition, pinto_upper_bound
@@ -57,11 +58,11 @@ def _report(name: str, inputs: dict, value) -> dict:
 
 
 def _write(path: str | None, render) -> list[str]:
-    """Write render() to path, if one is given."""
+    """Write the strings render() yields to path, if one is given."""
     if path is None:
         return []
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render())
+        fh.writelines(render())
     return [path]
 
 
@@ -115,12 +116,14 @@ def _cmd_construct(args) -> int:
     written: list[str] = []
     if h is not None:
         payload.update({"n": h.n, "r": h.r, "edges": len(h.edges)})
-        written += _write(args.hypergraph_out, lambda: hypergraph_to_json(h) + "\n")
+        # the host is written chunk by chunk, never joined
+        written += _write(args.hypergraph_out,
+                          lambda: itertools.chain(hypergraph_json_chunks(h), ("\n",)))
     if c is not None:
         payload["blocks"] = len(c.blocks)
-        written += _write(args.cover_out, lambda: cover_to_json(c) + "\n")
+        written += _write(args.cover_out, lambda: (cover_to_json(c), "\n"))
     if "table" in payload:
-        written += _write(args.table_out, lambda: payload["table"])
+        written += _write(args.table_out, lambda: (payload["table"],))
     payload["written"] = written
     _emit(payload)
     return EXIT_OK

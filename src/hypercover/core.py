@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -68,13 +69,24 @@ def check_power_guard(description: str, factor: int, base: int, exponent: int,
                          f" {limit} (set {GUARD_ENV}=1 to override)")
 
 
-def check_comb_guard(description: str, n: int, k: int, limit: int) -> None:
-    """check_guard on C(n, k) (n >= 0). For 1 <= k < n it is at least n and at least
-    2^min(k, n-k), so it exceeds the limit once n or min(k, n-k) is too large, and
-    is then neither computed nor printed."""
+def _bounded_comb(n: int, k: int, limit: int) -> int | None:
+    """C(n, k) (n >= 0), or None where it is known to exceed limit. For
+    1 <= k < n it is at least n and at least 2^min(k, n-k), so it exceeds the
+    limit once n or min(k, n-k) is too large, and is then not computed."""
     k = min(k, n - k)
-    if k < 1 or (n <= limit and k <= limit.bit_length()):
-        check_guard(description, math.comb(n, k) if k >= 0 else 0, limit)
+    if k < 1:
+        return int(k == 0)
+    if n > limit or k > limit.bit_length():
+        return None
+    return math.comb(n, k)
+
+
+def check_comb_guard(description: str, n: int, k: int, limit: int) -> None:
+    """check_guard on C(n, k) (n >= 0), which is neither computed nor printed
+    where _bounded_comb knows it exceeds the limit."""
+    count = _bounded_comb(n, k, limit)
+    if count is not None:
+        check_guard(description, count, limit)
     elif os.environ.get(GUARD_ENV) != "1":
         raise GuardError(f"{description}: C(n, k) with n > {limit} or min(k, n - k) >"
                          f" {limit.bit_length()} exceeds guard {limit}"
@@ -110,15 +122,18 @@ def _canonical_edge(edge, r: int, n: int) -> Edge:
     return t
 
 
-def _canonical_columns(rows, r: int, n: int, json_ints: bool = False) -> list | None:
+def _canonical_columns(rows, r: int, n: int, json_ints: bool = False,
+                       keep: bool = True) -> list | None:
     """The columns of `rows`, column i holding item i of every row, if every
     row holds r ints increasing within 0..n-1; None otherwise.
 
     The rows must be sequences: a row without a length raises TypeError, and a
     mapping with r keys KeyError. Checked column by column, so the loops over
-    the rows run in C, and the columns are kept for the caller. Fewer rows than
-    columns, such as one edge on 10^6 vertices, are checked row by row
-    instead, so the loops over the vertices do, and then transposed.
+    the rows run in C, and the columns are kept for the caller; with `keep`
+    false, only the column before the one being built is kept, so no more than
+    two are held at once and only the last two are returned.
+    Fewer rows than columns, such as one edge on 10^6 vertices, are checked
+    row by row instead, so the loops over the vertices do, and then transposed.
 
     `json_ints` says the rows are parsed JSON with no bool, float or negative
     number in them; the type and sign passes are then skipped. Of the other
@@ -137,6 +152,8 @@ def _canonical_columns(rows, r: int, n: int, json_ints: bool = False) -> list | 
         return None
     columns = []
     for i in range(r):
+        if not keep:
+            del columns[:-1]
         column = list(map(itemgetter(i), rows))
         if not json_ints and set(map(type, column)) != {int}:
             return None
@@ -187,7 +204,8 @@ class Hypergraph:
         if isinstance(edges, Iterator):  # read once, maybe checked twice
             edges = tuple(edges)
         # checked before deduplication, which would let (0, True) hide behind (0, 1)
-        if set(map(type, edges)) <= {tuple} and _canonical_columns(edges, r, n) is not None:
+        if (set(map(type, edges)) <= {tuple}
+                and _canonical_columns(edges, r, n, keep=False) is not None):
             edges = _in_order(edges)
         else:
             edges = _drop_repeats(sorted(_canonical_edge(e, r, n) for e in edges))
@@ -610,7 +628,16 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 # ints built in place, which form no cycle, so json's circular-reference check
 # (an id-dict insert and delete per edge) is off.
 #
-# A hypergraph document is loaded so that it and its edges are never held
+# A complete host K_n^r is fixed by (n, r), and so is its document: it is
+# written without json and without reading an edge, one join per (r-1)-prefix
+# over the decimal literals of the vertices (_complete_json_chunks), in the
+# bytes json.dumps writes. Loading turns that around: a str whose tail names
+# (n, r) within COMPLETE_EDGE_GUARD, whose length is that document's, and
+# which equals it chunk by chunk, with JSON whitespace after it at most, is
+# K_n^r, built by complete_hypergraph without parsing. Any other text, and
+# bytes, fall through to the parse below, unchanged.
+#
+# A parsed document is loaded so that it and its edges are never held
 # twice. Its number literals are parsed once per distinct literal (_Literals),
 # so each vertex is one int object however often it occurs; without that,
 # every occurrence above 256 is an int of its own. r and n are checked first.
@@ -624,9 +651,48 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 # general path with its own errors.
 
 
-def hypergraph_to_json(h: Hypergraph) -> str:
+def _complete_json_length(n: int, r: int, edges: int) -> int:
+    """len(hypergraph_to_json(complete_hypergraph(n, r))), whose edge count is
+    `edges`, in closed form: no edge is listed."""
+    length = len(f'{{"edges":[],"n":{n},"r":{r}}}')
+    if not edges:
+        return length
+    digits, low, width = 0, 0, 1  # of the literals 0..n-1, a decimal width at a time
+    while low < n:
+        high = min(n, 10**width)
+        digits += (high - low) * width
+        low, width = high, width + 1
+    # an edge is r literals, r - 1 commas and two brackets, with commas between
+    # edges; each vertex lies in C(n - 1, r - 1) = C(n, r) * r / n edges
+    return length + edges * (r + 2) - 1 + edges * r // n * digits
+
+
+def _complete_json_chunks(n: int, r: int) -> Iterator[str]:
+    """hypergraph_to_json(complete_hypergraph(n, r)) (r >= 2) in chunks, the
+    edges of each (r-1)-prefix p in one: a single join of the decimal literals
+    above p[-1], each opened by "],[" and p's own literals."""
+    literals = list(map(str, range(n)))
+    opening = '{"edges":[['
+    for p in itertools.combinations(range(n - 1), r - 1):
+        head = "".join([literals[v] + "," for v in p])
+        yield opening + head
+        yield ("],[" + head).join(literals[p[-1] + 1:])
+        opening = "],["
+    yield f']],"n":{n},"r":{r}}}' if n >= r else f'{{"edges":[],"n":{n},"r":{r}}}'
+
+
+def hypergraph_json_chunks(h: Hypergraph) -> Iterator[str]:
+    """hypergraph_to_json(h) in chunks, for writing without joining them: a
+    complete h (C(n, r) edges) run by run, with no edge read; any other h in
+    one chunk."""
+    if _bounded_comb(h.n, h.r, len(h.edges)) == len(h.edges):
+        return _complete_json_chunks(h.n, h.r)
     doc = {"r": h.r, "n": h.n, "edges": h.edges}  # tuples dump as arrays, already sorted
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
+    return iter([json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)])
+
+
+def hypergraph_to_json(h: Hypergraph) -> str:
+    return "".join(hypergraph_json_chunks(h))
 
 
 def _json_int(doc, key: str) -> int:
@@ -681,8 +747,44 @@ def _parse_hypergraph(text: str) -> Hypergraph:
     return _canonical_hypergraph(r, n, _in_order(edges))
 
 
+# the end of a canonical document, JSON whitespace after it allowed, with
+# digits few enough for int(); it is searched for in the last _TAIL characters
+_COMPLETE_TAIL = re.compile(r',"n":([0-9]{1,9}),"r":([0-9]{1,9})\}[ \t\n\r]*\Z')
+_TAIL = 64
+
+
+def _complete_from_json(text: str) -> Hypergraph | None:
+    """complete_hypergraph(n, r) if `text` is its canonical document followed
+    by JSON whitespace at most, and within COMPLETE_EDGE_GUARD; else None.
+
+    (n, r) are read from the tail, and a text whose length is not the
+    document's is turned away before any chunk is made. The rest is compared
+    chunk by chunk, in place. Only a byte-for-byte match is trusted, and it is
+    exactly the text json.loads reads as K_n^r."""
+    tail = _COMPLETE_TAIL.search(text, max(0, len(text) - _TAIL))
+    if tail is None:
+        return None
+    n, r = int(tail[1]), int(tail[2])
+    edges = _bounded_comb(n, r, COMPLETE_EDGE_GUARD) if r >= 2 else None
+    if (edges is None or edges > COMPLETE_EDGE_GUARD
+            or _complete_json_length(n, r, edges) != tail.end(2) + 1):
+        return None
+    pos = 0
+    for chunk in _complete_json_chunks(n, r):
+        if not text.startswith(chunk, pos):
+            return None
+        pos += len(chunk)
+    return complete_hypergraph(n, r)
+
+
 def hypergraph_from_json(text: str) -> Hypergraph:
-    """Raises ValueError on text that is not a hypergraph document."""
+    """Raises ValueError on text that is not a hypergraph document.
+
+    A str holding the canonical document of a complete host is recognised
+    without parsing (_complete_from_json); any other text is parsed."""
+    h = _complete_from_json(text) if isinstance(text, str) else None
+    if h is not None:
+        return h
     try:
         # the document, one list per edge, is freed inside _parse_hypergraph,
         # before collection resumes

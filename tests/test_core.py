@@ -7,7 +7,9 @@ import itertools
 import json
 import math
 import random
+import sys
 import tracemalloc
+from operator import itemgetter
 
 import pytest
 
@@ -92,6 +94,14 @@ class TestHypergraph:
         assert len(complete_hypergraph(5, 3).edges) == 10
         assert complete_hypergraph(5, 5).edges == ((0, 1, 2, 3, 4),)
         assert complete_hypergraph(3, 4).edges == ()
+
+    def test_direct_check_holds_two_columns(self):
+        # the column check of a direct call keeps only the column before the
+        # one it builds; keeping all six peaked at 6.0 columns
+        edges = complete_hypergraph(20, 6).edges
+        column = sys.getsizeof(list(map(itemgetter(0), edges)))
+        h, peak = traced(Hypergraph, 6, 20, edges)
+        assert h.edges is edges and peak < 2.5 * column
 
     @pytest.mark.parametrize("n,r", [(4_900, 2), (10**6, 2), (10**400, 2), (10**6, 999_990),
                                      (60, 30)])
@@ -394,14 +404,24 @@ class TestJson:
         assert len(h.edges) == 44_850 and len({id(v) for e in h.edges for v in e}) == 300
 
     def test_loader_peak_below_the_plain_document(self):
-        # K_600: most vertex occurrences lie above 256, where a plain document
-        # holds an int of its own for each. Peaks measured at 0.88 of the
-        # plain document's under Python 3.10 to 3.13, and at 1.62 when the
-        # edge tuples were built beside a document with such ints.
+        # K_600 less its last edge, which the parse loads: most vertex
+        # occurrences lie above 256, where a plain document holds an int of
+        # its own for each. Peaks measured at 0.88 of the plain document's
+        # (under Python 3.10 to 3.13 with the last edge, and 3.11 without
+        # it), and at 1.62 when the edge tuples were built beside a document
+        # with such ints.
+        text = hypergraph_to_json(Hypergraph(2, 600, complete_hypergraph(600).edges[:-1]))
+        h, peak = traced(hypergraph_from_json, text)
+        assert len(h.edges) == 179_699
+        assert peak < 0.95 * traced(json.loads, text)[1]
+
+    def test_complete_loader_peak_is_the_build(self):
+        # K_600 itself is recognised, not parsed: its peak is that of building
+        # the edges (0.99 of it measured; 1.75 when it was parsed)
         text = hypergraph_to_json(complete_hypergraph(600))
         h, peak = traced(hypergraph_from_json, text)
         assert len(h.edges) == 179_700
-        assert peak < 0.95 * traced(json.loads, text)[1]
+        assert peak < 1.05 * traced(complete_hypergraph, 600)[1]
 
     def test_cover_round_trip_byte_identical(self):
         c = Cover(2, k4_star_blocks() + k4_bit_blocks())
@@ -448,6 +468,96 @@ class TestJson:
         assert len(doc["blocks"]) == 2
         restored = cover_from_json(cover_to_json(c))
         assert restored.blocks == c.blocks
+
+
+def plain_dump(h):
+    return json.dumps({"r": h.r, "n": h.n, "edges": h.edges}, sort_keys=True,
+                      separators=(",", ":"))
+
+
+def load_outcome(text):
+    """hypergraph_from_json(text), or the message of its ValueError."""
+    try:
+        return hypergraph_from_json(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# edits of a canonical K_n^r document, each keyed by what it does; only the
+# first three leave a document the complete-host path may accept
+CANONICAL_VARIANTS = {
+    "as-written": lambda t: t,
+    "newline": lambda t: t + "\n",
+    "whitespace": lambda t: t + " \t\r\n ",
+    "whitespace-past-the-tail": lambda t: t + " " * 100,
+    "leading-space": lambda t: " " + t,
+    "edge-dropped": lambda t: t.replace("[0,1,2],", "", 1),
+    "edge-repeated": lambda t: t.replace("[0,1,2],", "[0,1,2],[0,1,2],", 1),
+    "edge-out-of-range": lambda t: t.replace("[0,1,2]", "[0,1,9]", 1),
+    "edge-changed": lambda t: t.replace("[3,4,5]", "[2,4,5]", 1),
+    "edge-reversed": lambda t: t.replace("[0,1,2]", "[2,1,0]", 1),
+    "space-inserted": lambda t: t.replace(",", ", ", 1),
+    "keys-reordered": lambda t: '{"r":3,"n":6,' + t[1:t.index(',"n":')] + "}",
+    "bytes": lambda t: t.encode(),
+    "n-of-5000-digits": lambda t: t.replace('"n":6', '"n":' + "1" * 5000),
+    "n-over-the-guard": lambda t: t.replace('"n":6', '"n":100000000'),
+    "n-below-the-edges": lambda t: t.replace('"n":6', '"n":5'),
+    "r-over-n": lambda t: t.replace('"r":3', '"r":7'),
+    "r-of-1": lambda t: t.replace('"r":3', '"r":1'),
+}
+
+
+class TestCompleteHostJson:
+    """The canonical documents of K_n^r are written run by run and recognised
+    without parsing; any other text loads as the parse alone loads it."""
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(15) for r in range(2, 7)]
+                             + [(397, 2), (64, 3), (1801, 2)])
+    def test_writer_matches_dumps(self, n, r):
+        h = complete_hypergraph(n, r)
+        text = hypergraph_to_json(h)
+        assert text == plain_dump(h)
+        assert len(text) == core._complete_json_length(n, r, len(h.edges))
+
+    def test_writer_checks_completeness_without_the_binomial(self):
+        # C(10^6, 500,000) has about 300,000 digits; the one edge rules it out
+        h = Hypergraph(500_000, 10**6, [tuple(range(0, 10**6, 2))])
+        assert hypergraph_to_json(h) == plain_dump(h)
+
+    @pytest.mark.parametrize("variant", CANONICAL_VARIANTS)
+    def test_loads_as_the_parse_alone(self, variant, monkeypatch):
+        text = CANONICAL_VARIANTS[variant](hypergraph_to_json(complete_hypergraph(6, 3)))
+        parses = []
+        parse = core._parse_hypergraph
+        monkeypatch.setattr(core, "_parse_hypergraph", lambda t: parses.append(t) or parse(t))
+        loaded = load_outcome(text)
+        if variant in ("as-written", "newline", "whitespace"):
+            assert loaded == complete_hypergraph(6, 3) and parses == []
+        else:  # turned away, raising nothing, and parsed once
+            assert parses == [text]
+        monkeypatch.setattr(core, "_complete_from_json", lambda t: None)
+        assert load_outcome(text) == loaded
+
+    # edgeless, single-edge and r = 1 hosts, in the canonical layout
+    @pytest.mark.parametrize("n,r", [(0, 2), (1, 2), (3, 5), (4, 4), (9, 1), (3, 0)])
+    def test_small_hosts(self, n, r, monkeypatch):
+        text = json.dumps({"r": r, "n": n, "edges": list(itertools.combinations(range(n), r))},
+                          sort_keys=True, separators=(",", ":"))
+        loaded = load_outcome(text)
+        assert loaded == (complete_hypergraph(n, r) if r >= 2 else "uniformity r must be at least 2")
+        monkeypatch.setattr(core, "_complete_from_json", lambda t: None)
+        assert load_outcome(text) == loaded
+
+    def test_guard_bounds_the_recognised_hosts(self, monkeypatch):
+        # K_6^3 has 20 edges: with a guard of 19 it is parsed, and no
+        # GuardError is raised
+        k = complete_hypergraph(6, 3)
+        text = hypergraph_to_json(k)
+        monkeypatch.setattr(core, "COMPLETE_EDGE_GUARD", 19)
+        parses = []
+        parse = core._parse_hypergraph
+        monkeypatch.setattr(core, "_parse_hypergraph", lambda t: parses.append(t) or parse(t))
+        assert hypergraph_from_json(text) == k and parses == [text]
 
 
 @pytest.fixture
@@ -500,6 +610,8 @@ class TestCollectorPause:
         monkeypatch.setattr(core.json, "loads", lambda text, **kwargs:
                             seen.append(gc.isenabled()) or loads(text, **kwargs))
         gc.enable()
-        hypergraph_from_json(hypergraph_to_json(complete_hypergraph(4)))
+        # K_4 less its last edge: the complete K_4 is recognised, not parsed
+        less = Hypergraph(2, 4, complete_hypergraph(4).edges[:-1])
+        hypergraph_from_json(hypergraph_to_json(less))
         cover_from_json(cover_to_json(Cover(2, k4_star_blocks())))
         assert seen == [False, False] and gc.isenabled()
