@@ -632,10 +632,10 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 # written without json and without reading an edge, one join per (r-1)-prefix
 # over the decimal literals of the vertices (_complete_json_chunks), in the
 # bytes json.dumps writes. Loading turns that around: a str whose tail names
-# (n, r) within COMPLETE_EDGE_GUARD, whose length is that document's, and
-# which equals it chunk by chunk, with JSON whitespace after it at most, is
-# K_n^r, built by complete_hypergraph without parsing. Any other text, and
-# bytes, fall through to the parse below, unchanged.
+# (n, r) with 1 <= C(n, r) <= COMPLETE_EDGE_GUARD, whose length is that
+# document's, and which equals it chunk by chunk, with JSON whitespace after
+# it at most, is K_n^r, built by complete_hypergraph without parsing. Any
+# other text, and bytes, fall through to the parse below, unchanged.
 #
 # A parsed document is loaded so that it and its edges are never held
 # twice. Its number literals are parsed once per distinct literal (_Literals),
@@ -652,11 +652,9 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 
 
 def _complete_json_length(n: int, r: int, edges: int) -> int:
-    """len(hypergraph_to_json(complete_hypergraph(n, r))), whose edge count is
-    `edges`, in closed form: no edge is listed."""
+    """len(hypergraph_to_json(complete_hypergraph(n, r))) (2 <= r <= n), whose
+    edge count is `edges`, in closed form: no edge is listed."""
     length = len(f'{{"edges":[],"n":{n},"r":{r}}}')
-    if not edges:
-        return length
     digits, low, width = 0, 0, 1  # of the literals 0..n-1, a decimal width at a time
     while low < n:
         high = min(n, 10**width)
@@ -668,7 +666,7 @@ def _complete_json_length(n: int, r: int, edges: int) -> int:
 
 
 def _complete_json_chunks(n: int, r: int) -> Iterator[str]:
-    """hypergraph_to_json(complete_hypergraph(n, r)) (r >= 2) in chunks, the
+    """hypergraph_to_json(complete_hypergraph(n, r)) (2 <= r <= n) in chunks, the
     edges of each (r-1)-prefix p in one: a single join of the decimal literals
     above p[-1], each opened by "],[" and p's own literals."""
     literals = list(map(str, range(n)))
@@ -678,14 +676,14 @@ def _complete_json_chunks(n: int, r: int) -> Iterator[str]:
         yield opening + head
         yield ("],[" + head).join(literals[p[-1] + 1:])
         opening = "],["
-    yield f']],"n":{n},"r":{r}}}' if n >= r else f'{{"edges":[],"n":{n},"r":{r}}}'
+    yield f']],"n":{n},"r":{r}}}'
 
 
 def hypergraph_json_chunks(h: Hypergraph) -> Iterator[str]:
     """hypergraph_to_json(h) in chunks, for writing without joining them: a
-    complete h (C(n, r) edges) run by run, with no edge read; any other h in
-    one chunk."""
-    if _bounded_comb(h.n, h.r, len(h.edges)) == len(h.edges):
+    complete h (C(n, r) > 0 edges) run by run, with no edge read; any other h,
+    the edgeless n < r among them, in one chunk."""
+    if h.edges and _bounded_comb(h.n, h.r, len(h.edges)) == len(h.edges):
         return _complete_json_chunks(h.n, h.r)
     doc = {"r": h.r, "n": h.n, "edges": h.edges}  # tuples dump as arrays, already sorted
     return iter([json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)])
@@ -758,15 +756,20 @@ def _complete_from_json(text: str) -> Hypergraph | None:
     by JSON whitespace at most, and within COMPLETE_EDGE_GUARD; else None.
 
     (n, r) are read from the tail, and a text whose length is not the
-    document's is turned away before any chunk is made. The rest is compared
+    document's is turned away before any chunk is made, so the literals made
+    are never more than the text's characters: a 40-character text naming
+    K_n^(n-1) at n = 10^6 (10^6 edges) would otherwise list 10^6 literals and
+    join all but one of them, 4 s and 182 MB traced. The rest is compared
     chunk by chunk, in place. Only a byte-for-byte match is trusted, and it is
     exactly the text json.loads reads as K_n^r."""
     tail = _COMPLETE_TAIL.search(text, max(0, len(text) - _TAIL))
     if tail is None:
         return None
     n, r = int(tail[1]), int(tail[2])
+    # n < r has no edge, and r < 2 no host: both go to the parse, which
+    # lists no vertex, so an n of nine digits costs nothing there
     edges = _bounded_comb(n, r, COMPLETE_EDGE_GUARD) if r >= 2 else None
-    if (edges is None or edges > COMPLETE_EDGE_GUARD
+    if (not edges or edges > COMPLETE_EDGE_GUARD
             or _complete_json_length(n, r, edges) != tail.end(2) + 1):
         return None
     pos = 0

@@ -517,7 +517,8 @@ class TestCompleteHostJson:
         h = complete_hypergraph(n, r)
         text = hypergraph_to_json(h)
         assert text == plain_dump(h)
-        assert len(text) == core._complete_json_length(n, r, len(h.edges))
+        if h.edges:  # the closed form is used for hosts with edges only
+            assert len(text) == core._complete_json_length(n, r, len(h.edges))
 
     def test_writer_checks_completeness_without_the_binomial(self):
         # C(10^6, 500,000) has about 300,000 digits; the one edge rules it out
@@ -547,6 +548,22 @@ class TestCompleteHostJson:
         assert loaded == (complete_hypergraph(n, r) if r >= 2 else "uniformity r must be at least 2")
         monkeypatch.setattr(core, "_complete_from_json", lambda t: None)
         assert load_outcome(text) == loaded
+
+    def test_edgeless_host_lists_no_vertex(self):
+        # n < r: the host has no edge, so the writer and the loader list none
+        # of its vertices (listing them peaked at 64 MB at n = 10^6)
+        h = Hypergraph(10**6 + 1, 10**6, [])
+        text, peak = traced(hypergraph_to_json, h)
+        assert text == plain_dump(h) and peak < 100_000
+        loaded, peak = traced(hypergraph_from_json, text)
+        assert loaded == h and peak < 100_000
+
+    def test_short_text_turned_away_by_its_length(self):
+        # K_n^(n-1) at n = 10^6 has 10^6 edges, within the guard; its
+        # literals were made only once the length check was skipped
+        text = '{"edges":[[0,1]],"n":1000000,"r":999999}'
+        loaded, peak = traced(load_outcome, text)
+        assert loaded == load_outcome(text.encode()) and peak < 100_000
 
     def test_guard_bounds_the_recognised_hosts(self, monkeypatch):
         # K_6^3 has 20 edges: with a guard of 19 it is parsed, and no

@@ -362,7 +362,7 @@ def host_documents(draw):
             + draw(st.sampled_from(["", "\n", " \r\n\t"])))
 
 
-@settings(SETTINGS, max_examples=150)
+@settings(SETTINGS, max_examples=300)
 @given(text=host_documents())
 @example(text='{"r": 1, "n": 3, "edges": [[0], [2]]}')
 @example(text='{"r": 0, "n": 3, "edges": [[]]}')
