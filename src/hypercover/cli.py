@@ -115,7 +115,7 @@ def _cmd_construct(args) -> int:
     payload["kind"] = args.kind
     written: list[str] = []
     if h is not None:
-        payload.update({"n": h.n, "r": h.r, "edges": len(h.edges)})
+        payload.update({"n": h.n, "r": h.r, "edges": h.edge_count})
         # the host is written chunk by chunk, never joined
         written += _write(args.hypergraph_out,
                           lambda: itertools.chain(hypergraph_json_chunks(h), ("\n",)))
@@ -205,7 +205,7 @@ def _cmd_search(args) -> int:
         "value": outcome.value,
         "lower": outcome.lower,
         "exact": outcome.is_exact,
-        "report": _report(args.goal, {"n": h.n, "r": h.r, "edges": len(h.edges)},
+        "report": _report(args.goal, {"n": h.n, "r": h.r, "edges": h.edge_count},
                           outcome.lower),
     }
     _emit(payload)

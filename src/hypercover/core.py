@@ -216,6 +216,113 @@ class Hypergraph:
         """The edges as a frozenset, built on first use."""
         return frozenset(self.edges)
 
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def _links(self, planes: dict) -> Iterator[tuple]:
+        """The host side of multiplicity_profile's sweep: for each prefix p of
+        an edge of h, in increasing order, then for each prefix in `planes` that
+        is of no edge of h, (p, counters, cover, link, past). counters is
+        planes.get(p, ()) and cover their OR; link is the mask of p's link in
+        h, clipped at the last vertex the cover reaches; past is the least edge
+        of p beyond that vertex, or None.
+
+        h's edges are sorted, so those of a prefix p form one run, at most
+        n - 1 - p[-1] long, that ends before p + (n,): each is found by one
+        bisect bounded by that length, and clipped by a second bounded by the
+        run, made only when the run passes the cover's top."""
+        edges, n = self.edges, self.n
+        total = len(edges)
+        reached = 0  # counted prefixes with a run in h
+        end = 0
+        while end < total:
+            start = end
+            p = edges[start][:-1]
+            pmax = p[-1]
+            end = bisect_left(edges, p + (n,), start, min(total, start + n - 1 - pmax))
+            counters = planes.get(p, ())
+            if counters:
+                reached += 1
+            # every bit some block covers above p; most counted runs have one plane
+            cover = counters[0] if len(counters) == 1 else reduce(or_, counters, 0)
+            top = pmax + cover.bit_length()
+            stop = end
+            if edges[end - 1][-1] > top:
+                stop = bisect_left(edges, p + (top + 1,), start, end)
+            link = 0
+            if stop > start:
+                first, last = edges[start][-1], edges[stop - 1][-1]
+                if last - first == stop - 1 - start:  # consecutive last vertices
+                    link = ((1 << (stop - start)) - 1) << (first - pmax - 1)
+                else:
+                    low = pmax + 1
+                    link = packed_bits([e[-1] - low for e in edges[start:stop]], last - pmax)
+            yield p, counters, cover, link, edges[stop] if stop < end else None
+        if reached < len(planes):  # the rest have no edge in h
+            for p, counters in planes.items():
+                if (i := bisect_left(edges, p)) == total or edges[i][:-1] != p:
+                    yield p, counters, reduce(or_, counters), 0, None
+
+
+class _CompleteHypergraph(Hypergraph):
+    """K_n^r (n >= r) held as (r, n): its edges are listed on the first read of
+    `edges`, and its edge count and links are closed forms.
+
+    It compares and hashes equal to the listed K_n^r. A listed h with the
+    same r and n is that host exactly when it has C(n, r) edges, since its
+    edges are distinct r-subsets of 0..n-1; the hash is the listed host's,
+    so it lists the edges."""
+
+    def __post_init__(self):
+        # only a call of the class, as dataclasses.replace makes, gets here:
+        # the fields it is given need not be K_n^r, so they make a listed host
+        object.__setattr__(self, "__class__", Hypergraph)
+        Hypergraph.__post_init__(self)
+
+    @cached_property
+    def edges(self) -> tuple:
+        with _collector_paused():
+            # combinations of range(n) are increasing tuples in increasing order
+            return tuple(itertools.combinations(range(self.n), self.r))
+
+    @property
+    def edge_count(self) -> int:
+        return math.comb(self.n, self.r)
+
+    def __eq__(self, other):
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return (self.r, self.n, self.edge_count) == (other.r, other.n, other.edge_count)
+
+    __hash__ = Hypergraph.__hash__
+
+    def __repr__(self) -> str:
+        return f"complete_hypergraph({self.n}, {self.r})"
+
+    def _links(self, planes: dict) -> Iterator[tuple]:
+        """Hypergraph._links of K_n^r in closed form, for the counted prefixes
+        alone, in increasing order: every vertex above p[-1] is in p's link,
+        so the link is the whole span of the cover, and past is p with the
+        next vertex. Each counted prefix is an (r-1)-subset of 0..n-2; the
+        first such subset they skip, the least uncounted prefix, is yielded in
+        its place with no counters, since its least edge may be the least edge
+        no block covers."""
+        n = self.n
+        prefixes = itertools.combinations(range(n - 1), self.r - 1)
+        walking = True  # every prefix so far is counted
+        for p in sorted(planes):
+            if walking and (q := next(prefixes)) != p:
+                yield q, (), 0, 0, q + (q[-1] + 1,)
+                walking = False
+            counters = planes[p]
+            cover = reduce(or_, counters)
+            width = cover.bit_length()
+            top = p[-1] + width
+            yield p, counters, cover, (1 << width) - 1, p + (top + 1,) if top < n - 1 else None
+        if walking and (q := next(prefixes, None)) is not None:
+            yield q, (), 0, 0, q + (q[-1] + 1,)
+
 
 def _canonical_hypergraph(r: int, n: int, edges: tuple) -> Hypergraph:
     """Hypergraph(r, n, edges) without the per-edge check, for builders whose
@@ -232,19 +339,37 @@ def _canonical_hypergraph(r: int, n: int, edges: tuple) -> Hypergraph:
     return h
 
 
+def _complete(n: int, r: int) -> Hypergraph:
+    """K_n^r, unguarded: held as (r, n) when it has an edge, and listed as
+    the empty host when n < r."""
+    _check_sizes(r, n)
+    if n < r:
+        return _canonical_hypergraph(r, n, ())
+    h = object.__new__(_CompleteHypergraph)
+    h.__dict__.update(r=r, n=n)  # the fields but edges, which is listed on first read
+    return h
+
+
+def _is_complete(h: Hypergraph) -> bool:
+    """h has an edge and all C(n, r) r-subsets of 0..n-1; read off the edge
+    count, with the binomial formed only where it can equal it."""
+    count = h.edge_count
+    return count > 0 and _bounded_comb(h.n, h.r, count) == count
+
+
 def complete_hypergraph(n: int, r: int = 2) -> Hypergraph:
-    """K_n^r: all r-subsets of 0..n-1."""
+    """K_n^r: all r-subsets of 0..n-1, listed only when `edges` is first read.
+    The guard still bounds C(n, r), the edges a reader may list."""
     check_comb_guard("complete_hypergraph edges", n, r, COMPLETE_EDGE_GUARD)
-    with _collector_paused():
-        # combinations of range(n) are increasing tuples in increasing order
-        return _canonical_hypergraph(r, n, tuple(itertools.combinations(range(n), r)))
+    return _complete(n, r)
 
 
 def induced_subhypergraph(h: Hypergraph, vertices) -> tuple[Hypergraph, list[int]]:
     """Subhypergraph induced by `vertices`, relabeled to 0..len-1.
 
     Returns (subhypergraph, old_ids) where old_ids[new] = original vertex.
-    The relabelling keeps the order of vertices, so the edges stay sorted.
+    The relabelling keeps the order of vertices, so the edges stay sorted,
+    and the subhypergraph of a complete h is complete, listing no edge.
     ValueError for a vertex that is not an int in 0..n-1.
     """
     vertices = tuple(vertices)  # checked before a set merges True into 1
@@ -253,6 +378,8 @@ def induced_subhypergraph(h: Hypergraph, vertices) -> tuple[Hypergraph, list[int
     old = sorted(set(vertices))
     if old and (old[0] < 0 or old[-1] >= h.n):
         raise ValueError(f"vertices must lie in 0..{h.n - 1}")
+    if _is_complete(h):
+        return _complete(len(old), h.r), old
     pos = {v: i for i, v in enumerate(old)}
     edges = tuple(tuple(pos[v] for v in e) for e in h.edges if all(v in pos for v in e))
     return Hypergraph(h.r, len(old), edges), old
@@ -482,20 +609,19 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
     added to the counters of that prefix. Masks start just above their
     prefix, so the work is the span the blocks cover, not the vertex count.
 
-    h is then read in one sweep over its runs, the edges of one prefix each,
-    found by one bisect bounded by the run's greatest length. A run becomes
-    the link mask of its prefix, clipped at the last vertex the counters
-    reach; the edges past that top are bare (covered 0 times), and so is the
-    whole run of a prefix without counters. The OR of the prefix's counters,
-    read once, gives both that top and the foreign bits. Each link is tallied
-    as it is built: a link equal to its one plane is covered exactly once, and
-    the edges of all such links are summed in the sweep and added to
-    multiplicity 1 once, after it; any other link is split by its counters,
-    whose bits outside it are foreign. The sweep reads h in increasing order,
-    so the first edge it meets at each multiplicity, and its first foreign
-    r-set, are the least; a link's edges precede the bare ones past its top.
-    Counted prefixes the sweep never reaches have no edge in h, so all their
-    bits are foreign; they are looked up only when some are left.
+    The counters are then read in one sweep over prefixes, in increasing
+    order, whose links come from h (h._links): a listed h gives the runs of
+    its sorted edges, and then the counted prefixes of none of its edges;
+    K_n^r gives the counted prefixes alone, in closed form. A link is clipped
+    at the last vertex the counters reach, where the prefix's cover, the OR of
+    its counters, ends. Each link is tallied as it comes: a link equal to its
+    one plane is covered exactly once, and the edges of all such links are
+    summed in the sweep and added to multiplicity 1 once, after it; any other
+    link is split by its counters, whose bits outside it are foreign. The
+    edges of h no block covers, bare, number |E| less the covered ones. The
+    sweep meets prefixes in increasing order, so the first edge it meets at
+    each multiplicity is the least, and so is the first bare one: a link's
+    bare bits, then the edge past its top, or a prefix with no counters.
     """
     if c.r != h.r:
         raise ValueError(f"cover uniformity {c.r} != hypergraph uniformity {h.r}")
@@ -529,62 +655,35 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
                     break
             else:
                 counters.append(mask)
-    # h's edges are sorted, so those of a prefix p form one run, at most
-    # n - 1 - p[-1] long, that ends before p + (n,)
-    edges, n = h.edges, h.n
-    total = len(edges)
     counts, least = {}, {}
     foreign, least_foreign = 0, None
-    counters_of = planes.get
     once = 0  # edges of the links equal to their one plane
-    reached = 0  # counted prefixes with a run in h
-    end = 0
-    while end < total:
-        start = end
-        p = edges[start][:-1]
-        pmax = p[-1]
-        end = bisect_left(edges, p + (n,), start, min(total, start + n - 1 - pmax))
-        counters = counters_of(p, ())
-        reached += bool(counters)
-        cover = reduce(or_, counters, 0)  # every bit some block covers above p
-        # the link stops at the last vertex the counters reach; the rest is bare
-        top = pmax + cover.bit_length()
-        stop = end
-        if edges[end - 1][-1] > top:
-            stop = bisect_left(edges, p + (top + 1,), start, end)
-        link = 0
-        if stop > start:
-            first, last = edges[start][-1], edges[stop - 1][-1]
-            if last - first == stop - 1 - start:  # consecutive last vertices
-                link = ((1 << (stop - start)) - 1) << (first - pmax - 1)
-            else:
-                low = pmax + 1
-                link = packed_bits([e[-1] - low for e in edges[start:stop]], last - pmax)
+    # bit i of a mask of p stands for vertex p[-1] + 1 + i
+    for p, counters, cover, link, past in h._links(planes):
         if cover == link and len(counters) == 1:
             if not once:
-                least.setdefault(1, edges[start])
-            once += stop - start
+                least.setdefault(1, p + (p[-1] + (link & -link).bit_length(),))
+            once += link.bit_count()
         else:
+            pmax = p[-1]
             mask = cover & ~link
-            if mask:  # bit i of a mask of p stands for vertex pmax + 1 + i
-                if least_foreign is None:
-                    least_foreign = p + (pmax + (mask & -mask).bit_length(),)
+            if mask:  # a counted prefix of no edge of h comes last: keep the least
+                e = p + (pmax + (mask & -mask).bit_length(),)
+                if least_foreign is None or e < least_foreign:
+                    least_foreign = e
                 foreign += mask.bit_count()
             for m, count in _split(link, counters):
                 if count not in least:
                     least[count] = p + (pmax + (m & -m).bit_length(),)
                 counts[count] = counts.get(count, 0) + m.bit_count()
-        if stop < end:  # after the link's edges, all below the top
-            least.setdefault(0, edges[stop])
-            counts[0] = counts.get(0, 0) + end - stop
+        if past is not None:  # after the link's edges, all below the top
+            least.setdefault(0, past)
     if once:
         counts[1] = counts.get(1, 0) + once
-    if reached < len(planes):  # the rest have no edge in h: all their bits are foreign
-        rest = [(p, reduce(or_, c)) for p, c in planes.items()
-                if (i := bisect_left(edges, p)) == total or edges[i][:-1] != p]
-        foreign += sum(m.bit_count() for _, m in rest)
-        least_foreign = min(filter(None, (least_foreign, *(
-            p + (p[-1] + (m & -m).bit_length(),) for p, m in rest))))
+    counts.pop(0, None)
+    bare = h.edge_count - sum(counts.values())
+    if bare:
+        counts[0] = bare
     return MultiplicityProfile(planes, counts, least, foreign, least_foreign)
 
 
@@ -634,8 +733,9 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 # bytes json.dumps writes. Loading turns that around: a str whose tail names
 # (n, r) with 1 <= C(n, r) <= COMPLETE_EDGE_GUARD, whose length is that
 # document's, and which equals it chunk by chunk, with JSON whitespace after
-# it at most, is K_n^r, built by complete_hypergraph without parsing. Any
-# other text, and bytes, fall through to the parse below, unchanged.
+# it at most, is K_n^r, held as (r, n) by complete_hypergraph without parsing
+# and without listing an edge. Any other text, and bytes, fall through to the
+# parse below, unchanged.
 #
 # A parsed document is loaded so that it and its edges are never held
 # twice. Its number literals are parsed once per distinct literal (_Literals),
@@ -683,7 +783,7 @@ def hypergraph_json_chunks(h: Hypergraph) -> Iterator[str]:
     """hypergraph_to_json(h) in chunks, for writing without joining them: a
     complete h (C(n, r) > 0 edges) run by run, with no edge read; any other h,
     the edgeless n < r among them, in one chunk."""
-    if h.edges and _bounded_comb(h.n, h.r, len(h.edges)) == len(h.edges):
+    if _is_complete(h):
         return _complete_json_chunks(h.n, h.r)
     doc = {"r": h.r, "n": h.n, "edges": h.edges}  # tuples dump as arrays, already sorted
     return iter([json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)])

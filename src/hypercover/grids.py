@@ -6,8 +6,9 @@ grid3_cover   {1,2,3,4}-multicover of the complete 3-uniform K_{m^2}^3 from a
 star_partition  the n-1 star bicliques partitioning K_n
 log_cover       the ceil(log2 n) bit-split bicliques covering K_n
 
-Each builds K_n or K_n^3 first, so its size guard refuses a large argument
-before any coordinate or block is built.
+Each makes its host, K_n or K_n^3, first. The host is held as (r, n) and
+lists no edge until one is read, but complete_hypergraph's guard on C(n, r)
+still refuses a large argument before any coordinate or block is built.
 """
 
 from __future__ import annotations

@@ -215,6 +215,29 @@ class TestPeel:
         assert len(set(res.colors)) <= 4
         assert is_proper_coloring(h, res.colors)
 
+    @pytest.mark.parametrize("n", [2, 5, 9, 16])
+    def test_complete_host_against_listed(self, n, monkeypatch):
+        # every subhypergraph peeled from K_n is complete, so none is listed;
+        # the reference relabels listed edges one by one
+        subs = []
+        provider = lambda sub: subs.append(sub) or (
+            log_cover(sub.n)[1] if sub.n >= 2 else Cover(2, ()))
+        h = complete_hypergraph(n)
+        res = peel_coloring(h, provider)
+        assert all("edges" not in vars(sub) for sub in [h, *subs] if sub.n >= 2)
+
+        def listed_induced(g, vertices):
+            old = sorted(set(vertices))
+            pos = {v: i for i, v in enumerate(old)}
+            return Hypergraph(g.r, len(old), [tuple(pos[v] for v in e) for e in g.edges
+                                              if set(e) <= pos.keys()]), old
+
+        monkeypatch.setattr(bounds, "induced_subhypergraph", listed_induced)
+        subs.clear()
+        assert peel_coloring(Hypergraph(2, n, h.edges), provider) == res
+        assert all(type(sub) is Hypergraph for sub in subs)
+        assert is_proper_coloring(h, res.colors)
+
     def test_single_triple_two_colors(self):
         h = Hypergraph(3, 3, frozenset({(0, 1, 2)}))
         provider = lambda sub: Cover(

@@ -1,5 +1,6 @@
 """Core types, the multiplicity verifier, and JSON round trips."""
 
+import copy
 import dataclasses
 import gc
 import hashlib
@@ -35,7 +36,7 @@ from hypercover import (
     verify_cover,
     verify_partition,
 )
-from hypercover import core, cube
+from hypercover import bounds, core, cube
 
 
 def traced(call, *args):
@@ -115,12 +116,100 @@ class TestHypergraph:
         assert old == [1, 3, 4]
         assert sub.n == 3 and len(sub.edges) == 3
 
+    @pytest.mark.parametrize("n,r", [(6, 2), (7, 3), (6, 4), (5, 5)])
+    def test_induced_complete_against_listed(self, n, r):
+        # the subhypergraph of a complete host is complete, and listed only on
+        # request; below r vertices it is the empty host
+        rng = random.Random(n * 10 + r)
+        for _ in range(20):
+            vertices = rng.sample(range(n), rng.randint(0, n))
+            h = complete_hypergraph(n, r)
+            sub, old = induced_subhypergraph(h, vertices)
+            assert "edges" not in vars(h) and ("edges" not in vars(sub)) == (len(old) >= r)
+            pos = {v: i for i, v in enumerate(old)}
+            listed = Hypergraph(r, len(old), [tuple(pos[v] for v in e) for e in h.edges
+                                              if set(e) <= set(old)])
+            assert (sub, old) == (listed, sorted(vertices))
+            assert sub.edges == listed.edges
+
     # vertices h does not have, and vertices that are not ints (checked before
     # a set merges True into 1 and 2.0 into 2)
     @pytest.mark.parametrize("vertices", [[0, 7], [-3, 0, 1], [0, True, 2.0]], ids=repr)
     def test_induced_rejects_foreign_vertices(self, vertices):
         with pytest.raises(ValueError, match="vertices must"):
             induced_subhypergraph(complete_hypergraph(4), vertices)
+
+
+class TestImplicitCompleteHost:
+    """complete_hypergraph holds K_n^r as (r, n) and lists its edges on the
+    first read of `edges`; it is the listed host in every other respect."""
+
+    @pytest.mark.parametrize("n,r", [(2, 2), (5, 2), (6, 3), (7, 4), (5, 5), (12, 3)])
+    @pytest.mark.parametrize("read_first", [False, True], ids=["held", "read"])
+    def test_equal_to_the_listed_host(self, n, r, read_first):
+        k = complete_hypergraph(n, r)
+        if read_first:
+            assert k.edges == tuple(itertools.combinations(range(n), r))
+        listed = Hypergraph(r, n, itertools.combinations(range(n), r))
+        assert type(listed) is Hypergraph and type(k) is not Hypergraph
+        assert k == listed and listed == k and not (k != listed or listed != k)
+        assert k.edge_count == listed.edge_count == math.comb(n, r)
+        assert ("edges" in vars(k)) == read_first  # compared without listing
+        assert hypergraph_to_json(k) == hypergraph_to_json(listed)
+        assert hash(k) == hash(listed)
+        assert {listed: "listed"}[k] == "listed" and {k: "held"}[listed] == "held"
+        assert len({k, listed, complete_hypergraph(n, r)}) == 1
+        assert k.edge_set == listed.edge_set and k.edges == listed.edges
+
+    @pytest.mark.parametrize("other", [
+        Hypergraph(2, 5, list(itertools.combinations(range(5), 2))[:-1]),  # an edge short
+        Hypergraph(2, 6, itertools.combinations(range(5), 2)),  # one vertex more
+        Hypergraph(3, 5, itertools.combinations(range(5), 3)),  # K_5^3, also 10 edges
+        complete_hypergraph(6),
+        complete_hypergraph(5, 3),
+    ], ids=["edge-short", "vertex-more", "other-r", "held-other-n", "held-other-r"])
+    def test_unequal_hosts(self, other):
+        k = complete_hypergraph(5)
+        assert k != other and other != k and not (k == other or other == k)
+
+    def test_replaced_fields_make_a_listed_host(self):
+        k = complete_hypergraph(5)
+        grown = dataclasses.replace(k, n=6)
+        assert type(grown) is Hypergraph and grown.edges == k.edges
+        assert grown == Hypergraph(2, 6, itertools.combinations(range(5), 2)) != k
+        assert dataclasses.replace(k, edges=[(0, 1)]) == Hypergraph(2, 5, [(0, 1)])
+        assert copy.deepcopy(k) == k and type(copy.copy(k)) is type(k)
+
+    def test_not_equal_to_other_types(self):
+        k = complete_hypergraph(4)
+        assert k != (2, 4) and (2, 4) != k and k != "K_4"
+
+    @pytest.mark.parametrize("n,r", [(0, 2), (1, 2), (3, 4)])
+    def test_edgeless_host_is_listed(self, n, r):
+        # n < r: no edge to hold, so the host is the plain empty Hypergraph
+        k = complete_hypergraph(n, r)
+        assert type(k) is Hypergraph and k.edges == () and k == Hypergraph(r, n)
+        assert k.edge_count == 0 and hypergraph_to_json(k) == plain_dump(k)
+
+    def test_hex_cover_host_lists_nothing_until_read(self):
+        # hex_cover(40) builds K_4681 and its 234 blocks: 5.6 MB traced, where
+        # listing the host's 10,953,540 edges takes over 600 MB
+        (h, c), peak = traced(hex_cover, 40)
+        assert "edges" not in vars(h) and h.edge_count == 10_953_540
+        assert peak < 20_000_000 < 0.05 * h.edge_count * sys.getsizeof((0, 1))
+        assert len(c.blocks) == 234
+
+    def test_verify_and_extraction_list_nothing(self):
+        h, c = hex_cover(25)
+        assert verify_cover(h, c, MultiplicityList.of(2, 3)).ok
+        assert sum(map(len, core.hypergraph_json_chunks(h))) > 1_620_900 * 4
+        assert len(bounds.derandomized_extraction(h, c).vertices) >= 1
+        assert "edges" not in vars(h) and "edge_set" not in vars(h)
+
+    def test_edges_listed_once_when_read(self):
+        h, _ = hex_cover(5)
+        edges = h.edges
+        assert edges is h.edges and edges == tuple(itertools.combinations(range(61), 2))
 
 
 class TestBlock:
@@ -415,13 +504,15 @@ class TestJson:
         assert len(h.edges) == 179_699
         assert peak < 0.95 * traced(json.loads, text)[1]
 
-    def test_complete_loader_peak_is_the_build(self):
-        # K_600 itself is recognised, not parsed: its peak is that of building
-        # the edges (0.99 of it measured; 1.75 when it was parsed)
+    def test_complete_loader_lists_no_edge(self):
+        # K_600 is recognised, not parsed, and held as (r, n): its load peaked
+        # at 0.005 of listing its 179,700 edges (1.0 when the load listed them,
+        # 1.75 when it parsed them)
         text = hypergraph_to_json(complete_hypergraph(600))
         h, peak = traced(hypergraph_from_json, text)
-        assert len(h.edges) == 179_700
-        assert peak < 1.05 * traced(complete_hypergraph, 600)[1]
+        assert "edges" not in vars(h)
+        edges, listing = traced(lambda: h.edges)
+        assert len(edges) == 179_700 and peak < 0.05 * listing
 
     def test_cover_round_trip_byte_identical(self):
         c = Cover(2, k4_star_blocks() + k4_bit_blocks())
@@ -620,6 +711,16 @@ class TestCollectorPause:
         gc.enable()
         cube_graph(2, 3)
         assert seen == [False] and gc.isenabled()
+
+    def test_paused_while_listing_complete_edges(self, collector_state, monkeypatch):
+        seen = []
+        combinations = itertools.combinations
+        monkeypatch.setattr(core.itertools, "combinations",
+                            lambda *args: seen.append(gc.isenabled()) or combinations(*args))
+        gc.enable()
+        h = complete_hypergraph(6, 3)
+        assert seen == []  # held as (r, n) until read
+        assert len(h.edges) == 20 and seen == [False] and gc.isenabled()
 
     def test_paused_while_parsing(self, collector_state, monkeypatch):
         seen = []

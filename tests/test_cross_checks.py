@@ -48,6 +48,7 @@ from hypercover import (
     min_sum_of_orders,
     multiplicity_profile,
     pi_partition,
+    star_partition,
     verify_cover,
 )
 from hypercover import core
@@ -777,6 +778,83 @@ def generated_cube_edges(r, m, rng):
         edges.extend(itertools.product(*by_label))
     rng.shuffle(edges)
     return edges
+
+
+def listed(h):
+    """h as a plain Hypergraph of its edges, read here: the listed host."""
+    return Hypergraph(h.r, h.n, h.edges)
+
+
+def profile_fields(profile):
+    return (profile.planes, profile.counts, profile.least, profile.foreign,
+            profile.least_foreign)
+
+
+def witnesses(h, c):
+    return [(res.ok, res.reason, res.witness_edge, res.witness_multiplicity)
+            for res in (verify_cover(h, c, lst) for lst in VERIFY_LISTS)]
+
+
+def assert_implicit_matches_listed(build, c):
+    """The profile and every verify witness of c on the K_n^r that `build`
+    returns, taken before its edges are listed, equal those on the listed host."""
+    h = build()
+    implicit = profile_fields(multiplicity_profile(h, c)), witnesses(h, c)
+    assert "edges" not in vars(h)
+    reference = listed(h)
+    assert type(reference) is Hypergraph
+    assert implicit == (profile_fields(multiplicity_profile(reference, c)),
+                        witnesses(reference, c))
+
+
+def cover_variants(c):
+    """c as built, less its first block, with its first block repeated, and empty."""
+    return {"built": c, "less-first": Cover(c.r, c.blocks[1:]),
+            "repeated": Cover(c.r, c.blocks + c.blocks[:1]), "empty": Cover(c.r, ())}
+
+
+class TestImplicitCompleteHostAgainstListed:
+    """K_n^r held as (r, n) is swept over its counted prefixes alone, in closed
+    form; the same host with its edges listed is swept run by run."""
+
+    @pytest.mark.parametrize("kind,arg", [*(("hex", m) for m in range(2, 7)),
+                                          *(("grid3", m) for m in range(2, 6)),
+                                          *(("star", n) for n in (2, 3, 7, 12)),
+                                          *(("log", n) for n in (2, 3, 7, 12))])
+    @pytest.mark.parametrize("variant", ["built", "less-first", "repeated", "empty"])
+    def test_constructions(self, kind, arg, variant):
+        build = {"hex": hex_cover, "grid3": grid3_cover, "star": star_partition,
+                 "log": log_cover}[kind]
+        c = cover_variants(build(arg)[1])[variant]
+        assert_implicit_matches_listed(lambda: build(arg)[0], c)
+
+    @pytest.mark.parametrize("n,r,blocks,bare", [
+        # (0,) has no counters: its edge (0, 1) is the least bare one, before
+        # any counted prefix
+        (5, 2, [((1,), (2, 3, 4)), ((2,), (3, 4)), ((3,), (4,))], (0, 1)),
+        (6, 3, [((1,), (2,), (3, 4, 5))], (0, 1, 2)),
+        # the uncounted (1,) and (1, 2) lie between fully covered counted prefixes
+        (5, 2, [((0,), (1, 2, 3, 4)), ((2,), (3, 4)), ((3,), (4,))], (1, 2)),
+        (5, 3, [((0,), (1,), (2, 3, 4)), ((0,), (2,), (3, 4)), ((0,), (3,), (4,)),
+                ((1,), (3,), (4,))], (1, 2, 3)),
+        # (0, 2) is counted, and its least bare edge lies inside its link
+        (6, 3, [((0,), (1,), (2, 3, 4, 5)), ((0, 3), (1, 2), (4, 5))], (0, 2, 3)),
+        # every prefix below (3,) is counted and fully covered; (3,) is not counted
+        (5, 2, [((0,), (1, 2, 3, 4)), ((1,), (2, 3, 4)), ((2,), (3, 4))], (3, 4)),
+        # the first prefix counted, with its least bare edge inside its link
+        (5, 2, [((0,), (2, 3, 4)), ((1,), (2, 3, 4))], (0, 1)),
+    ])
+    def test_least_bare_edge(self, n, r, blocks, bare):
+        c = Cover(r, tuple(map(RPartiteBlock, blocks)))
+        assert_implicit_matches_listed(lambda: complete_hypergraph(n, r), c)
+        assert multiplicity_profile(complete_hypergraph(n, r), c).least[0] == bare
+
+    def test_every_prefix_counted_and_covered(self):
+        # the walk for an uncounted prefix runs out of prefixes
+        h, c = star_partition(6)
+        profile = multiplicity_profile(h, c)
+        assert 0 not in profile.least and profile.counts == {1: 15}
+        assert_implicit_matches_listed(lambda: star_partition(6)[0], c)
 
 
 class TestCanonicalBuildersAgainstChecked:

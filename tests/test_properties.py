@@ -1,7 +1,8 @@
 """Property tests: the JSON loaders on arbitrary field values, the hypergraph
 loader against a plain document checked edge by edge, edge, block and label
 class storage, the JSON round trips, the multiplicity profiler against
-listing every block edge, the block table's parts and edge masks against
+listing every block edge and, on K_n^r held as (r, n), against the listed
+host, the block table's parts and edge masks against
 filtering every part assignment and, on sparse inputs with many vertices,
 against testing every set of edges, its locally maximal blocks against
 trying every vertex in every part, the inertia by elimination against the
@@ -55,6 +56,7 @@ from hypercover import (  # noqa: E402
     hypergraph_to_json,
     inertia,
     multiplicity_profile,
+    verify_cover,
 )
 from hypercover import cli  # noqa: E402
 from hypercover.oracles import _BlockTable, _block_table  # noqa: E402
@@ -422,6 +424,39 @@ def test_profile_matches_listing(case):
     for lst in LISTS:
         outside = [e for e in h.edges if counts[e] not in lst]
         assert profile.least_outside(lst) == (outside[0] if outside else None)
+
+
+@st.composite
+def complete_covers(draw):
+    """K_n^r (n <= 9, 2 <= r <= 4) and up to five random blocks on its vertices."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, 9))
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        vertices = draw(st.lists(st.integers(0, n - 1), min_size=r, unique=True))
+        part_of = draw(st.lists(st.integers(0, r - 1), min_size=len(vertices),
+                                max_size=len(vertices)))
+        parts = [[v for v, i in zip(vertices, part_of) if i == j] for j in range(r)]
+        if all(parts):
+            blocks.append(RPartiteBlock(tuple(parts)))
+    return n, r, Cover(r, tuple(blocks))
+
+
+@settings(SETTINGS, max_examples=150)
+@given(case=complete_covers())
+def test_implicit_complete_profile_matches_listed(case):
+    n, r, c = case
+    h = complete_hypergraph(n, r)
+    implicit = multiplicity_profile(h, c)
+    results = [verify_cover(h, c, lst) for lst in LISTS]
+    assert "edges" not in vars(h)
+    listed = Hypergraph(r, n, h.edges)
+    reference = multiplicity_profile(listed, c)
+    for name in ("planes", "counts", "least", "foreign", "least_foreign"):
+        assert getattr(implicit, name) == getattr(reference, name)
+    assert results == [verify_cover(listed, c, lst) for lst in LISTS]
+    assert [(res.witness_edge, res.witness_multiplicity) for res in results] == \
+        [naive_verify(h, c, lst)[2:] for lst in LISTS]
 
 
 @settings(SETTINGS, max_examples=40)
