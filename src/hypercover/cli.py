@@ -21,6 +21,7 @@ from . import gf2, oracles
 from .core import (
     GuardError,
     MultiplicityList,
+    _complete_from_json,
     cover_from_json,
     cover_to_json,
     hypergraph_from_json,
@@ -55,6 +56,19 @@ def _report(name: str, inputs: dict, value) -> dict:
     except OverflowError:
         raise ValueError(f"{name}: the value does not fit a float") from None
     return {"name": name, "inputs": inputs, "value": value, "direction": "lower"}
+
+
+def _read_hypergraph(path: str):
+    """The host in the file at `path`, read as bytes: a K_n^r document is
+    recognised in them and held once. Any other is decoded, and its bytes
+    dropped here, before the parse: under Python 3.10 a caller's arguments
+    live until the call returns."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    if (h := _complete_from_json(text)) is None:
+        text = text.decode()
+        h = hypergraph_from_json(text)
+    return h
 
 
 def _write(path: str | None, render) -> list[str]:
@@ -137,8 +151,7 @@ def _cmd_verify(args) -> int:
         raise ValueError("pass --list or --partition")
     else:
         lst = MultiplicityList.parse(args.list)
-    with open(args.hypergraph, encoding="utf-8") as fh:
-        h = hypergraph_from_json(fh.read())
+    h = _read_hypergraph(args.hypergraph)
     with open(args.cover, encoding="utf-8") as fh:
         c = cover_from_json(fh.read())
     result = verify_cover(h, c, lst)
@@ -196,8 +209,7 @@ def _cmd_search(args) -> int:
         lst = MultiplicityList.parse(args.list)
     blocks = oracles.SearchBudget.max_blocks if args.max_blocks is None else args.max_blocks
     budget = oracles.SearchBudget(max_blocks=blocks, max_seconds=args.max_seconds)
-    with open(args.file, encoding="utf-8") as fh:
-        h = hypergraph_from_json(fh.read())
+    h = _read_hypergraph(args.file)
     outcome = search(h, lst, budget)
     payload = {
         "goal": args.goal,

@@ -302,26 +302,21 @@ class _CompleteHypergraph(Hypergraph):
 
     def _links(self, planes: dict) -> Iterator[tuple]:
         """Hypergraph._links of K_n^r in closed form, for the counted prefixes
-        alone, in increasing order: every vertex above p[-1] is in p's link,
-        so the link is the whole span of the cover, and past is p with the
-        next vertex. Each counted prefix is an (r-1)-subset of 0..n-2; the
-        first such subset they skip, the least uncounted prefix, is yielded in
-        its place with no counters, since its least edge may be the least edge
-        no block covers."""
+        and the least uncounted one, in increasing order: every vertex above
+        p[-1] is in p's link, so the link is the whole span of the cover, and
+        past is p with the next vertex. Each counted prefix is an
+        (r-1)-subset of 0..n-2; the first such subset they skip is yielded
+        too, with no counters, since its least edge may be the least edge no
+        block covers."""
         n = self.n
-        prefixes = itertools.combinations(range(n - 1), self.r - 1)
-        walking = True  # every prefix so far is counted
-        for p in sorted(planes):
-            if walking and (q := next(prefixes)) != p:
-                yield q, (), 0, 0, q + (q[-1] + 1,)
-                walking = False
-            counters = planes[p]
-            cover = reduce(or_, counters)
+        q = next((p for p in itertools.combinations(range(n - 1), self.r - 1)
+                  if p not in planes), None)
+        for p in sorted([*planes, q] if q is not None else planes):
+            counters = planes.get(p, ())
+            cover = reduce(or_, counters, 0)
             width = cover.bit_length()
             top = p[-1] + width
             yield p, counters, cover, (1 << width) - 1, p + (top + 1,) if top < n - 1 else None
-        if walking and (q := next(prefixes, None)) is not None:
-            yield q, (), 0, 0, q + (q[-1] + 1,)
 
 
 def _canonical_hypergraph(r: int, n: int, edges: tuple) -> Hypergraph:
@@ -730,12 +725,12 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 # A complete host K_n^r is fixed by (n, r), and so is its document: it is
 # written without json and without reading an edge, one join per (r-1)-prefix
 # over the decimal literals of the vertices (_complete_json_chunks), in the
-# bytes json.dumps writes. Loading turns that around: a str whose tail names
-# (n, r) with 1 <= C(n, r) <= COMPLETE_EDGE_GUARD, whose length is that
-# document's, and which equals it chunk by chunk, with JSON whitespace after
-# it at most, is K_n^r, held as (r, n) by complete_hypergraph without parsing
-# and without listing an edge. Any other text, and bytes, fall through to the
-# parse below, unchanged.
+# bytes json.dumps writes. Loading turns that around: a str, or its UTF-8
+# bytes, whose tail names (n, r) with 1 <= C(n, r) <= COMPLETE_EDGE_GUARD, at
+# least 2r C(n, r) long, and which equals that document chunk by chunk up to
+# the tail's "}", with JSON whitespace after it at most, is K_n^r, held as
+# (r, n) by complete_hypergraph without parsing, decoding or listing an edge.
+# Any other text falls through to the parse below, bytes decoded first.
 #
 # A parsed document is loaded so that it and its edges are never held
 # twice. Its number literals are parsed once per distinct literal (_Literals),
@@ -749,20 +744,6 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 # then are the edge tuples zipped from the columns and put in order. A
 # document that fails the check is passed to Hypergraph as tuples, the
 # general path with its own errors.
-
-
-def _complete_json_length(n: int, r: int, edges: int) -> int:
-    """len(hypergraph_to_json(complete_hypergraph(n, r))) (2 <= r <= n), whose
-    edge count is `edges`, in closed form: no edge is listed."""
-    length = len(f'{{"edges":[],"n":{n},"r":{r}}}')
-    digits, low, width = 0, 0, 1  # of the literals 0..n-1, a decimal width at a time
-    while low < n:
-        high = min(n, 10**width)
-        digits += (high - low) * width
-        low, width = high, width + 1
-    # an edge is r literals, r - 1 commas and two brackets, with commas between
-    # edges; each vertex lies in C(n - 1, r - 1) = C(n, r) * r / n edges
-    return length + edges * (r + 2) - 1 + edges * r // n * digits
 
 
 def _complete_json_chunks(n: int, r: int) -> Iterator[str]:
@@ -830,9 +811,8 @@ def _parse_hypergraph(text: str) -> Hypergraph:
     r, n, rows = _json_int(doc, "r"), _json_int(doc, "n"), _json_array(doc, "edges")
     del doc
     _check_sizes(r, n)  # before any column is read: no columns would zip to no edges
-    # a bool is spelt with a "t" or an "f", and a negative number with a "-";
-    # bytes, which json.loads reads too, are not searched
-    json_ints = not floats and isinstance(text, str) and not any(c in text for c in "tf-")
+    # a bool is spelt with a "t" or an "f", and a negative number with a "-"
+    json_ints = not floats and not any(c in text for c in "tf-")
     try:  # a JSON row is a list, or else a value without a length or an object
         columns = _canonical_columns(rows, r, n, json_ints)
     except (TypeError, KeyError):
@@ -848,46 +828,55 @@ def _parse_hypergraph(text: str) -> Hypergraph:
 # the end of a canonical document, JSON whitespace after it allowed, with
 # digits few enough for int(); it is searched for in the last _TAIL characters
 _COMPLETE_TAIL = re.compile(r',"n":([0-9]{1,9}),"r":([0-9]{1,9})\}[ \t\n\r]*\Z')
+_COMPLETE_TAIL_BYTES = re.compile(_COMPLETE_TAIL.pattern.encode())
 _TAIL = 64
 
 
-def _complete_from_json(text: str) -> Hypergraph | None:
-    """complete_hypergraph(n, r) if `text` is its canonical document followed
-    by JSON whitespace at most, and within COMPLETE_EDGE_GUARD; else None.
+def _complete_from_json(text: str | bytes) -> Hypergraph | None:
+    """complete_hypergraph(n, r) if `text`, a str or its UTF-8 bytes, is its
+    canonical document followed by JSON whitespace at most, and within
+    COMPLETE_EDGE_GUARD; else None.
 
-    (n, r) are read from the tail, and a text whose length is not the
-    document's is turned away before any chunk is made, so the literals made
-    are never more than the text's characters: a 40-character text naming
+    (n, r) are read from the tail. Each of an edge's r literals takes a digit
+    and a comma or bracket, so a text shorter than 2r C(n, r) is turned away
+    before any chunk is made. The literals made are then never more than the
+    text's characters, since n <= r C(n, r): a 40-character text naming
     K_n^(n-1) at n = 10^6 (10^6 edges) would otherwise list 10^6 literals and
     join all but one of them, 4 s and 182 MB traced. The rest is compared
-    chunk by chunk, in place. Only a byte-for-byte match is trusted, and it is
-    exactly the text json.loads reads as K_n^r."""
-    tail = _COMPLETE_TAIL.search(text, max(0, len(text) - _TAIL))
+    chunk by chunk, in place, and the match must end at the tail's "}". Only
+    a byte-for-byte match is trusted, and it is exactly the text json.loads
+    reads as K_n^r."""
+    is_str = isinstance(text, str)
+    tail = (_COMPLETE_TAIL if is_str else _COMPLETE_TAIL_BYTES).search(
+        text, max(0, len(text) - _TAIL))
     if tail is None:
         return None
     n, r = int(tail[1]), int(tail[2])
     # n < r has no edge, and r < 2 no host: both go to the parse, which
     # lists no vertex, so an n of nine digits costs nothing there
     edges = _bounded_comb(n, r, COMPLETE_EDGE_GUARD) if r >= 2 else None
-    if (not edges or edges > COMPLETE_EDGE_GUARD
-            or _complete_json_length(n, r, edges) != tail.end(2) + 1):
+    if not edges or edges > COMPLETE_EDGE_GUARD or len(text) < 2 * r * edges:
         return None
     pos = 0
-    for chunk in _complete_json_chunks(n, r):
+    for chunk in map(str if is_str else str.encode, _complete_json_chunks(n, r)):
         if not text.startswith(chunk, pos):
             return None
         pos += len(chunk)
-    return complete_hypergraph(n, r)
+    return complete_hypergraph(n, r) if pos == tail.end(2) + 1 else None
 
 
-def hypergraph_from_json(text: str) -> Hypergraph:
+def hypergraph_from_json(text: str | bytes) -> Hypergraph:
     """Raises ValueError on text that is not a hypergraph document.
 
-    A str holding the canonical document of a complete host is recognised
-    without parsing (_complete_from_json); any other text is parsed."""
-    h = _complete_from_json(text) if isinstance(text, str) else None
+    A str, or its UTF-8 bytes, holding the canonical document of a complete
+    host is recognised without parsing or decoding (_complete_from_json). Any
+    other text is parsed, bytes once decoded as UTF-8, so that the two forms
+    of a document load alike."""
+    h = _complete_from_json(text) if isinstance(text, (str, bytes, bytearray)) else None
     if h is not None:
         return h
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode()  # a UTF-8 BOM is kept, as in the str, where json refuses it
     try:
         # the document, one list per edge, is freed inside _parse_hypergraph,
         # before collection resumes

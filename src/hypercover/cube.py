@@ -91,9 +91,6 @@ class LabelBlock:
             raise ValueError(f"labels must be integers in 0..{self.r}")
         object.__setattr__(self, "classes", classes)
 
-    def tuples(self):
-        yield from itertools.product(*self.classes)
-
 
 def label_partition(r: int) -> list[LabelBlock]:
     """The block-count-minimal symbolic partition of one cube coordinate.

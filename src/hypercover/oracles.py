@@ -40,6 +40,7 @@ from .core import (
     MultiplicityList,
     RPartiteBlock,
     _canonical_block,
+    _is_complete,
     check_guard,
 )
 
@@ -368,7 +369,7 @@ def _search(h: Hypergraph, parts: list, masks: list[int], lst: MultiplicityList,
     # as bad, the others are its absences from planes[c], ..., planes[m0 - 2]
     under = levels[0] - 1 if levels else 0
     roots = cover_by_edge[0] if edges else []
-    if edges == math.comb(h.n, h.r):
+    if _is_complete(h):
         roots = _root_orbits(parts, roots)
     check_guard("search multiplicity planes", depth, LIST_RANGE_GUARD)
     t_end = time.monotonic() + budget.max_seconds

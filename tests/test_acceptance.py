@@ -97,7 +97,7 @@ def test_criterion_2_label_partition():
             seen = bytearray(base**r)
             covered = 0
             for b in blocks:
-                for tup in b.tuples():
+                for tup in itertools.product(*b.classes):
                     code = 0
                     for d in tup:
                         code = code * base + d

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -97,6 +98,23 @@ class TestVerify:
         assert code == EXIT_OK
         assert payload["status"] == "ok"
         assert set(payload["histogram"]) <= {"2", "3"}
+
+    def test_recognised_host_is_held_once(self, capsys, tmp_path):
+        # K_600's document is recognised in the bytes read from the file: the
+        # run peaked at 1.16 of the file's size, and at 2.12 when the file was
+        # read as text, its bytes and its str held at once
+        h, c = tmp_path / "h.json", tmp_path / "c.json"
+        h.write_text(hypergraph_to_json(complete_hypergraph(600)) + "\n", encoding="utf-8")
+        c.write_text('{"r":2,"blocks":[]}', encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--hypergraph", str(h), "--cover", str(c), "--list", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_FAIL and payload["histogram"] == {"0": 179_700}
+        assert peak < 1.5 * h.stat().st_size
 
     def test_hex_list_1_fails_with_witness(self, capsys, tmp_path):
         h, c = self.build(capsys, tmp_path, "hex-cover", "--m", "2")

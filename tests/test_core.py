@@ -575,7 +575,8 @@ def load_outcome(text):
 
 
 # edits of a canonical K_n^r document, each keyed by what it does; only the
-# first three leave a document the complete-host path may accept
+# first three, and the bytes of the document, leave one the complete-host
+# path may accept
 CANONICAL_VARIANTS = {
     "as-written": lambda t: t,
     "newline": lambda t: t + "\n",
@@ -589,6 +590,7 @@ CANONICAL_VARIANTS = {
     "edge-reversed": lambda t: t.replace("[0,1,2]", "[2,1,0]", 1),
     "space-inserted": lambda t: t.replace(",", ", ", 1),
     "keys-reordered": lambda t: '{"r":3,"n":6,' + t[1:t.index(',"n":')] + "}",
+    "tail-repeated": lambda t: t + ',"n":6,"r":3}',
     "bytes": lambda t: t.encode(),
     "n-of-5000-digits": lambda t: t.replace('"n":6', '"n":' + "1" * 5000),
     "n-over-the-guard": lambda t: t.replace('"n":6', '"n":100000000'),
@@ -608,8 +610,6 @@ class TestCompleteHostJson:
         h = complete_hypergraph(n, r)
         text = hypergraph_to_json(h)
         assert text == plain_dump(h)
-        if h.edges:  # the closed form is used for hosts with edges only
-            assert len(text) == core._complete_json_length(n, r, len(h.edges))
 
     def test_writer_checks_completeness_without_the_binomial(self):
         # C(10^6, 500,000) has about 300,000 digits; the one edge rules it out
@@ -623,7 +623,7 @@ class TestCompleteHostJson:
         parse = core._parse_hypergraph
         monkeypatch.setattr(core, "_parse_hypergraph", lambda t: parses.append(t) or parse(t))
         loaded = load_outcome(text)
-        if variant in ("as-written", "newline", "whitespace"):
+        if variant in ("as-written", "newline", "whitespace", "bytes"):
             assert loaded == complete_hypergraph(6, 3) and parses == []
         else:  # turned away, raising nothing, and parsed once
             assert parses == [text]
@@ -650,11 +650,13 @@ class TestCompleteHostJson:
         assert loaded == h and peak < 100_000
 
     def test_short_text_turned_away_by_its_length(self):
-        # K_n^(n-1) at n = 10^6 has 10^6 edges, within the guard; its
-        # literals were made only once the length check was skipped
-        text = '{"edges":[[0,1]],"n":1000000,"r":999999}'
-        loaded, peak = traced(load_outcome, text)
-        assert loaded == load_outcome(text.encode()) and peak < 100_000
+        # K_n^(n-1) at n = 10^6 has 10^6 edges and K_n^n one, within the
+        # guard; their literals were made only once the length check was
+        # skipped
+        for text in ('{"edges":[[0,1]],"n":1000000,"r":999999}',
+                     '{"edges":[[0]],"n":1000000,"r":1000000}'):
+            loaded, peak = traced(load_outcome, text)
+            assert loaded == load_outcome(text.encode()) and peak < 100_000
 
     def test_guard_bounds_the_recognised_hosts(self, monkeypatch):
         # K_6^3 has 20 edges: with a guard of 19 it is parsed, and no

@@ -70,7 +70,7 @@ def assert_tiles_non_permutation_tuples(r):
     seen = bytearray(base**r)
     total = 0
     for b in blocks:
-        for tup in b.tuples():
+        for tup in itertools.product(*b.classes):
             code = tuple_code(tup, base)
             assert not seen[code], f"tuple {tup} covered twice"
             seen[code] = 1

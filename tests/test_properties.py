@@ -386,10 +386,12 @@ def host_documents(draw):
 @example(text='{"edges":[[0,1],[0,2],[1,2]],"n":3,"r":2}\n')
 @example(text='{"edges":[[0,1],[0,2],[1,3]],"n":3,"r":2}')
 @example(text='{"edges":[],"n":3,"r":4}')
+@example(text='{"edges":[[0,1],[0,2],[1,2]],"n":3,"r":2},"n":3,"r":2}')
+@example(text='\ufeff{"edges":[[0,1],[0,2],[1,2]],"n":3,"r":2}')  # refused in both forms
 def test_loader_matches_reference(text):
     loaded = outcome(hypergraph_from_json, text)
     assert loaded == outcome(plain_load, text) == outcome(plain_load, text, naive_canonical)
-    assert outcome(hypergraph_from_json, text.encode()) == loaded  # json.loads reads bytes too
+    assert outcome(hypergraph_from_json, text.encode()) == loaded
     if isinstance(loaded, Hypergraph):
         assert type(loaded.edges) is tuple
         assert all(type(e) is tuple and set(map(type, e)) == {int} for e in loaded.edges)
