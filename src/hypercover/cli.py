@@ -21,7 +21,7 @@ from . import gf2, oracles
 from .core import (
     GuardError,
     MultiplicityList,
-    _complete_from_json,
+    _closed_form_from_json,
     cover_from_json,
     cover_to_json,
     hypergraph_from_json,
@@ -65,7 +65,7 @@ def _read_hypergraph(path: str):
     live until the call returns."""
     with open(path, "rb") as fh:
         text = fh.read()
-    if (h := _complete_from_json(text)) is None:
+    if (h := _closed_form_from_json(text)) is None:
         text = text.decode()
         h = hypergraph_from_json(text)
     return h

@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import itemgetter, lt, or_
+from operator import eq, getitem, itemgetter, lt, or_
 
 Edge = tuple[int, ...]
 
@@ -36,6 +36,10 @@ GUARD_ENV = "HYPERCOVER_GUARD_OVERRIDE"
 LIST_RANGE_GUARD = 100_000  # multiplicities in one "lo..hi" list
 PROFILE_WORK_GUARD = 2_000_000_000  # counter bits added in multiplicity_profile
 COMPLETE_EDGE_GUARD = 12_000_000  # edges of K_n^r; hex_cover(40) has 10,953,540
+CUBE_EDGE_GUARD = 10**7
+# parts built: of the dimensions m >= 2 the other guards admit, pi_partition(5, 3)
+# builds the most, 213,215; only dimension 1, with r singleton parts, builds more
+CUBE_PART_GUARD = 250_000
 # packed_bits ORs shifts up to this width: below it shifting beat the byte
 # table at every density timed (by 18% or more; 2-core Intel Xeon, Python
 # 3.11.7), and at 2,048 bits with half the positions set the two broke even
@@ -319,6 +323,222 @@ class _CompleteHypergraph(Hypergraph):
             yield p, counters, cover, (1 << width) - 1, p + (top + 1,) if top < n - 1 else None
 
 
+def _complete_runs(n: int, r: int) -> Iterator[tuple]:
+    """The walk of K_n^r (2 <= r <= n) in the form of _cube_runs: each
+    (r-2)-subset q of 0..n-3 with its children q + (w,), each linked to every
+    vertex above w."""
+    for q in itertools.combinations(range(n - 2), r - 2):
+        yield q, [(w, (1 << n - 1 - w) - 1) for w in range(q[-1] + 1 if q else 0, n - 1)]
+
+
+# selectors for itertools.compress: "0" and "1" as the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_bytes(mask: int) -> bytes:
+    """Byte i of the result is bit i of mask (up to its top bit), for
+    itertools.compress to pick the vertices of a link in C."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _cube_runs(r: int, m: int) -> Iterator[tuple]:
+    """The walk of the cube hypergraph of uniformity r and dimension m: for
+    each (r-2)-set q that is the parent of a prefix, in increasing order, q and
+    the list of (w, link) for the prefixes q + (w,) of an edge, w increasing.
+    Bit i of link stands for vertex w + 1 + i, as in a profile mask.
+
+    Vertex v shows the base-(r+1) digits of v as labels, the first coordinate
+    most significant, with r the star. An (r-1)-set p shows r-1 distinct
+    fixed labels at some coordinates; at each, its link holds the vertices
+    above p[-1] that show the missing label there, and at no other
+    coordinate does p meet an edge. The walk runs depth first over sorted
+    vertex lists, keeping for each coordinate still showing distinct fixed
+    labels the set of those labels. A vertex is taken only where some such
+    coordinate stays completable: each label still missing there is shown
+    by some vertex above it, the largest of which has stars elsewhere. So
+    every branch ends in a prefix, and each prefix is met once. A parent
+    finds all its children's links at once: each child's link is the OR,
+    over its coordinates, of the vertices with the one label still missing.
+
+    Dimension 1 has one edge, 0..r-1, which is yielded without the walk."""
+    if m == 1:
+        yield tuple(range(r - 2)), [(r - 2, 1)]
+        return
+    base = r + 1
+    n = base**m
+    weights = [base ** (m - 1 - j) for j in range(m)]
+    ones = (1 << n) - 1
+    # labels[j][x]: the vertices showing label x at j, a run of weight
+    # vertices in every period of base * weight
+    labels = [[(((1 << w) - 1) << x * w) * (ones // ((1 << base * w) - 1)) for x in range(r)]
+              for w in weights]
+    # below[j][x]: the vertices under the largest one showing x at j
+    below = [[(1 << n - 1 - (r - x) * w) - 1 for x in range(r)] for w in weights]
+    digits = list(itertools.product(range(base), repeat=m))  # the labels of each vertex
+    unset = [0] * base
+
+    def grow(alive: tuple) -> tuple:
+        """(ws, steps) for a node whose alive coordinates, as (j, labels
+        shown), are `alive`: steps holds (w, w's alive coordinates) for each
+        vertex w that extends it, in the order of ws, w increasing."""
+        taken = 0
+        for j, shown in alive:
+            free = [x for x in range(r) if not shown >> x & 1]
+            lo = free[0]
+            # taking lo leaves the second label least, taking any other lo
+            taken |= labels[j][lo] & below[j][free[1]]
+            for x in free[1:]:
+                taken |= labels[j][x] & below[j][lo]
+        ws = list(itertools.compress(range(n), _bit_bytes(taken)))
+        steps = []
+        for w in ws:
+            grown = []
+            for j, shown in alive:
+                x = digits[w][j]
+                if x < r and not shown >> x & 1:
+                    shown |= 1 << x
+                    if below[j][(~shown & shown + 1).bit_length() - 1] >> w & 1:
+                        grown.append((j, shown))
+            steps.append((w, tuple(grown)))
+        return ws, steps
+
+    def children(alive: tuple) -> tuple:
+        """(ws, links) for a parent whose alive coordinates each miss two
+        labels: links holds (w, link) for each child w, in the order of ws."""
+        pick = [unset] * m  # pick[j][x]: the vertices a child showing x at j links to
+        taken = 0
+        for j, shown in alive:
+            a, b = (x for x in range(r) if not shown >> x & 1)
+            pick[j] = [0] * base
+            pick[j][a], pick[j][b] = labels[j][b], labels[j][a]
+            taken |= labels[j][a] & below[j][b] | labels[j][b] & below[j][a]
+        ws = list(itertools.compress(range(n), _bit_bytes(taken)))
+        return ws, [(w, reduce(or_, map(getitem, pick, digits[w])) >> w + 1) for w in ws]
+
+    # a node's steps depend on its alive coordinates alone, and on its last
+    # vertex v only through the w > v taken: each is found once and sliced
+    known: dict = {}
+
+    def after(v: int, alive: tuple, level) -> list:
+        found = known.get(alive)
+        if found is None:
+            found = known[alive] = level(alive)
+        ws, steps = found
+        return steps[bisect_right(ws, v):]
+
+    root = tuple((j, 0) for j in range(m))
+    if r == 2:
+        yield (), children(root)[1]
+        return
+    q: list = []
+    stack = [iter(after(-1, root, grow))]  # stack[i] extends q[:i]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if q:
+                q.pop()
+        elif len(q) == r - 3:  # q + [w] is a parent
+            w, alive = step
+            yield (*q, w), after(w, alive, children)
+        else:
+            w, alive = step
+            q.append(w)
+            stack.append(iter(after(w, alive, grow)))
+
+
+def _cube_link(p: tuple, r: int, m: int) -> int:
+    """The link of the (r-1)-set p in the cube hypergraph, as a mask whose
+    bit i stands for vertex p[-1] + 1 + i, read off p's labels alone."""
+    base = r + 1
+    n = base**m
+    link = 0
+    for j in range(m):
+        w = base ** (m - 1 - j)
+        shown = {v // w % base for v in p}
+        if len(shown) == r - 1 and r not in shown:
+            x = min(set(range(r)) - shown)
+            link |= packed_bits([u for u in range(p[-1] + 1, n) if u // w % base == x], n)
+    return link >> p[-1] + 1
+
+
+class _CubeHypergraph(Hypergraph):
+    """The cube hypergraph of uniformity r and dimension m, on n = (r+1)^m
+    vertices, held as (r, m): its edges are listed on the first read of
+    `edges`, its edge count is a closed form, and its links, its edges and
+    its document come from one walk (_cube_runs).
+
+    It compares and hashes equal to the listed host: a listed h equals it
+    when r, n, the edge count and the edges agree, and the hash lists the
+    edges."""
+
+    def __post_init__(self):
+        # only a call of the class, as dataclasses.replace makes, gets here:
+        # the fields it is given need not be the cube, so they make a listed host
+        object.__setattr__(self, "__class__", Hypergraph)
+        Hypergraph.__post_init__(self)
+
+    @cached_property
+    def edges(self) -> tuple:
+        with _collector_paused():
+            return tuple(self._walked_edges())
+
+    def _walked_edges(self) -> Iterator[Edge]:
+        """The edges in increasing order, from the walk: each prefix with
+        each vertex of its link."""
+        n = self.n
+        return itertools.chain.from_iterable(
+            map((*q, w).__add__, zip(itertools.compress(range(w + 1, n), _bit_bytes(link))))
+            for q, links in _cube_runs(self.r, self.m) for w, link in links)
+
+    @property
+    def edge_count(self) -> int:
+        """Inclusion and exclusion over the k coordinates that show all r fixed
+        labels: the vertices showing label 0 at the first of them fix an order,
+        each other one permutes the labels, and the rest are free. No r! is
+        formed at dimension 1, where r may be large."""
+        r, m = self.r, self.m
+        factorial = math.factorial(r) if m > 1 else 1
+        return sum((-1) ** (k + 1) * math.comb(m, k) * factorial ** (k - 1)
+                   * (r + 1) ** ((m - k) * r) for k in range(1, m + 1))
+
+    def __eq__(self, other):
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        if (self.r, self.n, self.edge_count) != (other.r, other.n, other.edge_count):
+            return False
+        # as many edges, both in increasing order: walked against the other's
+        return type(other) is _CubeHypergraph or all(map(eq, self._walked_edges(), other.edges))
+
+    __hash__ = Hypergraph.__hash__
+
+    def __repr__(self) -> str:
+        return f"cube_graph({self.r}, {self.m}).hypergraph"
+
+    def _links(self, planes: dict) -> Iterator[tuple]:
+        """Hypergraph._links from the walk's links: every prefix of an edge in
+        increasing order, then each counted prefix of none, whose link is 0."""
+        reached = 0  # counted prefixes met by the walk
+        for q, links in _cube_runs(self.r, self.m):
+            for w, link in links:
+                p = (*q, w)
+                counters = planes.get(p, ())
+                if counters:
+                    reached += 1
+                cover = counters[0] if len(counters) == 1 else reduce(or_, counters, 0)
+                width = cover.bit_length()
+                rest = link >> width
+                if rest:
+                    yield (p, counters, cover, link & (1 << width) - 1,
+                           p + (w + width + (rest & -rest).bit_length(),))
+                else:
+                    yield p, counters, cover, link, None
+        if reached < len(planes):
+            for p, counters in planes.items():
+                if not _cube_link(p, self.r, self.m):
+                    yield p, counters, reduce(or_, counters), 0, None
+
+
 def _canonical_hypergraph(r: int, n: int, edges: tuple) -> Hypergraph:
     """Hypergraph(r, n, edges) without the per-edge check, for builders whose
     edges are canonical by construction.
@@ -357,6 +577,19 @@ def complete_hypergraph(n: int, r: int = 2) -> Hypergraph:
     The guard still bounds C(n, r), the edges a reader may list."""
     check_comb_guard("complete_hypergraph edges", n, r, COMPLETE_EDGE_GUARD)
     return _complete(n, r)
+
+
+def _cube(r: int, m: int) -> Hypergraph:
+    """The cube hypergraph of uniformity r >= 2 and dimension m >= 1, held as
+    (r, m). The guards bound what a reader may list: the vertex entries of
+    the edges at each coordinate, and the parts of one vertex per fixed label
+    at each coordinate."""
+    check_power_guard("cube_graph generated vertex entries", m * r, r + 1,
+                      (m - 1) * r, CUBE_EDGE_GUARD)
+    check_guard("cube_graph label parts", m * r, CUBE_PART_GUARD)
+    h = object.__new__(_CubeHypergraph)
+    h.__dict__.update(r=r, n=(r + 1) ** m, m=m)  # edges is listed on first read
+    return h
 
 
 def induced_subhypergraph(h: Hypergraph, vertices) -> tuple[Hypergraph, list[int]]:
@@ -746,26 +979,32 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 # general path with its own errors.
 
 
-def _complete_json_chunks(n: int, r: int) -> Iterator[str]:
-    """hypergraph_to_json(complete_hypergraph(n, r)) (2 <= r <= n) in chunks, the
-    edges of each (r-1)-prefix p in one: a single join of the decimal literals
-    above p[-1], each opened by "],[" and p's own literals."""
+def _json_chunks(n: int, r: int, runs) -> Iterator[str]:
+    """The canonical document of the host on 0..n-1 whose walk is `runs`, in
+    the form of _cube_runs, in chunks: the edges of each (r-1)-prefix p in
+    one, a single join of the decimal literals of p's link, each opened by
+    "],[" and p's own literals, which its parent q's give with one more."""
     literals = list(map(str, range(n)))
     opening = '{"edges":[['
-    for p in itertools.combinations(range(n - 1), r - 1):
-        head = "".join([literals[v] + "," for v in p])
-        yield opening + head
-        yield ("],[" + head).join(literals[p[-1] + 1:])
-        opening = "],["
+    for q, links in runs:
+        parent = "".join([literals[v] + "," for v in q])
+        for w, link in links:
+            head = parent + literals[w] + ","
+            last = itertools.compress(itertools.islice(literals, w + 1, None), _bit_bytes(link))
+            yield opening + head + ("],[" + head).join(last)
+            opening = "],["
     yield f']],"n":{n},"r":{r}}}'
 
 
 def hypergraph_json_chunks(h: Hypergraph) -> Iterator[str]:
     """hypergraph_to_json(h) in chunks, for writing without joining them: a
-    complete h (C(n, r) > 0 edges) run by run, with no edge read; any other h,
-    the edgeless n < r among them, in one chunk."""
+    cube host held as (r, m), or a complete h (C(n, r) > 0 edges), run by run
+    from its walk, with no edge read; any other h, the edgeless n < r among
+    them, in one chunk."""
+    if type(h) is _CubeHypergraph:
+        return _json_chunks(h.n, h.r, _cube_runs(h.r, h.m))
     if _is_complete(h):
-        return _complete_json_chunks(h.n, h.r)
+        return _json_chunks(h.n, h.r, _complete_runs(h.n, h.r))
     doc = {"r": h.r, "n": h.n, "edges": h.edges}  # tuples dump as arrays, already sorted
     return iter([json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)])
 
@@ -832,47 +1071,74 @@ _COMPLETE_TAIL_BYTES = re.compile(_COMPLETE_TAIL.pattern.encode())
 _TAIL = 64
 
 
-def _complete_from_json(text: str | bytes) -> Hypergraph | None:
-    """complete_hypergraph(n, r) if `text`, a str or its UTF-8 bytes, is its
-    canonical document followed by JSON whitespace at most, and within
-    COMPLETE_EDGE_GUARD; else None.
+def _cube_dimension(n: int, r: int) -> int | None:
+    """The m >= 1 with n = (r+1)^m, if there is one (r >= 2)."""
+    m, power = 0, 1
+    while power < n:
+        power *= r + 1
+        m += 1
+    return m if m and power == n else None
+
+
+def _matches(text: str | bytes, chunks, end: int) -> bool:
+    """`text`, a str or its UTF-8 bytes, starts with the chunks joined, and
+    they end at `end`; compared chunk by chunk, in place."""
+    pos = 0
+    for chunk in map(str if isinstance(text, str) else str.encode, chunks):
+        if not text.startswith(chunk, pos):
+            return False
+        pos += len(chunk)
+    return pos == end
+
+
+def _closed_form_from_json(text: str | bytes) -> Hypergraph | None:
+    """The host held in closed form whose canonical document `text`, a str or
+    its UTF-8 bytes, is, followed by JSON whitespace at most: K_n^r within
+    COMPLETE_EDGE_GUARD, or the cube of dimension m when n = (r+1)^m, within
+    its guards. None for any other text.
 
     (n, r) are read from the tail. Each of an edge's r literals takes a digit
-    and a comma or bracket, so a text shorter than 2r C(n, r) is turned away
+    and a comma or bracket, so a text shorter than 2r|E| is turned away
     before any chunk is made. The literals made are then never more than the
-    text's characters, since n <= r C(n, r): a 40-character text naming
+    text's characters, since n <= r|E| for both: a 40-character text naming
     K_n^(n-1) at n = 10^6 (10^6 edges) would otherwise list 10^6 literals and
     join all but one of them, 4 s and 182 MB traced. The rest is compared
     chunk by chunk, in place, and the match must end at the tail's "}". Only
     a byte-for-byte match is trusted, and it is exactly the text json.loads
-    reads as K_n^r."""
-    is_str = isinstance(text, str)
-    tail = (_COMPLETE_TAIL if is_str else _COMPLETE_TAIL_BYTES).search(
+    reads as that host."""
+    tail = (_COMPLETE_TAIL if isinstance(text, str) else _COMPLETE_TAIL_BYTES).search(
         text, max(0, len(text) - _TAIL))
     if tail is None:
         return None
     n, r = int(tail[1]), int(tail[2])
     # n < r has no edge, and r < 2 no host: both go to the parse, which
     # lists no vertex, so an n of nine digits costs nothing there
-    edges = _bounded_comb(n, r, COMPLETE_EDGE_GUARD) if r >= 2 else None
-    if not edges or edges > COMPLETE_EDGE_GUARD or len(text) < 2 * r * edges:
+    if r < 2:
         return None
-    pos = 0
-    for chunk in map(str if is_str else str.encode, _complete_json_chunks(n, r)):
-        if not text.startswith(chunk, pos):
-            return None
-        pos += len(chunk)
-    return complete_hypergraph(n, r) if pos == tail.end(2) + 1 else None
+    hosts = []
+    edges = _bounded_comb(n, r, COMPLETE_EDGE_GUARD)
+    if edges and edges <= COMPLETE_EDGE_GUARD:
+        hosts.append((complete_hypergraph(n, r), _complete_runs))
+    if m := _cube_dimension(n, r):
+        try:
+            hosts.append((_cube(r, m), lambda n, r: _cube_runs(r, m)))
+        except GuardError:
+            pass
+    for h, runs in hosts:
+        if (len(text) >= 2 * r * h.edge_count
+                and _matches(text, _json_chunks(n, r, runs(n, r)), tail.end(2) + 1)):
+            return h
+    return None
 
 
 def hypergraph_from_json(text: str | bytes) -> Hypergraph:
     """Raises ValueError on text that is not a hypergraph document.
 
     A str, or its UTF-8 bytes, holding the canonical document of a complete
-    host is recognised without parsing or decoding (_complete_from_json). Any
+    host is recognised without parsing or decoding (_closed_form_from_json). Any
     other text is parsed, bytes once decoded as UTF-8, so that the two forms
     of a document load alike."""
-    h = _complete_from_json(text) if isinstance(text, (str, bytes, bytearray)) else None
+    h = _closed_form_from_json(text) if isinstance(text, (str, bytes, bytearray)) else None
     if h is not None:
         return h
     if isinstance(text, (bytes, bytearray)):

@@ -20,13 +20,9 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .core import (Cover, Hypergraph, RPartiteBlock, _canonical_hypergraph, _collector_paused,
-                   _drop_repeats, check_guard, check_power_guard)
+from .core import (CUBE_EDGE_GUARD, CUBE_PART_GUARD, Cover, Hypergraph, _canonical_block, _cube,
+                   check_guard, check_power_guard)
 
-CUBE_EDGE_GUARD = 10**7
-# parts built: of the dimensions m >= 2 the other guards admit, pi_partition(5, 3)
-# builds the most, 213,215; only dimension 1, with r singleton parts, builds more
-CUBE_PART_GUARD = 250_000
 LABEL_R_GUARD = 7  # floor((e-1) 7!) = 8660 blocks
 
 
@@ -109,14 +105,23 @@ def label_partition(r: int) -> list[LabelBlock]:
     check_guard("label_partition uniformity", r, LABEL_R_GUARD)
     star = r
     full = tuple(range(r + 1))
-    blocks = [LabelBlock(r, ((star,),) + (full,) * (r - 1))]
+    blocks = [_label_block(r, ((star,),) + (full,) * (r - 1))]
     for j in range(2, r + 1):
         for prefix in itertools.permutations(range(r), j - 1):
             classes = tuple((x,) for x in prefix)
-            classes += (prefix + (star,),) + (full,) * (r - j)
-            blocks.append(LabelBlock(r, classes))
+            classes += (tuple(sorted(prefix)) + (star,),) + (full,) * (r - j)
+            blocks.append(_label_block(r, classes))
     blocks.sort(key=attrgetter("classes"))
     return blocks
+
+
+def _label_block(r: int, classes: tuple) -> LabelBlock:
+    """LabelBlock(r, classes) without its checks, for builders whose classes
+    are canonical by construction: r non-empty increasing tuples of labels in
+    0..r. The result compares and hashes equal to LabelBlock(r, classes)."""
+    block = object.__new__(LabelBlock)
+    block.__dict__.update(r=r, classes=classes)  # the fields, as frozen __init__ sets them
+    return block
 
 
 def label_table(blocks: list[LabelBlock]) -> str:
@@ -163,29 +168,15 @@ def cube_labels(v: int, r: int, m: int) -> tuple:
 
 
 def cube_graph(r: int, m: int) -> CubeGraph:
-    """The cube hypergraph of uniformity r and dimension m: for each of the m
-    coordinates, the (r+1)^((m-1) r) choices of one vertex per fixed value there."""
+    """The cube hypergraph of uniformity r and dimension m, held as (r, m):
+    its edges are listed only when `edges` is first read, and its edge count,
+    document and links come in closed form or from one walk over its edge
+    prefixes. The guards still bound the edges a reader may list."""
     if r < 2:
         raise ValueError("uniformity must be at least 2")
     if m < 1:
         raise ValueError("dimension must be at least 1")
-    check_power_guard("cube_graph generated vertex entries", m * r, r + 1,
-                      (m - 1) * r, CUBE_EDGE_GUARD)
-    # at each coordinate, the r parts of the vertices showing one fixed label there
-    check_guard("cube_graph label parts", m * r, CUBE_PART_GUARD)
-    base = r + 1
-    n = base**m
-    with _collector_paused():  # tuples of ints only
-        edges = []  # an edge with several such coordinates repeats; the sort drops repeats
-        for j in range(m):
-            # the vertices showing label 0 at j; label x adds x * weight to each
-            weight = base ** (m - 1 - j)
-            zero = [hi + lo for hi in range(0, n, base * weight) for lo in range(weight)]
-            with_label = zip(*(range(v, v + r * weight, weight) for v in zero))
-            edges.extend(map(tuple, map(sorted, itertools.product(*with_label))))
-        edges.sort()  # in place: a set would hold a second table of all the edges
-        # each edge is r distinct vertices of 0..n-1, sorted
-        return CubeGraph(r, m, _canonical_hypergraph(r, n, _drop_repeats(edges)))
+    return CubeGraph(r, m, _cube(r, m))
 
 
 def pinto_upper_bound(r: int, m: int) -> int:
@@ -226,4 +217,6 @@ def pi_partition(r: int, m: int) -> Cover:
                 ))
         blocks = grown
         size *= base
-    return Cover(r, tuple(RPartiteBlock(parts) for parts in blocks))
+    # each part is increasing, x then v, and the parts are disjoint, as their
+    # parents' are; sorting the parts makes each block canonical
+    return Cover(r, tuple(_canonical_block(tuple(sorted(parts))) for parts in blocks))

@@ -59,6 +59,21 @@ class TestConstruct:
         assert payload["edges"] == 16
         assert json.loads(out.read_text())["n"] == 9
 
+    @pytest.mark.parametrize("r,m", [(2, 3), (3, 2), (5, 2)])
+    def test_pi_partition_host_never_listed(self, capsys, tmp_path, monkeypatch, r, m):
+        # construct writes the cube host from its walk, and verify recognises
+        # the file, parsing no JSON host; neither lists an edge
+        from hypercover import core
+        monkeypatch.setattr(core._CubeHypergraph, "edges",
+                            property(lambda h: pytest.fail("cube edges listed")))
+        monkeypatch.setattr(core, "_parse_hypergraph", lambda t: pytest.fail("host parsed"))
+        h, c = str(tmp_path / "h.json"), str(tmp_path / "c.json")
+        code, built, _ = run(capsys, "construct", "pi-partition", "--r", str(r), "--m", str(m),
+                             "--hypergraph-out", h, "--cover-out", c)
+        assert code == EXIT_OK
+        code, payload, _ = run(capsys, "verify", "--hypergraph", h, "--cover", c, "--partition")
+        assert code == EXIT_OK and payload["histogram"] == {"1": built["edges"]}
+
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "construct", "hex-cover")
         assert code == EXIT_ERROR

@@ -212,6 +212,74 @@ class TestImplicitCompleteHost:
         assert edges is h.edges and edges == tuple(itertools.combinations(range(61), 2))
 
 
+def cube_edges(r, m):
+    """The cube's edges by its definition: the r-sets of vertices showing all
+    r fixed labels at some coordinate."""
+    n = (r + 1) ** m
+    labels = [cube.cube_labels(v, r, m) for v in range(n)]
+    return tuple(e for e in itertools.combinations(range(n), r)
+                 if any({labels[v][j] for v in e} == set(range(r)) for j in range(m)))
+
+
+class TestImplicitCubeHost:
+    """cube_graph holds its host as (r, m) and lists its edges on the first
+    read of `edges`; it is the listed host in every other respect."""
+
+    @pytest.mark.parametrize("r,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("read_first", [False, True], ids=["held", "read"])
+    def test_equal_to_the_listed_host(self, r, m, read_first):
+        h = cube_graph(r, m).hypergraph
+        edges = cube_edges(r, m)
+        if read_first:
+            assert h.edges == edges
+        listed = Hypergraph(r, (r + 1) ** m, edges)
+        assert type(listed) is Hypergraph and type(h) is not Hypergraph
+        assert h == listed and listed == h and not (h != listed or listed != h)
+        assert h.edge_count == listed.edge_count == len(edges)
+        assert hypergraph_to_json(h) == plain_dump(listed)
+        assert ("edges" in vars(h)) == read_first  # counted and written without listing
+        assert hash(h) == hash(listed)
+        assert {listed: "listed"}[h] == "listed" and {h: "held"}[listed] == "held"
+        assert len({h, listed, cube_graph(r, m).hypergraph}) == 1
+        assert h.edge_set == listed.edge_set and h.edges == listed.edges
+
+    @pytest.mark.parametrize("other", [
+        Hypergraph(2, 9, cube_edges(2, 2)[:-1]),  # an edge short
+        Hypergraph(2, 9, cube_edges(2, 2)[:-1] + ((7, 8),)),  # one edge changed
+        Hypergraph(2, 10, cube_edges(2, 2)),  # one vertex more
+        complete_hypergraph(9),
+        cube_graph(2, 3).hypergraph,
+        cube_graph(8, 1).hypergraph,  # also on 9 vertices
+    ], ids=["edge-short", "edge-changed", "vertex-more", "complete", "held-other-m",
+            "held-other-r"])
+    def test_unequal_hosts(self, other):
+        h = cube_graph(2, 2).hypergraph
+        assert h != other and other != h and not (h == other or other == h)
+
+    def test_replaced_fields_make_a_listed_host(self):
+        h = cube_graph(2, 2).hypergraph
+        grown = dataclasses.replace(h, n=10)
+        assert type(grown) is Hypergraph and grown.edges == h.edges
+        assert grown == Hypergraph(2, 10, cube_edges(2, 2)) != h
+        assert dataclasses.replace(h, edges=[(0, 1)]) == Hypergraph(2, 9, [(0, 1)])
+        assert copy.deepcopy(h) == h and type(copy.copy(h)) is type(h)
+        assert repr(h) == "cube_graph(2, 2).hypergraph"
+
+    def test_edge_count_at_dimension_one_forms_no_factorial(self, monkeypatch):
+        # the one edge 0..r-1; r! at r = 249,999 has over a million digits
+        monkeypatch.setattr(core.math, "factorial", lambda r: pytest.fail("r! formed"))
+        h = cube_graph(249_999, 1).hypergraph
+        assert h.edge_count == 1 and "edges" not in vars(h)
+
+    def test_verify_and_writing_list_nothing(self):
+        h, c = cube_graph(3, 3).hypergraph, pi_partition(3, 3)
+        assert verify_partition(h, c).ok
+        assert not verify_partition(h, Cover(3, c.blocks[1:])).ok
+        listed = Hypergraph(3, 64, cube_edges(3, 3))
+        assert "".join(core.hypergraph_json_chunks(h)) == plain_dump(listed) and h == listed
+        assert "edges" not in vars(h) and "edge_set" not in vars(h)
+
+
 class TestBlock:
     def test_rejects_empty_part(self):
         with pytest.raises(ValueError):
@@ -627,7 +695,7 @@ class TestCompleteHostJson:
             assert loaded == complete_hypergraph(6, 3) and parses == []
         else:  # turned away, raising nothing, and parsed once
             assert parses == [text]
-        monkeypatch.setattr(core, "_complete_from_json", lambda t: None)
+        monkeypatch.setattr(core, "_closed_form_from_json", lambda t: None)
         assert load_outcome(text) == loaded
 
     # edgeless, single-edge and r = 1 hosts, in the canonical layout
@@ -637,7 +705,7 @@ class TestCompleteHostJson:
                           sort_keys=True, separators=(",", ":"))
         loaded = load_outcome(text)
         assert loaded == (complete_hypergraph(n, r) if r >= 2 else "uniformity r must be at least 2")
-        monkeypatch.setattr(core, "_complete_from_json", lambda t: None)
+        monkeypatch.setattr(core, "_closed_form_from_json", lambda t: None)
         assert load_outcome(text) == loaded
 
     def test_edgeless_host_lists_no_vertex(self):
@@ -668,6 +736,98 @@ class TestCompleteHostJson:
         parse = core._parse_hypergraph
         monkeypatch.setattr(core, "_parse_hypergraph", lambda t: parses.append(t) or parse(t))
         assert hypergraph_from_json(text) == k and parses == [text]
+
+
+def cube_variants(r, m):
+    """CANONICAL_VARIANTS for the document of the cube of uniformity r and
+    dimension m, whose first edge is 0..r-1 and whose vertex n - 1 shows
+    stars only; only the first three, and the bytes of the document, leave
+    one the closed-form path may accept."""
+    n = (r + 1) ** m
+    first = "[" + ",".join(map(str, range(r))) + "]"
+
+    def edge(*vertices):
+        return "[" + ",".join(map(str, vertices)) + "]"
+
+    return {
+        "as-written": lambda t: t,
+        "newline": lambda t: t + "\n",
+        "whitespace": lambda t: t + " \t\r\n ",
+        "whitespace-past-the-tail": lambda t: t + " " * 100,
+        "leading-space": lambda t: " " + t,
+        "edge-dropped": lambda t: t.replace(first + ",", "", 1),
+        "edge-repeated": lambda t: t.replace(first + ",", first + "," + first + ",", 1),
+        "edge-out-of-range": lambda t: t.replace(first, edge(*range(r - 1), n), 1),
+        "edge-changed": lambda t: t.replace(first, edge(*range(r - 1), n - 1), 1),
+        "edge-reversed": lambda t: t.replace(first, edge(*reversed(range(r))), 1),
+        "space-inserted": lambda t: t.replace(",", ", ", 1),
+        "keys-reordered": lambda t: f'{{"r":{r},"n":{n},' + t[1:t.index(',"n":')] + "}",
+        "tail-repeated": lambda t: t + f',"n":{n},"r":{r}}}',
+        "bytes": lambda t: t.encode(),
+        "n-of-5000-digits": lambda t: t.replace(f'"n":{n}', '"n":' + "1" * 5000),
+        "n-over-the-guard": lambda t: t.replace(f'"n":{n}', '"n":100000000'),
+        "n-below-the-edges": lambda t: t.replace(f'"n":{n}', f'"n":{n - 1}'),
+        "n-of-the-next-dimension": lambda t: t.replace(f'"n":{n}', f'"n":{n * (r + 1)}'),
+        "r-of-another-cube": lambda t: t.replace(f'"r":{r}', f'"r":{n - 1}'),
+        "r-over-n": lambda t: t.replace(f'"r":{r}', f'"r":{n + 1}'),
+        "r-of-1": lambda t: t.replace(f'"r":{r}', '"r":1'),
+    }
+
+
+class TestCubeHostJson:
+    """The canonical documents of cube hosts are written from their walk and
+    recognised without parsing; any other text loads as the parse alone
+    loads it."""
+
+    @pytest.mark.parametrize("r,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                                     (4, 1), (4, 2), (5, 2), (6, 1)])
+    def test_writer_matches_dumps(self, r, m):
+        h = cube_graph(r, m).hypergraph
+        assert hypergraph_to_json(h) == plain_dump(Hypergraph(r, h.n, cube_edges(r, m)))
+
+    @pytest.mark.parametrize("r,m", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("variant", cube_variants(2, 2))
+    def test_loads_as_the_parse_alone(self, r, m, variant, monkeypatch):
+        h = cube_graph(r, m).hypergraph
+        text = cube_variants(r, m)[variant](hypergraph_to_json(h))
+        parses = []
+        parse = core._parse_hypergraph
+        monkeypatch.setattr(core, "_parse_hypergraph", lambda t: parses.append(t) or parse(t))
+        loaded = load_outcome(text)
+        if variant in ("as-written", "newline", "whitespace", "bytes"):
+            assert loaded == h and type(loaded) is type(h) and parses == []
+            assert "edges" not in vars(loaded)
+        else:  # turned away, raising nothing, and parsed once
+            assert parses == [text]
+        monkeypatch.setattr(core, "_closed_form_from_json", lambda t: None)
+        assert load_outcome(text) == loaded
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_both_families_on_r_plus_one_vertices(self, r):
+        # the tail of K_{r+1}^r and of the cube of dimension 1 name the same
+        # (n, r); each document is recognised as its own host
+        for h in (complete_hypergraph(r + 1, r), cube_graph(r, 1).hypergraph):
+            loaded = hypergraph_from_json(hypergraph_to_json(h))
+            assert type(loaded) is type(h) and loaded == h and loaded.edge_count == h.edge_count
+
+    def test_short_text_turned_away_by_its_length(self, monkeypatch):
+        # the cube (2, 3) has 129 edges, so a text naming it must hold 516
+        # characters before any chunk is made
+        monkeypatch.setattr(core, "_json_chunks", lambda *args: pytest.fail("chunks made"))
+        text = '{"edges":[[0,1]],"n":27,"r":2}'
+        assert load_outcome(text) == Hypergraph(2, 27, [(0, 1)])
+
+    def test_guard_bounds_the_recognised_hosts(self, monkeypatch):
+        # the cube (3, 2) has 3 * 2 label parts: with a guard of 5 it is
+        # parsed, and no GuardError is raised
+        h = cube_graph(3, 2).hypergraph
+        text = hypergraph_to_json(h)
+        monkeypatch.setattr(core, "CUBE_PART_GUARD", 5)
+        parses = []
+        parse = core._parse_hypergraph
+        monkeypatch.setattr(core, "_parse_hypergraph", lambda t: parses.append(t) or parse(t))
+        loaded = hypergraph_from_json(text)
+        assert loaded == h and type(loaded) is Hypergraph and parses == [text]
 
 
 @pytest.fixture
@@ -706,13 +866,13 @@ class TestCollectorPause:
 
     def test_paused_while_building_cube_edges(self, collector_state, monkeypatch):
         seen = []
-        build = cube._canonical_hypergraph
-        monkeypatch.setattr(cube, "_canonical_hypergraph",
-                            lambda *args, **kwargs: seen.append(gc.isenabled())
-                            or build(*args, **kwargs))
+        runs = core._cube_runs
+        monkeypatch.setattr(core, "_cube_runs",
+                            lambda *args: seen.append(gc.isenabled()) or runs(*args))
         gc.enable()
-        cube_graph(2, 3)
-        assert seen == [False] and gc.isenabled()
+        h = cube_graph(2, 3).hypergraph
+        assert seen == []  # held as (r, m) until read
+        assert len(h.edges) == 193 and seen == [False] and gc.isenabled()
 
     def test_paused_while_listing_complete_edges(self, collector_state, monkeypatch):
         seen = []

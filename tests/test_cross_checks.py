@@ -857,6 +857,51 @@ class TestImplicitCompleteHostAgainstListed:
         assert_implicit_matches_listed(lambda: star_partition(6)[0], c)
 
 
+def verify_reads(profile):
+    """What verify_cover reads of a profile: its fields, and for each list the
+    witness it gives, the least foreign r-set or else the least edge outside
+    the list, with that witness's count."""
+    reads = []
+    for lst in VERIFY_LISTS:
+        e = profile.least_foreign
+        if e is None:
+            e = profile.least_outside(lst)
+        reads.append((e, None if e is None else profile.count(e)))
+    return profile_fields(profile), reads
+
+
+class TestImplicitCubeHostAgainstListed:
+    """The cube held as (r, m) is swept over the prefixes its walk yields; the
+    same host with its edges listed is swept run by run."""
+
+    listed: dict = {}  # (r, m) -> the listed host, listed once for all covers
+
+    @pytest.mark.parametrize("r,m", [*((2, m) for m in range(1, 6)), *((3, m) for m in (1, 2, 3)),
+                                     (4, 2), (5, 2), (6, 2)])
+    @pytest.mark.parametrize("variant", ["built", "less-first", "repeated", "empty", "foreign"])
+    def test_pi_partitions(self, r, m, variant):
+        h = cube_graph(r, m).hypergraph
+        c = pi_partition(r, m)
+        # a block of singletons with the all-star vertex n - 1, which no edge has
+        foreign = RPartiteBlock(tuple(zip(range(r - 1))) + ((h.n - 1,),))
+        c = dict(cover_variants(c), foreign=Cover(r, c.blocks + (foreign,)))[variant]
+        reads = verify_reads(multiplicity_profile(h, c))
+        assert "edges" not in vars(h)
+        if (r, m) not in self.listed:
+            self.listed[r, m] = listed(h)
+        assert reads == verify_reads(multiplicity_profile(self.listed[r, m], c))
+        assert (reads[0][4] is not None) == (variant == "foreign")
+
+    @pytest.mark.parametrize("r,m", [(2, 2), (3, 2), (4, 2)])
+    def test_random_covers(self, r, m):
+        # blocks of random vertices, most of them foreign, some repeated
+        rng = random.Random(r * 10 + m)
+        for _ in range(15):
+            blocks = [random_block(rng, (r + 1) ** m, r) for _ in range(rng.randint(0, 6))]
+            c = Cover(r, tuple(blocks + blocks[:rng.randint(0, 2)]))
+            assert_implicit_matches_listed(lambda: cube_graph(r, m).hypergraph, c)
+
+
 class TestCanonicalBuildersAgainstChecked:
     """complete_hypergraph and cube_graph skip the per-edge check; the checked
     constructor is the reference."""
@@ -1182,6 +1227,23 @@ class TestCubeAgainstDefinition:
                                      (3, 3), (4, 1), (4, 2), (5, 1), (6, 1)])
     def test_cube_graph_edges(self, r, m):
         assert cube_graph(r, m).hypergraph.edges == tuple(sorted(naive_cube_edges(r, m)))
+
+    @pytest.mark.parametrize("r,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1),
+                                     (4, 2), (5, 1), (5, 2)])
+    def test_walk_links(self, r, m):
+        # every prefix of an edge once, in increasing order, each grouped under
+        # its parent and linked to the last vertices of its edges
+        links = {}
+        for e in naive_cube_edges(r, m):
+            links[e[:-1]] = links.get(e[:-1], 0) | 1 << e[-1] - e[-2] - 1
+        walked = [((*q, w), link) for q, children in core._cube_runs(r, m)
+                  for w, link in children]
+        assert walked == sorted(links.items())
+        # the link read off the labels alone, for every (r-1)-set
+        n = (r + 1) ** m
+        sets = list(itertools.combinations(range(n), r - 1))
+        for p in random.Random(n).sample(sets, min(len(sets), 2000)):
+            assert core._cube_link(p, r, m) == links.get(p, 0)
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_disjointness_rows(self, n):

@@ -11,6 +11,7 @@ from conftest import implied_edges
 from hypercover import (
     GuardError,
     LabelBlock,
+    RPartiteBlock,
     block_count_by_recurrence,
     check_gamma_closed_form,
     cube_graph,
@@ -123,6 +124,11 @@ class TestLabelPartition:
             with_x = [b for b in blocks if b.classes[0] == (x,)]
             assert len(with_x) == floor_e_minus_one_factorial(r - 1)
 
+    @pytest.mark.parametrize("r", range(2, 8))
+    def test_blocks_as_checked(self, r):
+        blocks = label_partition(r)
+        assert blocks == [LabelBlock(r, b.classes) for b in blocks]
+
     def test_range_guard(self):
         with pytest.raises(ValueError):
             label_partition(8)
@@ -172,6 +178,13 @@ class TestCubeGraph:
     def test_size_guard(self):
         with pytest.raises(GuardError):
             cube_graph(4, 4)
+
+    @pytest.mark.parametrize("r,m", [(2, 1), (2, 4), (2, 5), (3, 1), (3, 3), (4, 2), (5, 2),
+                                     (6, 1), (6, 2)])
+    def test_edge_count_closed_form(self, r, m):
+        h = cube_graph(r, m).hypergraph
+        count = h.edge_count
+        assert "edges" not in vars(h) and count == len(h.edges)
 
 
 class TestPiPartition:
@@ -236,6 +249,14 @@ class TestPiPartition:
         # the most parts a dimension >= 2 builds within the other guards stays admitted
         assert pinto_upper_bound(5, 3) * (5 + 1) ** 3 <= CUBE_EDGE_GUARD  # blocks x vertices
         assert pinto_upper_bound(5, 3) * 5 == 213_215 <= CUBE_PART_GUARD
+
+    # the blocks are built canonical, unchecked; the checked constructor
+    # canonicalises the same parts
+    @pytest.mark.parametrize("r,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 2)])
+    def test_blocks_as_checked(self, r, m):
+        blocks = pi_partition(r, m).blocks
+        assert blocks == tuple(RPartiteBlock(b.parts) for b in blocks)
+        assert all(type(part) is tuple for b in blocks for part in b.parts)
 
     def test_pinto_values(self):
         assert pinto_upper_bound(2, 3) == 13
