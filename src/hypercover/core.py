@@ -955,15 +955,17 @@ def verify_partition(h: Hypergraph, c: Cover) -> VerifyResult:
 # ints built in place, which form no cycle, so json's circular-reference check
 # (an id-dict insert and delete per edge) is off.
 #
-# A complete host K_n^r is fixed by (n, r), and so is its document: it is
-# written without json and without reading an edge, one join per (r-1)-prefix
-# over the decimal literals of the vertices (_complete_json_chunks), in the
+# A complete host K_n^r is fixed by (n, r), and the cube host by (r, m), and
+# so is each one's document: it is written without json and without reading
+# an edge, from the host's walk (_complete_runs, _cube_runs), one join per
+# (r-1)-prefix over the decimal literals of its link (_json_chunks), in the
 # bytes json.dumps writes. Loading turns that around: a str, or its UTF-8
-# bytes, whose tail names (n, r) with 1 <= C(n, r) <= COMPLETE_EDGE_GUARD, at
-# least 2r C(n, r) long, and which equals that document chunk by chunk up to
-# the tail's "}", with JSON whitespace after it at most, is K_n^r, held as
-# (r, n) by complete_hypergraph without parsing, decoding or listing an edge.
-# Any other text falls through to the parse below, bytes decoded first.
+# bytes, whose tail names (n, r) with 1 <= C(n, r) <= COMPLETE_EDGE_GUARD, or
+# with n = (r+1)^m for an (r, m) the cube guards admit, at least 2r|E| long,
+# and which equals that host's document chunk by chunk up to the tail's "}",
+# with JSON whitespace after it at most, is that host, held as (r, n) or
+# (r, m) without parsing, decoding or listing an edge. Any other text falls
+# through to the parse below, bytes decoded first.
 #
 # A parsed document is loaded so that it and its edges are never held
 # twice. Its number literals are parsed once per distinct literal (_Literals),
@@ -990,7 +992,10 @@ def _json_chunks(n: int, r: int, runs) -> Iterator[str]:
         parent = "".join([literals[v] + "," for v in q])
         for w, link in links:
             head = parent + literals[w] + ","
-            last = itertools.compress(itertools.islice(literals, w + 1, None), _bit_bytes(link))
+            if link & link + 1:
+                last = itertools.compress(itertools.islice(literals, w + 1, None), _bit_bytes(link))
+            else:  # every vertex from w + 1 on, as in K_n^r: a slice
+                last = literals[w + 1:w + 1 + link.bit_length()]
             yield opening + head + ("],[" + head).join(last)
             opening = "],["
     yield f']],"n":{n},"r":{r}}}'

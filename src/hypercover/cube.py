@@ -151,7 +151,8 @@ def label_table(blocks: list[LabelBlock]) -> str:
 @dataclass(frozen=True)
 class CubeGraph:
     """The cube hypergraph of uniformity r and dimension m; `cube_labels`
-    gives the labels of a vertex."""
+    gives the labels of a vertex. `hypergraph` is held as (r, m) and lists
+    its edges only when they are first read."""
 
     r: int
     m: int
