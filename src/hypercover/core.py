@@ -25,10 +25,10 @@ import os
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import eq, getitem, itemgetter, lt, or_
+from operator import itemgetter, lt, or_
 
 Edge = tuple[int, ...]
 
@@ -36,10 +36,6 @@ GUARD_ENV = "HYPERCOVER_GUARD_OVERRIDE"
 LIST_RANGE_GUARD = 100_000  # multiplicities in one "lo..hi" list
 PROFILE_WORK_GUARD = 2_000_000_000  # counter bits added in multiplicity_profile
 COMPLETE_EDGE_GUARD = 12_000_000  # edges of K_n^r; hex_cover(40) has 10,953,540
-CUBE_EDGE_GUARD = 10**7
-# parts built: of the dimensions m >= 2 the other guards admit, pi_partition(5, 3)
-# builds the most, 213,215; only dimension 1, with r singleton parts, builds more
-CUBE_PART_GUARD = 250_000
 # packed_bits ORs shifts up to this width: below it shifting beat the byte
 # table at every density timed (by 18% or more; 2-core Intel Xeon, Python
 # 3.11.7), and at 2,048 bits with half the positions set the two broke even
@@ -269,20 +265,33 @@ class Hypergraph:
                     yield p, counters, reduce(or_, counters), 0, None
 
 
-class _CompleteHypergraph(Hypergraph):
-    """K_n^r (n >= r) held as (r, n): its edges are listed on the first read of
-    `edges`, and its edge count and links are closed forms.
+class _HeldHypergraph(Hypergraph):
+    """A host held by its sizes: its edges are listed on the first read of
+    `edges`, and its edge count is a closed form.
 
-    It compares and hashes equal to the listed K_n^r. A listed h with the
-    same r and n is that host exactly when it has C(n, r) edges, since its
-    edges are distinct r-subsets of 0..n-1; the hash is the listed host's,
-    so it lists the edges."""
+    It compares and hashes equal to the listed host with the same edges: a
+    listed h with the same r, n and edge count is that host when
+    _same_edges(h). The hash is the listed host's, so it lists the edges.
+    _runs() is its walk in the form of _complete_runs, which writes its
+    document."""
 
     def __post_init__(self):
         # only a call of the class, as dataclasses.replace makes, gets here:
-        # the fields it is given need not be K_n^r, so they make a listed host
+        # the fields it is given need not be this host, so they make a listed host
         object.__setattr__(self, "__class__", Hypergraph)
         Hypergraph.__post_init__(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return ((self.r, self.n, self.edge_count) == (other.r, other.n, other.edge_count)
+                and self._same_edges(other))
+
+    __hash__ = Hypergraph.__hash__
+
+
+class _CompleteHypergraph(_HeldHypergraph):
+    """K_n^r (n >= r) held as (r, n); its edge count and links are closed forms."""
 
     @cached_property
     def edges(self) -> tuple:
@@ -294,12 +303,12 @@ class _CompleteHypergraph(Hypergraph):
     def edge_count(self) -> int:
         return math.comb(self.n, self.r)
 
-    def __eq__(self, other):
-        if not isinstance(other, Hypergraph):
-            return NotImplemented
-        return (self.r, self.n, self.edge_count) == (other.r, other.n, other.edge_count)
+    def _same_edges(self, other: Hypergraph) -> bool:
+        """C(n, r) distinct r-subsets of 0..n-1 are all of them."""
+        return True
 
-    __hash__ = Hypergraph.__hash__
+    def _runs(self) -> Iterator[tuple]:
+        return _complete_runs(self.n, self.r)
 
     def __repr__(self) -> str:
         return f"complete_hypergraph({self.n}, {self.r})"
@@ -341,204 +350,6 @@ def _bit_bytes(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
-def _cube_runs(r: int, m: int) -> Iterator[tuple]:
-    """The walk of the cube hypergraph of uniformity r and dimension m: for
-    each (r-2)-set q that is the parent of a prefix, in increasing order, q and
-    the list of (w, link) for the prefixes q + (w,) of an edge, w increasing.
-    Bit i of link stands for vertex w + 1 + i, as in a profile mask.
-
-    Vertex v shows the base-(r+1) digits of v as labels, the first coordinate
-    most significant, with r the star. An (r-1)-set p shows r-1 distinct
-    fixed labels at some coordinates; at each, its link holds the vertices
-    above p[-1] that show the missing label there, and at no other
-    coordinate does p meet an edge. The walk runs depth first over sorted
-    vertex lists, keeping for each coordinate still showing distinct fixed
-    labels the set of those labels. A vertex is taken only where some such
-    coordinate stays completable: each label still missing there is shown
-    by some vertex above it, the largest of which has stars elsewhere. So
-    every branch ends in a prefix, and each prefix is met once. A parent
-    finds all its children's links at once: each child's link is the OR,
-    over its coordinates, of the vertices with the one label still missing.
-
-    Dimension 1 has one edge, 0..r-1, which is yielded without the walk."""
-    if m == 1:
-        yield tuple(range(r - 2)), [(r - 2, 1)]
-        return
-    base = r + 1
-    n = base**m
-    weights = [base ** (m - 1 - j) for j in range(m)]
-    ones = (1 << n) - 1
-    # labels[j][x]: the vertices showing label x at j, a run of weight
-    # vertices in every period of base * weight
-    labels = [[(((1 << w) - 1) << x * w) * (ones // ((1 << base * w) - 1)) for x in range(r)]
-              for w in weights]
-    # below[j][x]: the vertices under the largest one showing x at j
-    below = [[(1 << n - 1 - (r - x) * w) - 1 for x in range(r)] for w in weights]
-    digits = list(itertools.product(range(base), repeat=m))  # the labels of each vertex
-    unset = [0] * base
-
-    def grow(alive: tuple) -> tuple:
-        """(ws, steps) for a node whose alive coordinates, as (j, labels
-        shown), are `alive`: steps holds (w, w's alive coordinates) for each
-        vertex w that extends it, in the order of ws, w increasing."""
-        taken = 0
-        for j, shown in alive:
-            free = [x for x in range(r) if not shown >> x & 1]
-            lo = free[0]
-            # taking lo leaves the second label least, taking any other lo
-            taken |= labels[j][lo] & below[j][free[1]]
-            for x in free[1:]:
-                taken |= labels[j][x] & below[j][lo]
-        ws = list(itertools.compress(range(n), _bit_bytes(taken)))
-        steps = []
-        for w in ws:
-            grown = []
-            for j, shown in alive:
-                x = digits[w][j]
-                if x < r and not shown >> x & 1:
-                    shown |= 1 << x
-                    if below[j][(~shown & shown + 1).bit_length() - 1] >> w & 1:
-                        grown.append((j, shown))
-            steps.append((w, tuple(grown)))
-        return ws, steps
-
-    def children(alive: tuple) -> tuple:
-        """(ws, links) for a parent whose alive coordinates each miss two
-        labels: links holds (w, link) for each child w, in the order of ws."""
-        pick = [unset] * m  # pick[j][x]: the vertices a child showing x at j links to
-        taken = 0
-        for j, shown in alive:
-            a, b = (x for x in range(r) if not shown >> x & 1)
-            pick[j] = [0] * base
-            pick[j][a], pick[j][b] = labels[j][b], labels[j][a]
-            taken |= labels[j][a] & below[j][b] | labels[j][b] & below[j][a]
-        ws = list(itertools.compress(range(n), _bit_bytes(taken)))
-        return ws, [(w, reduce(or_, map(getitem, pick, digits[w])) >> w + 1) for w in ws]
-
-    # a node's steps depend on its alive coordinates alone, and on its last
-    # vertex v only through the w > v taken: each is found once and sliced
-    known: dict = {}
-
-    def after(v: int, alive: tuple, level) -> list:
-        found = known.get(alive)
-        if found is None:
-            found = known[alive] = level(alive)
-        ws, steps = found
-        return steps[bisect_right(ws, v):]
-
-    root = tuple((j, 0) for j in range(m))
-    if r == 2:
-        yield (), children(root)[1]
-        return
-    q: list = []
-    stack = [iter(after(-1, root, grow))]  # stack[i] extends q[:i]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if q:
-                q.pop()
-        elif len(q) == r - 3:  # q + [w] is a parent
-            w, alive = step
-            yield (*q, w), after(w, alive, children)
-        else:
-            w, alive = step
-            q.append(w)
-            stack.append(iter(after(w, alive, grow)))
-
-
-def _cube_link(p: tuple, r: int, m: int) -> int:
-    """The link of the (r-1)-set p in the cube hypergraph, as a mask whose
-    bit i stands for vertex p[-1] + 1 + i, read off p's labels alone."""
-    base = r + 1
-    n = base**m
-    link = 0
-    for j in range(m):
-        w = base ** (m - 1 - j)
-        shown = {v // w % base for v in p}
-        if len(shown) == r - 1 and r not in shown:
-            x = min(set(range(r)) - shown)
-            link |= packed_bits([u for u in range(p[-1] + 1, n) if u // w % base == x], n)
-    return link >> p[-1] + 1
-
-
-class _CubeHypergraph(Hypergraph):
-    """The cube hypergraph of uniformity r and dimension m, on n = (r+1)^m
-    vertices, held as (r, m): its edges are listed on the first read of
-    `edges`, its edge count is a closed form, and its links, its edges and
-    its document come from one walk (_cube_runs).
-
-    It compares and hashes equal to the listed host: a listed h equals it
-    when r, n, the edge count and the edges agree, and the hash lists the
-    edges."""
-
-    def __post_init__(self):
-        # only a call of the class, as dataclasses.replace makes, gets here:
-        # the fields it is given need not be the cube, so they make a listed host
-        object.__setattr__(self, "__class__", Hypergraph)
-        Hypergraph.__post_init__(self)
-
-    @cached_property
-    def edges(self) -> tuple:
-        with _collector_paused():
-            return tuple(self._walked_edges())
-
-    def _walked_edges(self) -> Iterator[Edge]:
-        """The edges in increasing order, from the walk: each prefix with
-        each vertex of its link."""
-        n = self.n
-        return itertools.chain.from_iterable(
-            map((*q, w).__add__, zip(itertools.compress(range(w + 1, n), _bit_bytes(link))))
-            for q, links in _cube_runs(self.r, self.m) for w, link in links)
-
-    @property
-    def edge_count(self) -> int:
-        """Inclusion and exclusion over the k coordinates that show all r fixed
-        labels: the vertices showing label 0 at the first of them fix an order,
-        each other one permutes the labels, and the rest are free. No r! is
-        formed at dimension 1, where r may be large."""
-        r, m = self.r, self.m
-        factorial = math.factorial(r) if m > 1 else 1
-        return sum((-1) ** (k + 1) * math.comb(m, k) * factorial ** (k - 1)
-                   * (r + 1) ** ((m - k) * r) for k in range(1, m + 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, Hypergraph):
-            return NotImplemented
-        if (self.r, self.n, self.edge_count) != (other.r, other.n, other.edge_count):
-            return False
-        # as many edges, both in increasing order: walked against the other's
-        return type(other) is _CubeHypergraph or all(map(eq, self._walked_edges(), other.edges))
-
-    __hash__ = Hypergraph.__hash__
-
-    def __repr__(self) -> str:
-        return f"cube_graph({self.r}, {self.m}).hypergraph"
-
-    def _links(self, planes: dict) -> Iterator[tuple]:
-        """Hypergraph._links from the walk's links: every prefix of an edge in
-        increasing order, then each counted prefix of none, whose link is 0."""
-        reached = 0  # counted prefixes met by the walk
-        for q, links in _cube_runs(self.r, self.m):
-            for w, link in links:
-                p = (*q, w)
-                counters = planes.get(p, ())
-                if counters:
-                    reached += 1
-                cover = counters[0] if len(counters) == 1 else reduce(or_, counters, 0)
-                width = cover.bit_length()
-                rest = link >> width
-                if rest:
-                    yield (p, counters, cover, link & (1 << width) - 1,
-                           p + (w + width + (rest & -rest).bit_length(),))
-                else:
-                    yield p, counters, cover, link, None
-        if reached < len(planes):
-            for p, counters in planes.items():
-                if not _cube_link(p, self.r, self.m):
-                    yield p, counters, reduce(or_, counters), 0, None
-
-
 def _canonical_hypergraph(r: int, n: int, edges: tuple) -> Hypergraph:
     """Hypergraph(r, n, edges) without the per-edge check, for builders whose
     edges are canonical by construction.
@@ -577,19 +388,6 @@ def complete_hypergraph(n: int, r: int = 2) -> Hypergraph:
     The guard still bounds C(n, r), the edges a reader may list."""
     check_comb_guard("complete_hypergraph edges", n, r, COMPLETE_EDGE_GUARD)
     return _complete(n, r)
-
-
-def _cube(r: int, m: int) -> Hypergraph:
-    """The cube hypergraph of uniformity r >= 2 and dimension m >= 1, held as
-    (r, m). The guards bound what a reader may list: the vertex entries of
-    the edges at each coordinate, and the parts of one vertex per fixed label
-    at each coordinate."""
-    check_power_guard("cube_graph generated vertex entries", m * r, r + 1,
-                      (m - 1) * r, CUBE_EDGE_GUARD)
-    check_guard("cube_graph label parts", m * r, CUBE_PART_GUARD)
-    h = object.__new__(_CubeHypergraph)
-    h.__dict__.update(r=r, n=(r + 1) ** m, m=m)  # edges is listed on first read
-    return h
 
 
 def induced_subhypergraph(h: Hypergraph, vertices) -> tuple[Hypergraph, list[int]]:
@@ -1003,11 +801,11 @@ def _json_chunks(n: int, r: int, runs) -> Iterator[str]:
 
 def hypergraph_json_chunks(h: Hypergraph) -> Iterator[str]:
     """hypergraph_to_json(h) in chunks, for writing without joining them: a
-    cube host held as (r, m), or a complete h (C(n, r) > 0 edges), run by run
-    from its walk, with no edge read; any other h, the edgeless n < r among
-    them, in one chunk."""
-    if type(h) is _CubeHypergraph:
-        return _json_chunks(h.n, h.r, _cube_runs(h.r, h.m))
+    host held by its sizes, or a listed complete h (C(n, r) > 0 edges), run
+    by run from its walk, with no edge read; any other h, the edgeless n < r
+    among them, in one chunk."""
+    if isinstance(h, _HeldHypergraph):
+        return _json_chunks(h.n, h.r, h._runs())
     if _is_complete(h):
         return _json_chunks(h.n, h.r, _complete_runs(h.n, h.r))
     doc = {"r": h.r, "n": h.n, "edges": h.edges}  # tuples dump as arrays, already sorted
@@ -1123,17 +921,14 @@ def _closed_form_from_json(text: str | bytes) -> Hypergraph | None:
     hosts = []
     edges = _bounded_comb(n, r, COMPLETE_EDGE_GUARD)
     if edges and edges <= COMPLETE_EDGE_GUARD:
-        hosts.append((complete_hypergraph(n, r), _complete_runs))
+        hosts.append(complete_hypergraph(n, r))
     if m := _cube_dimension(n, r):
-        try:
-            hosts.append((_cube(r, m), lambda n, r: _cube_runs(r, m)))
-        except GuardError:
-            pass
-    for h, runs in hosts:
-        if (len(text) >= 2 * r * h.edge_count
-                and _matches(text, _json_chunks(n, r, runs(n, r)), tail.end(2) + 1)):
-            return h
-    return None
+        from .cube import _cube  # which imports this module
+
+        with suppress(GuardError):
+            hosts.append(_cube(r, m))
+    return next((h for h in hosts if len(text) >= 2 * r * h.edge_count
+                 and _matches(text, hypergraph_json_chunks(h), tail.end(2) + 1)), None)
 
 
 def hypergraph_from_json(text: str | bytes) -> Hypergraph:

@@ -63,8 +63,8 @@ class TestConstruct:
     def test_pi_partition_host_never_listed(self, capsys, tmp_path, monkeypatch, r, m):
         # construct writes the cube host from its walk, and verify recognises
         # the file, parsing no JSON host; neither lists an edge
-        from hypercover import core
-        monkeypatch.setattr(core._CubeHypergraph, "edges",
+        from hypercover import core, cube
+        monkeypatch.setattr(cube._CubeHypergraph, "edges",
                             property(lambda h: pytest.fail("cube edges listed")))
         monkeypatch.setattr(core, "_parse_hypergraph", lambda t: pytest.fail("host parsed"))
         h, c = str(tmp_path / "h.json"), str(tmp_path / "c.json")

@@ -822,7 +822,7 @@ class TestCubeHostJson:
         # parsed, and no GuardError is raised
         h = cube_graph(3, 2).hypergraph
         text = hypergraph_to_json(h)
-        monkeypatch.setattr(core, "CUBE_PART_GUARD", 5)
+        monkeypatch.setattr(cube, "CUBE_PART_GUARD", 5)
         parses = []
         parse = core._parse_hypergraph
         monkeypatch.setattr(core, "_parse_hypergraph", lambda t: parses.append(t) or parse(t))
@@ -866,8 +866,8 @@ class TestCollectorPause:
 
     def test_paused_while_building_cube_edges(self, collector_state, monkeypatch):
         seen = []
-        runs = core._cube_runs
-        monkeypatch.setattr(core, "_cube_runs",
+        runs = cube._cube_runs
+        monkeypatch.setattr(cube, "_cube_runs",
                             lambda *args: seen.append(gc.isenabled()) or runs(*args))
         gc.enable()
         h = cube_graph(2, 3).hypergraph

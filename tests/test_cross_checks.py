@@ -51,7 +51,7 @@ from hypercover import (
     star_partition,
     verify_cover,
 )
-from hypercover import core
+from hypercover import core, cube
 from hypercover.core import _SHIFT_WIDTH, _canonical_columns
 from hypercover.gf2 import colex_subsets
 from hypercover.grids import hex_coordinates
@@ -1236,14 +1236,9 @@ class TestCubeAgainstDefinition:
         links = {}
         for e in naive_cube_edges(r, m):
             links[e[:-1]] = links.get(e[:-1], 0) | 1 << e[-1] - e[-2] - 1
-        walked = [((*q, w), link) for q, children in core._cube_runs(r, m)
+        walked = [((*q, w), link) for q, children in cube._cube_runs(r, m)
                   for w, link in children]
         assert walked == sorted(links.items())
-        # the link read off the labels alone, for every (r-1)-set
-        n = (r + 1) ** m
-        sets = list(itertools.combinations(range(n), r - 1))
-        for p in random.Random(n).sample(sets, min(len(sets), 2000)):
-            assert core._cube_link(p, r, m) == links.get(p, 0)
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_disjointness_rows(self, n):
