@@ -638,9 +638,10 @@ def multiplicity_profile(h: Hypergraph, c: Cover) -> MultiplicityProfile:
     The counters are then read in one sweep over prefixes, in increasing
     order, whose links come from h (h._links): a listed h gives the runs of
     its sorted edges, and then the counted prefixes of none of its edges;
-    K_n^r gives the counted prefixes alone, in closed form. A link is clipped
-    at the last vertex the counters reach, where the prefix's cover, the OR of
-    its counters, ends. Each link is tallied as it comes: a link equal to its
+    K_n^r gives the counted prefixes alone, in closed form; the cube host
+    gives every prefix its walk meets, and then those of none of its edges.
+    A link is clipped at the last vertex the counters reach, where the
+    prefix's cover, the OR of its counters, ends. Each link is tallied as it comes: a link equal to its
     one plane is covered exactly once, and the edges of all such links are
     summed in the sweep and added to multiplicity 1 once, after it; any other
     link is split by its counters, whose bits outside it are foreign. The

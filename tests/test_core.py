@@ -267,7 +267,7 @@ class TestImplicitCubeHost:
 
     def test_edge_count_at_dimension_one_forms_no_factorial(self, monkeypatch):
         # the one edge 0..r-1; r! at r = 249,999 has over a million digits
-        monkeypatch.setattr(core.math, "factorial", lambda r: pytest.fail("r! formed"))
+        monkeypatch.setattr(cube.math, "factorial", lambda r: pytest.fail("r! formed"))
         h = cube_graph(249_999, 1).hypergraph
         assert h.edge_count == 1 and "edges" not in vars(h)
 
