@@ -59,8 +59,8 @@ def _report(name: str, inputs: dict, value) -> dict:
 
 
 def _read_hypergraph(path: str):
-    """The host in the file at `path`, read as bytes: a K_n^r document is
-    recognised in them and held once. Any other is decoded, and its bytes
+    """The host in the file at `path`, read as bytes: a K_n^r or cube
+    document is recognised in them and held once. Any other is decoded, and its bytes
     dropped here, before the parse: under Python 3.10 a caller's arguments
     live until the call returns."""
     with open(path, "rb") as fh:

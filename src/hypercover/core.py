@@ -936,8 +936,8 @@ def hypergraph_from_json(text: str | bytes) -> Hypergraph:
     """Raises ValueError on text that is not a hypergraph document.
 
     A str, or its UTF-8 bytes, holding the canonical document of a complete
-    host is recognised without parsing or decoding (_closed_form_from_json). Any
-    other text is parsed, bytes once decoded as UTF-8, so that the two forms
+    or cube host is recognised without parsing or decoding
+    (_closed_form_from_json). Any other text is parsed, bytes once decoded as UTF-8, so that the two forms
     of a document load alike."""
     h = _closed_form_from_json(text) if isinstance(text, (str, bytes, bytearray)) else None
     if h is not None:
